@@ -21,8 +21,8 @@ constexpr const char *k2lvlPrefix = "2lvl:";
 constexpr const char *kCpuPrefix = "cpu:";
 constexpr const char *kMcPrefix = "mc:";
 
-/** Sanity cap on mc: core counts (a parse guard, not a design limit). */
-constexpr unsigned kMaxCores = 64;
+/** Cap on mc: core counts: one bit per core in a directory sharer mask. */
+constexpr unsigned kMaxCores = CoherentSystem::kMaxCores;
 
 /** Strip @p prefix from @p label into @p rest. */
 bool

@@ -18,9 +18,8 @@ PageMap::PageMap(std::uint64_t page_bytes, std::uint64_t phys_pages,
 std::uint64_t
 PageMap::frameFor(std::uint64_t vpage)
 {
-    auto it = table_.find(vpage);
-    if (it != table_.end())
-        return it->second;
+    if (const std::uint64_t *frame = table_.find(vpage))
+        return *frame;
 
     // Draw unused frames; with 2^20 frames and workloads touching a few
     // thousand pages, collisions are rare enough that rejection
@@ -28,9 +27,9 @@ PageMap::frameFor(std::uint64_t vpage)
     std::uint64_t frame = 0;
     do {
         frame = rng_.nextBelow(phys_pages_);
-    } while (used_frames_.count(frame));
-    used_frames_[frame] = true;
-    table_[vpage] = frame;
+    } while (used_frames_.find(frame));
+    used_frames_.insert(frame);
+    table_.insert(vpage).first = frame;
     return frame;
 }
 
@@ -48,7 +47,7 @@ PageMap::aliasTo(std::uint64_t alias_vaddr, std::uint64_t target_vaddr)
 {
     const std::uint64_t target_frame =
         frameFor(target_vaddr >> page_shift_);
-    table_[alias_vaddr >> page_shift_] = target_frame;
+    table_.insert(alias_vaddr >> page_shift_).first = target_frame;
 }
 
 } // namespace cac

@@ -13,8 +13,8 @@
 #define CAC_HIERARCHY_PAGE_MAP_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/block_table.hh"
 #include "common/rng.hh"
 
 namespace cac
@@ -59,8 +59,8 @@ class PageMap
     std::uint64_t page_shift_;
     std::uint64_t phys_pages_;
     Rng rng_;
-    std::unordered_map<std::uint64_t, std::uint64_t> table_;
-    std::unordered_map<std::uint64_t, bool> used_frames_;
+    BlockTable<std::uint64_t> table_; ///< virtual page -> frame
+    BlockSet used_frames_;
 };
 
 } // namespace cac

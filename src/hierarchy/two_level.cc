@@ -124,12 +124,12 @@ TwoLevelHierarchy::missPath(std::uint64_t vaddr, bool is_write,
         // block may live in L1 (section 3.3, cause 2 of holes). If a
         // different virtual block already maps this physical block,
         // shoot it down before recording the new mapping.
-        auto alias = l1_contents_.find(pblock);
-        if (alias != l1_contents_.end() && alias->second != vblock) {
-            if (l1_->invalidate(l1_->geometry().byteAddr(alias->second)))
+        auto [resident, fresh] = l1_contents_.insert(pblock);
+        if (!fresh && resident != vblock) {
+            if (l1_->invalidate(l1_->geometry().byteAddr(resident)))
                 ++hole_stats_.aliasRemovals;
         }
-        l1_contents_[pblock] = vblock;
+        resident = vblock;
     }
 
     // L2 lookup with the physical address.
@@ -142,11 +142,11 @@ TwoLevelHierarchy::missPath(std::uint64_t vaddr, bool is_write,
         ++hole_stats_.l2Replacements;
         const std::uint64_t victim_pblock =
             l2_->geometry().blockAddr(*l2_result.evictedAddr);
-        auto it = l1_contents_.find(victim_pblock);
-        if (it != l1_contents_.end()) {
+        if (const std::uint64_t *resident =
+                l1_contents_.find(victim_pblock)) {
             // Inclusion demands this data leave L1.
             ++hole_stats_.inclusionInvalidates;
-            const std::uint64_t victim_vblock = it->second;
+            const std::uint64_t victim_vblock = *resident;
             if (l1_evicted && victim_vblock == l1_evicted_vblock) {
                 // Coincidence: the L1 fill already displaced it; no
                 // hole appears (the paper's P_d complement).
@@ -155,10 +155,10 @@ TwoLevelHierarchy::missPath(std::uint64_t vaddr, bool is_write,
                     l1_->geometry().byteAddr(victim_vblock);
                 if (l1_->invalidate(victim_vaddr)) {
                     ++hole_stats_.holesCreated;
-                    holes_[victim_vblock] = true;
+                    holes_.insert(victim_vblock);
                 }
             }
-            l1_contents_.erase(it);
+            l1_contents_.erase(victim_pblock);
         }
     }
 }
@@ -169,10 +169,9 @@ TwoLevelHierarchy::externalInvalidate(std::uint64_t paddr)
     ++hole_stats_.externalInvalidates;
     l2_->invalidate(paddr);
     const std::uint64_t pblock = l2_->geometry().blockAddr(paddr);
-    auto it = l1_contents_.find(pblock);
-    if (it != l1_contents_.end()) {
-        l1_->invalidate(l1_->geometry().byteAddr(it->second));
-        l1_contents_.erase(it);
+    if (const std::uint64_t *resident = l1_contents_.find(pblock)) {
+        l1_->invalidate(l1_->geometry().byteAddr(*resident));
+        l1_contents_.erase(pblock);
     }
 }
 
@@ -187,13 +186,14 @@ TwoLevelHierarchy::flushL1()
 bool
 TwoLevelHierarchy::checkInclusion() const
 {
-    for (const auto &[pblock, vblock] : l1_contents_) {
+    bool ok = true;
+    l1_contents_.forEach([&](std::uint64_t pblock, std::uint64_t vblock) {
         const std::uint64_t vaddr = l1_->geometry().byteAddr(vblock);
         const std::uint64_t paddr = l2_->geometry().byteAddr(pblock);
         if (l1_->probe(vaddr) && !l2_->probe(paddr))
-            return false;
-    }
-    return true;
+            ok = false;
+    });
+    return ok;
 }
 
 } // namespace cac

@@ -17,9 +17,9 @@
 #define CAC_HIERARCHY_TWO_LEVEL_HH
 
 #include <memory>
-#include <unordered_map>
 
 #include "cache/cache_model.hh"
+#include "common/block_table.hh"
 #include "hierarchy/page_map.hh"
 
 namespace cac
@@ -147,9 +147,9 @@ class TwoLevelHierarchy
      * so physical invalidations can find virtual L1 lines without
      * reverse translation hardware.
      */
-    std::unordered_map<std::uint64_t, std::uint64_t> l1_contents_;
+    BlockTable<std::uint64_t> l1_contents_;
     /** Virtual blocks invalidated by Inclusion, pending re-reference. */
-    std::unordered_map<std::uint64_t, bool> holes_;
+    BlockSet holes_;
 };
 
 } // namespace cac

@@ -1,6 +1,9 @@
 #include "multicore/coherent_system.hh"
 
+#include <bit>
+
 #include "cache/set_assoc.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace cac
@@ -95,6 +98,7 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
       page_map_(std::move(page_map)), window_bytes_(window_bytes)
 {
     CAC_ASSERT(!l1s_.empty() && l2_);
+    CAC_ASSERT(l1s_.size() <= kMaxCores);
     CAC_ASSERT(window_bytes_ > 0);
     for (const auto &l1 : l1s_) {
         CAC_ASSERT(l1);
@@ -135,15 +139,35 @@ CoherentSystem::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
     // Demultiplex into maximal same-core runs: within a scenario
     // quantum every address belongs to one program (one ASID window,
     // one core), so runs are long and the per-core fast path applies.
+    // A run grows while addresses stay inside the current window's
+    // [lo, lo + window) bounds, which persist across calls; only a
+    // window change costs a division.
     std::size_t base = 0;
     while (base < n) {
-        const unsigned core = coreFor(vaddrs[base]);
+        if (vaddrs[base] - window_lo_ >= window_bytes_)
+            enterWindow(vaddrs[base]);
+        const unsigned core = window_core_;
         std::size_t end = base + 1;
-        while (end < n && coreFor(vaddrs[end]) == core)
+        for (;;) {
+            while (end < n && vaddrs[end] - window_lo_ < window_bytes_)
+                ++end;
+            if (end == n)
+                break;
+            enterWindow(vaddrs[end]);
+            if (window_core_ != core)
+                break;
             ++end;
+        }
         coreBatch(core, vaddrs + base, end - base, is_write);
         base = end;
     }
+}
+
+void
+CoherentSystem::enterWindow(std::uint64_t vaddr)
+{
+    window_lo_ = vaddr - vaddr % window_bytes_;
+    window_core_ = coreFor(vaddr);
 }
 
 void
@@ -189,39 +213,46 @@ CoherentSystem::writeHitUpgrade(unsigned core, std::uint64_t vaddr)
     // consumes no randomness and perturbs nothing.
     const std::uint64_t pblock =
         l2_->geometry().blockAddr(page_map_.translate(vaddr));
-    auto it = owner_.find(pblock);
-    if (it != owner_.end() && it->second == core)
+    DirEntry &entry = dir_.insert(pblock).first;
+    if (entry.owner == core)
         return; // already Modified here
     ++mc_.cores[core].upgrades;
-    invalidateOtherCopies(core, pblock);
-    owner_[pblock] = core;
+    invalidateOtherCopies(core, pblock, entry);
+    entry.owner = static_cast<std::uint8_t>(core);
 }
 
 void
-CoherentSystem::invalidateOtherCopies(unsigned core, std::uint64_t pblock)
+CoherentSystem::invalidateOtherCopies(unsigned core, std::uint64_t pblock,
+                                      DirEntry &entry)
 {
-    for (unsigned j = 0; j < l1s_.size(); ++j) {
-        if (j == core)
-            continue;
-        auto it = l1_contents_[j].find(pblock);
-        if (it == l1_contents_[j].end())
-            continue;
-        l1s_[j]->invalidate(l1s_[j]->geometry().byteAddr(it->second));
-        l1_contents_[j].erase(it);
+    const std::uint64_t self = std::uint64_t{1} << core;
+    for (std::uint64_t others = entry.sharers & ~self; others != 0;
+         others &= others - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(others));
+        const std::uint64_t *resident = l1_contents_[j].find(pblock);
+        CAC_ASSERT(resident);
+        l1s_[j]->invalidate(l1s_[j]->geometry().byteAddr(*resident));
+        l1_contents_[j].erase(pblock);
         ++mc_.cores[j].invalidationsReceived;
         ++mc_.invalidationMessages;
     }
-    auto o = owner_.find(pblock);
-    if (o != owner_.end() && o->second != core)
-        owner_.erase(o);
+    entry.sharers &= self;
+    if (entry.owner != core)
+        entry.owner = kNoCore;
 }
 
 void
-CoherentSystem::dropOwnership(std::uint64_t pblock, unsigned core)
+CoherentSystem::unlinkL1(unsigned core, std::uint64_t pblock)
 {
-    auto it = owner_.find(pblock);
-    if (it != owner_.end() && it->second == core)
-        owner_.erase(it);
+    l1_contents_[core].erase(pblock);
+    DirEntry *entry = dir_.find(pblock);
+    if (entry == nullptr)
+        return;
+    entry->sharers &= ~(std::uint64_t{1} << core);
+    if (entry->owner == core)
+        entry->owner = kNoCore;
+    if (entry->unused())
+        dir_.erase(pblock);
 }
 
 void
@@ -229,10 +260,9 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                          const AccessResult &l1_result)
 {
     // This follows TwoLevelHierarchy::missPath step for step; every
-    // coherence insertion is guarded so a 1-core system is
-    // statistically bit-identical to the plain hierarchy.
+    // coherence step is guarded so a 1-core system is statistically
+    // bit-identical to the plain hierarchy and never touches dir_.
     CacheModel &l1 = *l1s_[core];
-    auto &contents = l1_contents_[core];
     McCoreStats &cs = mc_.cores[core];
     const bool multi = l1s_.size() > 1;
 
@@ -250,120 +280,118 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     if (l1_result.evictedAddr) {
         l1_evicted = true;
         l1_evicted_vblock = l1.geometry().blockAddr(*l1_result.evictedAddr);
-        const std::uint64_t evicted_pblock = l2_->geometry().blockAddr(
-            page_map_.translate(*l1_result.evictedAddr));
-        contents.erase(evicted_pblock);
-        if (multi)
-            dropOwnership(evicted_pblock, core);
+        const std::uint64_t evicted_paddr =
+            page_map_.translate(*l1_result.evictedAddr);
+        unlinkL1(core, l2_->geometry().blockAddr(evicted_paddr));
         // A dirty write-back from L1 updates L2 (hit expected under
         // Inclusion).
         if (l1_result.evictedDirty)
-            l2_->access(page_map_.translate(*l1_result.evictedAddr), true);
+            l2_->access(evicted_paddr, true);
     }
     if (l1_result.filled) {
         // Virtual-alias rule: at most one virtual copy of a physical
         // block may live in one L1. If a different virtual block
         // already maps this physical block, shoot it down first.
-        auto alias = contents.find(pblock);
-        if (alias != contents.end() && alias->second != vblock) {
-            if (l1.invalidate(l1.geometry().byteAddr(alias->second)))
+        auto [resident, fresh] = l1_contents_[core].insert(pblock);
+        if (!fresh && resident != vblock) {
+            if (l1.invalidate(l1.geometry().byteAddr(resident)))
                 ++cs.holes.aliasRemovals;
         }
-        contents[pblock] = vblock;
+        resident = vblock;
     }
 
     // Coherence: a peer holding the line Modified serves the miss
     // (L1-to-L1 intervention, no L2 involvement); a store shoots down
-    // every other copy and takes ownership.
+    // every other copy and takes ownership. No other directory entry
+    // is inserted or erased while `entry` is in use, so it stays valid.
+    DirEntry *entry = nullptr;
     bool served_by_intervention = false;
     if (multi) {
-        auto o = owner_.find(pblock);
-        if (o != owner_.end() && o->second != core) {
-            const unsigned peer = o->second;
+        entry = &dir_.insert(pblock).first;
+        if (l1_result.filled)
+            entry->sharers |= std::uint64_t{1} << core;
+        const unsigned peer = entry->owner;
+        if (peer != kNoCore && peer != core) {
             ++mc_.interventions;
             ++cs.interventionsReceived;
             ++mc_.cores[peer].interventionsSupplied;
-            if (is_write) {
-                auto it = l1_contents_[peer].find(pblock);
-                if (it != l1_contents_[peer].end()) {
-                    l1s_[peer]->invalidate(
-                        l1s_[peer]->geometry().byteAddr(it->second));
-                    l1_contents_[peer].erase(it);
-                    ++mc_.cores[peer].invalidationsReceived;
-                    ++mc_.invalidationMessages;
-                }
-            }
-            // Read: the peer keeps a Shared copy (M -> S). Either way
-            // the old ownership ends here.
-            owner_.erase(o);
+            // Read: the peer keeps a Shared copy (M -> S); a store
+            // invalidates it below. Either way the old ownership ends.
+            entry->owner = kNoCore;
             served_by_intervention = true;
         }
         if (is_write) {
-            invalidateOtherCopies(core, pblock);
+            invalidateOtherCopies(core, pblock, *entry);
             if (l1_result.filled)
-                owner_[pblock] = core;
+                entry->owner = static_cast<std::uint8_t>(core);
         }
     }
-    if (served_by_intervention)
-        return; // data came from the peer L1, not the L2
 
-    // Shared-L2 lookup with the physical address.
-    AccessResult l2_result = l2_->access(paddr, is_write);
-    if (l2_result.hit)
+    // Shared-L2 lookup with the physical address, unless the data
+    // came from the peer L1.
+    AccessResult l2_result;
+    if (!served_by_intervention) {
+        l2_result = l2_->access(paddr, is_write);
+        if (!l2_result.hit) {
+            ++cs.holes.l2Misses;
+            if (multi) {
+                // Inter-core conflict attribution: this miss is on a
+                // line a different core's fill pushed out of the L2.
+                if (entry->evictor != kNoCore && entry->evictor != core)
+                    ++cs.interCoreConflictMisses;
+                entry->evictor = kNoCore;
+                if (l2_result.filled)
+                    entry->filler = static_cast<std::uint8_t>(core);
+            }
+        }
+    }
+    if (multi && entry->unused())
+        dir_.erase(pblock);
+    if (served_by_intervention || l2_result.hit || !l2_result.evictedAddr)
         return;
 
-    ++cs.holes.l2Misses;
+    ++cs.holes.l2Replacements;
+    const std::uint64_t victim_pblock =
+        l2_->geometry().blockAddr(*l2_result.evictedAddr);
+    // One core has no directory: probe its reverse map directly.
+    std::uint64_t holders = 1;
+    DirEntry *victim = nullptr;
     if (multi) {
-        // Inter-core conflict attribution: this miss is on a line a
-        // different core's fill previously pushed out of the L2.
-        auto eb = evicted_by_.find(pblock);
-        if (eb != evicted_by_.end()) {
-            if (eb->second != core)
-                ++cs.interCoreConflictMisses;
-            evicted_by_.erase(eb);
-        }
-        if (l2_result.filled)
-            l2_filler_[pblock] = core;
-    }
-    if (l2_result.evictedAddr) {
-        ++cs.holes.l2Replacements;
-        const std::uint64_t victim_pblock =
-            l2_->geometry().blockAddr(*l2_result.evictedAddr);
-        if (multi) {
-            auto filler = l2_filler_.find(victim_pblock);
-            if (filler != l2_filler_.end()) {
-                if (filler->second != core) {
-                    ++mc_.cores[filler->second].l2EvictionsByOthers;
-                    evicted_by_[victim_pblock] = core;
-                } else {
-                    evicted_by_.erase(victim_pblock);
-                }
-                l2_filler_.erase(filler);
-            }
-        }
-        // Inclusion demands this data leave every private L1.
-        for (unsigned j = 0; j < l1s_.size(); ++j) {
-            auto it = l1_contents_[j].find(victim_pblock);
-            if (it == l1_contents_[j].end())
-                continue;
-            ++mc_.cores[j].holes.inclusionInvalidates;
-            const std::uint64_t victim_vblock = it->second;
-            if (j == core && l1_evicted
-                && victim_vblock == l1_evicted_vblock) {
-                // Coincidence: the L1 fill already displaced it; no
-                // hole appears (the paper's P_d complement).
+        victim = dir_.find(victim_pblock);
+        holders = victim != nullptr ? victim->sharers : 0;
+        if (victim != nullptr && victim->filler != kNoCore) {
+            if (victim->filler != core) {
+                ++mc_.cores[victim->filler].l2EvictionsByOthers;
+                victim->evictor = static_cast<std::uint8_t>(core);
             } else {
-                const std::uint64_t victim_vaddr =
-                    l1s_[j]->geometry().byteAddr(victim_vblock);
-                if (l1s_[j]->invalidate(victim_vaddr)) {
-                    ++mc_.cores[j].holes.holesCreated;
-                    holes_[j][victim_vblock] = true;
-                }
+                victim->evictor = kNoCore;
             }
-            l1_contents_[j].erase(it);
+            victim->filler = kNoCore;
         }
-        if (multi)
-            owner_.erase(victim_pblock);
+    }
+    // Inclusion demands this data leave every private L1.
+    for (; holders != 0; holders &= holders - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(holders));
+        const std::uint64_t *resident = l1_contents_[j].find(victim_pblock);
+        if (resident == nullptr)
+            continue;
+        ++mc_.cores[j].holes.inclusionInvalidates;
+        const std::uint64_t victim_vblock = *resident;
+        if (j == core && l1_evicted && victim_vblock == l1_evicted_vblock) {
+            // Coincidence: the L1 fill already displaced it; no hole
+            // appears (the paper's P_d complement).
+        } else if (l1s_[j]->invalidate(
+                       l1s_[j]->geometry().byteAddr(victim_vblock))) {
+            ++mc_.cores[j].holes.holesCreated;
+            holes_[j].insert(victim_vblock);
+        }
+        l1_contents_[j].erase(victim_pblock);
+    }
+    if (victim != nullptr) {
+        victim->sharers = 0;
+        victim->owner = kNoCore;
+        if (victim->unused())
+            dir_.erase(victim_pblock);
     }
 }
 
@@ -402,8 +430,8 @@ CoherentSystem::state(unsigned core, std::uint64_t vaddr)
         return LineState::Invalid;
     const std::uint64_t pblock =
         l2_->geometry().blockAddr(page_map_.translate(vaddr));
-    auto it = owner_.find(pblock);
-    if (it != owner_.end() && it->second == core)
+    const DirEntry *entry = dir_.find(pblock);
+    if (entry != nullptr && entry->owner == core)
         return LineState::Modified;
     return LineState::Shared;
 }
@@ -411,46 +439,59 @@ CoherentSystem::state(unsigned core, std::uint64_t vaddr)
 bool
 CoherentSystem::checkCoherence() const
 {
-    // Every reverse-map entry must match a resident L1 line.
-    for (unsigned c = 0; c < l1s_.size(); ++c) {
-        for (const auto &[pblock, vblock] : l1_contents_[c]) {
+    const unsigned cores = numCores();
+    const bool multi = cores > 1;
+    bool ok = multi || dir_.empty();
+    // Every reverse-map entry must match a resident L1 line and, with
+    // several cores, a set sharer bit.
+    for (unsigned c = 0; c < cores; ++c) {
+        l1_contents_[c].forEach([&](std::uint64_t pblock,
+                                    std::uint64_t vblock) {
             if (!l1s_[c]->probe(l1s_[c]->geometry().byteAddr(vblock)))
-                return false;
-        }
+                ok = false;
+            const DirEntry *entry = multi ? dir_.find(pblock) : nullptr;
+            if (multi && (entry == nullptr || !(entry->sharers >> c & 1)))
+                ok = false;
+        });
     }
-    // SWMR: a Modified line is resident in its owner's L1 and in no
-    // other core's.
-    for (const auto &[pblock, owner] : owner_) {
-        if (owner >= l1s_.size())
-            return false;
-        if (l1_contents_[owner].find(pblock)
-            == l1_contents_[owner].end()) {
-            return false;
+    dir_.forEach([&](std::uint64_t pblock, const DirEntry &entry) {
+        // Every sharer bit names a core whose reverse map holds the
+        // block (so the mask mirrors the maps exactly).
+        if (entry.sharers & ~mask(cores))
+            ok = false;
+        for (std::uint64_t s = entry.sharers; s != 0; s &= s - 1) {
+            const unsigned c = static_cast<unsigned>(std::countr_zero(s));
+            if (c < cores && l1_contents_[c].find(pblock) == nullptr)
+                ok = false;
         }
-        for (unsigned j = 0; j < l1s_.size(); ++j) {
-            if (j != owner
-                && l1_contents_[j].find(pblock)
-                       != l1_contents_[j].end()) {
-                return false;
-            }
+        // SWMR: a Modified line is resident in its owner's L1 and in
+        // no other core's.
+        if (entry.owner != kNoCore
+            && (entry.owner >= cores
+                || entry.sharers != std::uint64_t{1} << entry.owner)) {
+            ok = false;
         }
-    }
-    return true;
+        if (entry.unused())
+            ok = false;
+    });
+    return ok;
 }
 
 bool
 CoherentSystem::checkInclusion() const
 {
+    bool ok = true;
     for (unsigned c = 0; c < l1s_.size(); ++c) {
-        for (const auto &[pblock, vblock] : l1_contents_[c]) {
+        l1_contents_[c].forEach([&](std::uint64_t pblock,
+                                    std::uint64_t vblock) {
             const std::uint64_t vaddr =
                 l1s_[c]->geometry().byteAddr(vblock);
             const std::uint64_t paddr = l2_->geometry().byteAddr(pblock);
             if (l1s_[c]->probe(vaddr) && !l2_->probe(paddr))
-                return false;
-        }
+                ok = false;
+        });
     }
-    return true;
+    return ok;
 }
 
 void
@@ -462,7 +503,17 @@ CoherentSystem::flushL1s()
         contents.clear();
     for (auto &holes : holes_)
         holes.clear();
-    owner_.clear();
+    // Sharing and ownership describe L1 contents and go; the L2 fill
+    // attribution survives, as the L2 does.
+    BlockTable<DirEntry> kept;
+    dir_.forEach([&](std::uint64_t pblock, const DirEntry &entry) {
+        if (entry.filler == kNoCore && entry.evictor == kNoCore)
+            return;
+        DirEntry &k = kept.insert(pblock).first;
+        k.filler = entry.filler;
+        k.evictor = entry.evictor;
+    });
+    dir_ = std::move(kept);
 }
 
 } // namespace cac

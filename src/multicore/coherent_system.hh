@@ -30,10 +30,24 @@
  *    conflict-miss question: does skewed/polynomial placement keep
  *    its edge when the interleaving pressure comes from other cores?
  *
+ * All of this state lives in one flat directory entry per physical
+ * block: the core holding it Modified, the core whose miss filled it
+ * into the L2, the core whose fill last evicted it, and a 64-bit
+ * sharer mask mirroring the per-core reverse maps. A miss costs one
+ * directory probe, and invalidations and Inclusion back-invalidations
+ * visit only the cores whose sharer bit is set. The entry is keyed by
+ * block rather than kept in L2 line metadata because the evictor id
+ * must outlive the line, and the shared L2 may be any registry
+ * organization.
+ *
  * Streams demultiplex onto cores by ASID window: core = (vaddr /
  * windowBytes) % cores, with windowBytes matching the Scenario
- * engine's asidStrideBytes so program k of a mix runs on core
- * k % cores. The interleaving order is whatever the (deterministic,
+ * engine's asidStrideBytes. Program k of a mix is relocated by k
+ * windows, so it runs on core (w + k) % cores, where w is the window
+ * its own data starts in. The Spec95 proxies start at 4 MiB, window 2
+ * of the default 2 MiB stride, so a 4-program mix lands on cores 2, 3,
+ * 0 and 1; a footprint that crosses a window boundary spills onto the
+ * next core. The interleaving order is whatever the (deterministic,
  * quantum round-robin) Scenario composition produced, so results are
  * bit-stable at any host thread count.
  */
@@ -42,10 +56,10 @@
 #define CAC_MULTICORE_COHERENT_SYSTEM_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_model.hh"
+#include "common/block_table.hh"
 #include "hierarchy/page_map.hh"
 #include "hierarchy/two_level.hh"
 
@@ -120,6 +134,9 @@ void multiCoreStatsAccumulate(MultiCoreStats &into,
 class CoherentSystem
 {
   public:
+    /** Most cores one system can hold (the width of a sharer mask). */
+    static constexpr unsigned kMaxCores = 64;
+
     /** Coherence state of a line in one core's L1 (test hook). */
     enum class LineState
     {
@@ -188,8 +205,10 @@ class CoherentSystem
 
     /**
      * Verify SWMR + directory consistency: a Modified line is resident
-     * in exactly its owner's L1 and nowhere else, and every reverse-map
-     * entry matches a resident line. O(tracked blocks); test hook.
+     * in exactly its owner's L1 and nowhere else, every reverse-map
+     * entry matches a resident line, and every directory sharer mask
+     * names exactly the cores whose reverse maps hold the block.
+     * O(tracked blocks); test hook.
      */
     bool checkCoherence() const;
 
@@ -207,6 +226,25 @@ class CoherentSystem
     void flushL1s();
 
   private:
+    /** No core: an unset owner, filler or evictor field. */
+    static constexpr std::uint8_t kNoCore = 0xFF;
+
+    /** Directory entry for one physical block (multi-core only). */
+    struct DirEntry
+    {
+        /** Bit c: core c's reverse map holds this block. */
+        std::uint64_t sharers = 0;
+        std::uint8_t owner = kNoCore;   ///< core holding it Modified
+        std::uint8_t filler = kNoCore;  ///< core whose miss filled it into L2
+        std::uint8_t evictor = kNoCore; ///< core whose fill last evicted it
+
+        bool unused() const
+        {
+            return sharers == 0 && owner == kNoCore && filler == kNoCore
+                && evictor == kNoCore;
+        }
+    };
+
     /** Everything access() does after a private-L1 miss. */
     void missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                   const AccessResult &l1_result);
@@ -214,11 +252,21 @@ class CoherentSystem
     /** S -> M promotion on a write hit: invalidate peers, take M. */
     void writeHitUpgrade(unsigned core, std::uint64_t vaddr);
 
-    /** Invalidate every other core's copy of @p pblock. */
-    void invalidateOtherCopies(unsigned core, std::uint64_t pblock);
+    /**
+     * Invalidate every other core's copy of @p pblock (the sharers in
+     * its directory @p entry) and end any other core's ownership.
+     */
+    void invalidateOtherCopies(unsigned core, std::uint64_t pblock,
+                               DirEntry &entry);
 
-    /** Drop @p core's ownership of @p pblock if it holds it. */
-    void dropOwnership(std::uint64_t pblock, unsigned core);
+    /**
+     * Forget @p core's copy of @p pblock after it left the L1: drop the
+     * reverse-map entry, its sharer bit and any ownership.
+     */
+    void unlinkL1(unsigned core, std::uint64_t pblock);
+
+    /** Make @p vaddr's ASID window the demultiplexer's current one. */
+    void enterWindow(std::uint64_t vaddr);
 
     /** Per-core batch with the packed-index fast path when possible. */
     void coreBatch(unsigned core, const std::uint64_t *vaddrs,
@@ -230,21 +278,22 @@ class CoherentSystem
     std::unique_ptr<CacheModel> l2_;
     PageMap page_map_;
     std::uint64_t window_bytes_;
+    /** Demultiplexer state: the current window's base and its core. */
+    std::uint64_t window_lo_ = 0;
+    unsigned window_core_ = 0;
 
     /** Coherence + attribution counters (per-core l1 filled lazily). */
     MultiCoreStats mc_;
 
     /** Per-core reverse maps: physical block -> resident vblock. */
-    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>>
-        l1_contents_;
+    std::vector<BlockTable<std::uint64_t>> l1_contents_;
     /** Per-core blocks invalidated by Inclusion, pending re-reference. */
-    std::vector<std::unordered_map<std::uint64_t, bool>> holes_;
-    /** Directory: physical block -> core holding it Modified. */
-    std::unordered_map<std::uint64_t, unsigned> owner_;
-    /** Physical block -> core whose miss last filled it into L2. */
-    std::unordered_map<std::uint64_t, unsigned> l2_filler_;
-    /** Physical block -> core whose fill last evicted it from L2. */
-    std::unordered_map<std::uint64_t, unsigned> evicted_by_;
+    std::vector<BlockSet> holes_;
+    /**
+     * Physical block -> sharers, owner, L2 filler and evictor. Stays
+     * empty with one core, whose data path needs none of it.
+     */
+    BlockTable<DirEntry> dir_;
 };
 
 } // namespace cac

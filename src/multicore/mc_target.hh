@@ -9,7 +9,8 @@
  * class; `cac_sim --cores N` rewrites plain organization labels into
  * the grammar. Streams demultiplex onto cores by ASID window (see
  * CoherentSystem), so a Scenario mix's programs round-robin across
- * cores with no scheduler changes.
+ * cores with no scheduler changes, starting at the core of the window
+ * the first program's data starts in (core 2 for the Spec95 proxies).
  */
 
 #ifndef CAC_MULTICORE_MC_TARGET_HH

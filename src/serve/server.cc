@@ -119,42 +119,37 @@ Server::~Server()
 Error
 Server::start()
 {
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
         return Error::make(ErrorCode::OpenFailed,
                            std::string("socket: ")
                                + std::strerror(errno));
     }
     const int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(config_.port);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr))
-        != 0) {
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) != 0) {
         Error err = Error::make(ErrorCode::OpenFailed,
                                 std::string("bind 127.0.0.1:")
                                     + std::to_string(config_.port)
                                     + ": " + std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
+        ::close(fd);
         return err;
     }
     socklen_t len = sizeof(addr);
-    ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                  &len);
+    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
     port_ = ntohs(addr.sin_port);
-    if (::listen(listenFd_, 64) != 0) {
+    if (::listen(fd, 64) != 0) {
         Error err = Error::make(ErrorCode::OpenFailed,
                                 std::string("listen: ")
                                     + std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
+        ::close(fd);
         return err;
     }
+    listenFd_.store(fd);
     acceptThread_ = std::thread([this] { acceptLoop(); });
     return Error();
 }
@@ -164,7 +159,7 @@ Server::acceptLoop()
 {
     static obs::Counter connections = serveCounter("serve.connections");
     while (!stopping_.load(std::memory_order_relaxed)) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        const int fd = ::accept(listenFd_.load(), nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
@@ -436,13 +431,16 @@ Server::stop()
     stopping_.store(true, std::memory_order_relaxed);
     lifecycleCv_.notify_all();
     admission_.stop();
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    // Take the listening socket exactly once: shutdown wakes a blocked
+    // accept(), and the descriptor is closed only after the accept
+    // thread is gone, so its number cannot be reused under it.
+    const int listen_fd = listenFd_.exchange(-1);
+    if (listen_fd >= 0)
+        ::shutdown(listen_fd, SHUT_RDWR);
     if (acceptThread_.joinable())
         acceptThread_.join();
+    if (listen_fd >= 0)
+        ::close(listen_fd);
     {
         // Unblock reads; each connection thread closes its own fd.
         std::lock_guard<std::mutex> lock(connMutex_);

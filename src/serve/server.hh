@@ -145,7 +145,8 @@ class Server
     ServeConfig config_;
     obs::RunManifest manifest_;
     unsigned short port_ = 0;
-    int listenFd_ = -1;
+    /** Listening socket; read by the accept thread, taken by stop(). */
+    std::atomic<int> listenFd_{-1};
     std::atomic<bool> stopping_{false};
 
     std::mutex lifecycleMutex_;

@@ -13,13 +13,20 @@
  *    on the interleaving order), and the invariants (SWMR, Inclusion)
  *    hold at the end;
  *  - the shared L2 holds only lines the cores ever fetched: probing
- *    the translations of never-accessed pages misses.
+ *    the translations of never-accessed pages misses;
+ *  - randomized oracles: seeded draws of L1 geometry x registry
+ *    organization x L2 x stream keep mc:1x bit-identical to 2lvl:,
+ *    and at 2, 3 and 4 cores with aliased (shared) pages the SWMR,
+ *    directory and Inclusion invariants hold after every batch.
+ *    Failures name the seed and the drawn configuration.
  */
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/registry.hh"
 #include "core/sim_target.hh"
 #include "multicore/mc_target.hh"
@@ -229,6 +236,150 @@ TEST(McDifferential, SharedL2HoldsOnlyFetchedLines)
             EXPECT_FALSE(sys.l1(c).probe(never)) << never;
         }
     }
+}
+
+/** One randomly drawn hierarchy configuration. */
+struct DrawnConfig
+{
+    TargetSpec spec;
+    std::string l1;
+    std::string l2;
+
+    std::string describe() const
+    {
+        return l1 + "/" + l2 + " L1 " + std::to_string(spec.org.sizeBytes)
+            + "B L2 " + std::to_string(spec.l2SizeBytes) + "B page seed "
+            + std::to_string(spec.pageSeed);
+    }
+};
+
+/** Random L1 geometry x registry organization x L2 x page map. */
+DrawnConfig
+drawConfig(Rng &rng)
+{
+    static const std::vector<std::string> l1s =
+        OrgRegistry::global().exampleLabels();
+    static const std::string l2s[] = {"dm", "a2", "a4", "a2-Hp"};
+    DrawnConfig cfg;
+    cfg.l1 = l1s[rng.nextBelow(l1s.size())];
+    cfg.l2 = l2s[rng.nextBelow(4)];
+    cfg.spec.org.sizeBytes = std::uint64_t{2048} << rng.nextBelow(4);
+    cfg.spec.l2SizeBytes = std::uint64_t{16384} << rng.nextBelow(3);
+    cfg.spec.pageSeed = rng.next();
+    return cfg;
+}
+
+/**
+ * A random reference batch: a hot set plus strided sweeps over a
+ * footprint a few times the L1 (so L1 and L2 both replace and holes
+ * appear), offset by @p base.
+ */
+std::vector<std::uint64_t>
+drawBatch(Rng &rng, std::uint64_t base, std::uint64_t footprint)
+{
+    std::vector<std::uint64_t> addrs(1 + rng.nextBelow(48));
+    const std::uint64_t stride = std::uint64_t{8} << rng.nextBelow(10);
+    std::uint64_t cursor = rng.nextBelow(footprint);
+    for (std::uint64_t &a : addrs) {
+        if (rng.chance(0.3)) {
+            a = base + rng.nextBelow(footprint / 16);
+        } else {
+            cursor = (cursor + stride) % footprint;
+            a = base + cursor;
+        }
+    }
+    return addrs;
+}
+
+TEST(McDifferential, RandomConfigsOneCoreMatchesTwoLevel)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const DrawnConfig cfg = drawConfig(rng);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " "
+                     + cfg.describe());
+        auto two = OrgRegistry::global().buildTarget(
+            "2lvl:" + cfg.l1 + "/" + cfg.l2, cfg.spec);
+        auto one = OrgRegistry::global().buildTarget(
+            "mc:1x" + cfg.l1 + "/" + cfg.l2, cfg.spec);
+        const std::uint64_t footprint = 6 * cfg.spec.org.sizeBytes;
+        for (unsigned b = 0; b < 1500; ++b) {
+            const std::vector<std::uint64_t> batch =
+                drawBatch(rng, 0x400000, footprint);
+            const bool is_write = rng.chance(0.3);
+            two->accessBatch(batch.data(), batch.size(), is_write);
+            one->accessBatch(batch.data(), batch.size(), is_write);
+        }
+        two->finish();
+        one->finish();
+        const TargetStats a = two->stats();
+        const TargetStats b = one->stats();
+        expectCacheStatsEqual(b.l1, a.l1, "L1");
+        expectCacheStatsEqual(b.l2, a.l2, "L2");
+        expectHoleStatsEqual(b.holes, a.holes, "holes");
+        ASSERT_EQ(b.mc.cores.size(), 1u);
+        expectHoleStatsEqual(b.mc.cores[0].holes, a.holes, "core row");
+    }
+}
+
+TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
+{
+    std::uint64_t interventions = 0, invalidations = 0, upgrades = 0;
+    for (unsigned cores : {2u, 3u, 4u}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            Rng rng(seed * 100 + cores);
+            // Two L1s can drop a line on a *hit* without reporting it:
+            // a column-poly second-probe hit demotes a line onto a slot
+            // whose occupant is lost, and a victim-buffer hit pushes a
+            // main-cache line into the buffer, whose LRU later drops
+            // it. Both leave a stale reverse-map entry, so the
+            // residency invariant cannot hold for them.
+            DrawnConfig cfg = drawConfig(rng);
+            while (cfg.l1 == "column-poly" || cfg.l1 == "victim")
+                cfg = drawConfig(rng);
+            SCOPED_TRACE("cores " + std::to_string(cores) + " seed "
+                         + std::to_string(seed) + " " + cfg.describe());
+            auto built = OrgRegistry::global().buildTarget(
+                "mc:" + std::to_string(cores) + "x" + cfg.l1 + "/"
+                    + cfg.l2,
+                cfg.spec);
+            auto *mc = dynamic_cast<MultiCoreTarget *>(built.get());
+            ASSERT_NE(mc, nullptr);
+            CoherentSystem &sys = mc->system();
+
+            // Every core's window aliases its low pages onto core 0's,
+            // so the cores share physical blocks and the protocol's
+            // interventions, invalidations and upgrades all fire.
+            const std::uint64_t window = cfg.spec.mcWindowBytes;
+            const std::uint64_t footprint = 6 * cfg.spec.org.sizeBytes;
+            const std::uint64_t page = cfg.spec.pageBytes;
+            for (unsigned c = 1; c < cores; ++c) {
+                for (std::uint64_t off = 0; off < footprint / 2;
+                     off += page) {
+                    sys.pageMap().aliasTo(c * window + off, off);
+                }
+            }
+            for (unsigned b = 0; b < 1500; ++b) {
+                const unsigned core =
+                    static_cast<unsigned>(rng.nextBelow(cores));
+                const std::vector<std::uint64_t> batch =
+                    drawBatch(rng, core * window, footprint);
+                built->accessBatch(batch.data(), batch.size(),
+                                   rng.chance(0.3));
+                ASSERT_TRUE(sys.checkCoherence()) << "batch " << b;
+                ASSERT_TRUE(sys.checkInclusion()) << "batch " << b;
+            }
+            const MultiCoreStats stats = sys.stats();
+            interventions += stats.interventions;
+            invalidations += stats.invalidationMessages;
+            for (const McCoreStats &core : stats.cores)
+                upgrades += core.upgrades;
+        }
+    }
+    // The draws must actually exercise the sharing protocol.
+    EXPECT_GT(interventions, 0u);
+    EXPECT_GT(invalidations, 0u);
+    EXPECT_GT(upgrades, 0u);
 }
 
 } // anonymous namespace
