@@ -15,8 +15,8 @@
  * below 0.1%, never above 1.2%) and the effect on the L1 miss ratio.
  *
  * Both parts run on the simulation engine: the hierarchies are
- * HierarchyTargets on a SweepRunner grid (custom builders in part 1,
- * the "2lvl:" registry grammar in part 2), so cells execute in
+ * one-core CoherentSystems on a SweepRunner grid (custom builders in
+ * part 1, the "2lvl:" registry grammar in part 2), so cells execute in
  * parallel and report through the engine's unified TargetStats.
  */
 
@@ -57,7 +57,7 @@ main()
                 "measured ===\n\n");
 
     // Part 1: direct-mapped L1/L2 with pseudo-random indices under
-    // random traffic. One HierarchyTarget per L2 size, all driven by a
+    // random traffic. One hierarchy target per L2 size, all driven by a
     // single shared random stream whose span (4MB) is far beyond every
     // L2, keeping L1 residency and L2 victim selection uncorrelated —
     // the model's independence assumption.
@@ -67,12 +67,13 @@ main()
     for (std::uint64_t l2_kb : l2_sizes_kb) {
         part1.addTarget(
             std::to_string(l2_kb) + "KB", [l2_kb] {
-                return std::make_unique<HierarchyTarget>(
+                return std::make_unique<MultiCoreTarget>(
                     "8KB DM / " + std::to_string(l2_kb) + "KB DM",
-                    std::make_unique<TwoLevelHierarchy>(
+                    std::make_unique<CoherentSystem>(
                         makeL1(IndexKind::IPoly, 8 * 1024, 1),
                         makeL2(IndexKind::IPoly, l2_kb * 1024),
-                        PageMap()));
+                        PageMap()),
+                    TargetKind::Hierarchy);
             });
     }
     part1.addAddressWorkload("uniform-4MB", [] {

@@ -3,7 +3,9 @@
  * Building the paper's two-level virtual-real hierarchy (section 3)
  * with the public API: a virtually-indexed skewed I-Poly L1 over a
  * physically-indexed conventional L2, with explicit Inclusion and hole
- * accounting, plus an external (snooped) invalidation.
+ * accounting, plus an external (snooped) invalidation. The hierarchy
+ * is a one-core CoherentSystem; more L1s would make it a coherent
+ * multicore.
  */
 
 #include <cstdio>
@@ -28,11 +30,11 @@ main()
         makeIndexFn(IndexKind::Modulo, l2_geom.setBits(),
                     l2_geom.ways()));
 
-    TwoLevelHierarchy hierarchy(std::move(l1), std::move(l2),
-                                PageMap(/*page_bytes=*/4096));
+    CoherentSystem hierarchy(std::move(l1), std::move(l2),
+                             PageMap(/*page_bytes=*/4096));
 
     std::printf("L1: %s (virtually indexed)\n",
-                hierarchy.l1().name().c_str());
+                hierarchy.l1(0).name().c_str());
     std::printf("L2: %s (physically indexed)\n\n",
                 hierarchy.l2().name().c_str());
 
@@ -42,13 +44,13 @@ main()
     for (const auto &rec : trace) {
         if (rec.op == OpClass::Load) {
             ++loads;
-            hits += hierarchy.access(rec.addr, false);
+            hits += hierarchy.access(0, rec.addr, false);
         } else if (rec.op == OpClass::Store) {
-            hierarchy.access(rec.addr, true);
+            hierarchy.access(0, rec.addr, true);
         }
     }
 
-    const HoleStats &holes = hierarchy.holeStats();
+    const HoleStats holes = hierarchy.aggregateHoles();
     std::printf("loads %llu, L1 hit ratio %.2f%%\n",
                 static_cast<unsigned long long>(loads),
                 100.0 * static_cast<double>(hits)

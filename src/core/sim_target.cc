@@ -76,6 +76,51 @@ splitMcLabel(const std::string &rest, unsigned &cores, std::string &l1,
 }
 
 /**
+ * The CoherentSystem target behind both "2lvl:" (one core, reported as
+ * a Hierarchy) and "mc:" (@p cores cores): @p l1_label private L1s
+ * over one shared @p l2_label L2.
+ */
+std::unique_ptr<SimTarget>
+buildCoherentTarget(const OrgRegistry &registry, const std::string &label,
+                    unsigned cores, const std::string &l1_label,
+                    const std::string &l2_label, const TargetSpec &spec,
+                    TargetKind kind)
+{
+    OrgSpec l2_spec = spec.org;
+    l2_spec.sizeBytes = spec.l2SizeBytes;
+    if (spec.l2Ways < 1)
+        fatal("target '%s': l2Ways must be >= 1", label.c_str());
+    l2_spec.ways = spec.l2Ways;
+    // Hashed L2 indices need input bits that cover the (larger) L2
+    // index plus some tag bits (the holes experiments' setBits + 6
+    // convention). The label may encode its own associativity
+    // ("a1-Hp") or imply one ("dm"), so probe the built geometry for
+    // the real set count rather than trusting spec.l2Ways.
+    std::unique_ptr<CacheModel> l2 = registry.build(l2_label, l2_spec);
+    l2_spec.hashBlockBits =
+        std::max(spec.org.hashBlockBits, l2->geometry().setBits() + 6);
+    l2 = registry.build(l2_label, l2_spec);
+
+    // One private L1 per core, identical spec (and seed: every core's
+    // cache hashes addresses the same way, like real replicated
+    // arrays).
+    std::vector<std::unique_ptr<CacheModel>> l1s;
+    l1s.reserve(cores);
+    for (unsigned c = 0; c < cores; ++c)
+        l1s.push_back(registry.build(l1_label, spec.org));
+
+    std::string display = l1s.front()->name() + " / " + l2->name();
+    if (kind == TargetKind::MultiCore)
+        display = std::to_string(cores) + "x " + display;
+    auto system = std::make_unique<CoherentSystem>(
+        std::move(l1s), std::move(l2),
+        PageMap(spec.pageBytes, std::uint64_t{1} << 20, spec.pageSeed),
+        spec.mcWindowBytes);
+    return std::make_unique<MultiCoreTarget>(display, std::move(system),
+                                             kind);
+}
+
+/**
  * Resolve a "cpu:" payload to a CpuConfig: either a Table-2
  * configuration name, or an associativity-family organization label
  * ("a2-Hp-Sk") applied to the spec's L1 geometry.
@@ -214,62 +259,6 @@ CacheTarget::stats() const
     return s;
 }
 
-// ---- HierarchyTarget -------------------------------------------------
-
-HierarchyTarget::HierarchyTarget(
-    std::string name, std::unique_ptr<TwoLevelHierarchy> hierarchy)
-    : name_(std::move(name)), hierarchy_(std::move(hierarchy))
-{
-    CAC_ASSERT(hierarchy_ != nullptr);
-}
-
-void
-HierarchyTarget::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                             bool is_write)
-{
-    gather_.flush(*hierarchy_);
-    hierarchy_->accessBatch(addrs, n, is_write);
-}
-
-void
-HierarchyTarget::replay(const TraceRecord *recs, std::size_t n)
-{
-    // Same-kind runs reach the hierarchy's batch path, which
-    // precomputes the L1 index words for a whole tile per pass.
-    gather_.replay(*hierarchy_, recs, n);
-}
-
-void
-HierarchyTarget::finish()
-{
-    gather_.flush(*hierarchy_);
-}
-
-void
-HierarchyTarget::checkpoint()
-{
-    gather_.flush(*hierarchy_);
-}
-
-void
-HierarchyTarget::flushPrimary()
-{
-    gather_.flush(*hierarchy_);
-    hierarchy_->flushL1();
-}
-
-TargetStats
-HierarchyTarget::stats() const
-{
-    TargetStats s;
-    s.kind = TargetKind::Hierarchy;
-    s.l1 = hierarchy_->l1().stats();
-    s.hasHierarchy = true;
-    s.l2 = hierarchy_->l2().stats();
-    s.holes = hierarchy_->holeStats();
-    return s;
-}
-
 // ---- CpuTarget -------------------------------------------------------
 
 CpuTarget::CpuTarget(std::string name, const CpuConfig &config)
@@ -367,32 +356,8 @@ OrgRegistry::buildTarget(const std::string &label,
                   "2lvl:L1-LABEL/L2-LABEL",
                   label.c_str());
         }
-        std::unique_ptr<CacheModel> l1 = build(l1_label, spec.org);
-
-        OrgSpec l2_spec = spec.org;
-        l2_spec.sizeBytes = spec.l2SizeBytes;
-        if (spec.l2Ways < 1)
-            fatal("2-level target '%s': l2Ways must be >= 1",
-                  label.c_str());
-        l2_spec.ways = spec.l2Ways;
-        // Hashed L2 indices need input bits that cover the (larger) L2
-        // index plus some tag bits (the holes experiments' setBits + 6
-        // convention). The label may encode its own associativity
-        // ("a1-Hp") or imply one ("dm"), so probe the built geometry
-        // for the real set count rather than trusting spec.l2Ways.
-        std::unique_ptr<CacheModel> l2 = build(l2_label, l2_spec);
-        l2_spec.hashBlockBits =
-            std::max(spec.org.hashBlockBits,
-                     l2->geometry().setBits() + 6);
-        l2 = build(l2_label, l2_spec);
-
-        const std::string display = l1->name() + " / " + l2->name();
-        auto hierarchy = std::make_unique<TwoLevelHierarchy>(
-            std::move(l1), std::move(l2),
-            PageMap(spec.pageBytes, std::uint64_t{1} << 20,
-                    spec.pageSeed));
-        return std::make_unique<HierarchyTarget>(display,
-                                                 std::move(hierarchy));
+        return buildCoherentTarget(*this, label, 1, l1_label, l2_label,
+                                   spec, TargetKind::Hierarchy);
     }
     if (stripPrefix(label, kCpuPrefix, rest)) {
         const std::optional<CpuConfig> cfg = cpuConfigFor(rest, spec);
@@ -412,38 +377,8 @@ OrgRegistry::buildTarget(const std::string &label,
                   "mc:CORESxL1-LABEL/L2-LABEL with 1 <= CORES <= %u",
                   label.c_str(), kMaxCores);
         }
-
-        OrgSpec l2_spec = spec.org;
-        l2_spec.sizeBytes = spec.l2SizeBytes;
-        if (spec.l2Ways < 1)
-            fatal("multicore target '%s': l2Ways must be >= 1",
-                  label.c_str());
-        l2_spec.ways = spec.l2Ways;
-        // Same hashed-L2 index-width rule as the 2lvl: grammar (probe
-        // the built geometry, then rebuild with covering input bits).
-        std::unique_ptr<CacheModel> l2 = build(l2_label, l2_spec);
-        l2_spec.hashBlockBits =
-            std::max(spec.org.hashBlockBits,
-                     l2->geometry().setBits() + 6);
-        l2 = build(l2_label, l2_spec);
-
-        // One private L1 per core, identical spec (and seed: every
-        // core's cache hashes addresses the same way, like real
-        // replicated arrays).
-        std::vector<std::unique_ptr<CacheModel>> l1s;
-        l1s.reserve(cores);
-        for (unsigned c = 0; c < cores; ++c)
-            l1s.push_back(build(l1_label, spec.org));
-
-        const std::string display = std::to_string(cores) + "x "
-            + l1s.front()->name() + " / " + l2->name();
-        auto system = std::make_unique<CoherentSystem>(
-            std::move(l1s), std::move(l2),
-            PageMap(spec.pageBytes, std::uint64_t{1} << 20,
-                    spec.pageSeed),
-            spec.mcWindowBytes);
-        return std::make_unique<MultiCoreTarget>(display,
-                                                 std::move(system));
+        return buildCoherentTarget(*this, label, cores, l1_label,
+                                   l2_label, spec, TargetKind::MultiCore);
     }
     return std::make_unique<CacheTarget>(build(label, spec.org));
 }

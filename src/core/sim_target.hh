@@ -9,8 +9,10 @@
  * report path cover all of them:
  *
  *  - CacheTarget — a functional CacheModel (miss ratios, sections 2-3);
- *  - HierarchyTarget — the two-level virtual-real hierarchy with
- *    Inclusion holes and alias shoot-downs (sections 3.1-3.3);
+ *  - MultiCoreTarget (multicore/mc_target.hh) — a CoherentSystem: the
+ *    two-level virtual-real hierarchy with Inclusion holes and alias
+ *    shoot-downs (one core, sections 3.1-3.3), or N coherent cores
+ *    over a shared L2;
  *  - CpuTarget — the out-of-order core + timing L1 (IPC, section 4 and
  *    Tables 2-3), built on OooCore's streaming feed() interface.
  *
@@ -25,8 +27,8 @@
  *
  * Labels: OrgRegistry::buildTarget() resolves the extended grammar
  * ("a2-Hp-Sk", "2lvl:a2-Hp-Sk/a4", "cpu:8k-ipoly-cp",
- * "cpu:a2-Hp-Sk", "mc:4xa2-Hp-Sk/a4") to these classes (the mc
- * grammar builds a multicore/mc_target.hh MultiCoreTarget);
+ * "cpu:a2-Hp-Sk", "mc:4xa2-Hp-Sk/a4") to these classes ("2lvl:" is a
+ * one-core "mc:" system reported as a Hierarchy target);
  * SweepRunner::addTarget() accepts the same labels, so `cac_sim
  * --compare` can grid hierarchies, CPUs and multicore systems next to
  * plain caches.
@@ -45,7 +47,6 @@
 #include "core/registry.hh"
 #include "cpu/config.hh"
 #include "cpu/ooo_core.hh"
-#include "hierarchy/two_level.hh"
 #include "multicore/coherent_system.hh"
 #include "trace/io.hh"
 #include "trace/record.hh"
@@ -183,32 +184,6 @@ class CacheTarget : public SimTarget
 
   private:
     std::unique_ptr<CacheModel> model_;
-    /** Same-kind run gathering, restartable across replay() chunks. */
-    MemRunGatherer gather_;
-};
-
-/** Two-level virtual-real hierarchy target. */
-class HierarchyTarget : public SimTarget
-{
-  public:
-    HierarchyTarget(std::string name,
-                    std::unique_ptr<TwoLevelHierarchy> hierarchy);
-
-    std::string name() const override { return name_; }
-    TargetKind kind() const override { return TargetKind::Hierarchy; }
-    void accessBatch(const std::uint64_t *addrs, std::size_t n,
-                     bool is_write) override;
-    void replay(const TraceRecord *recs, std::size_t n) override;
-    void finish() override;
-    void checkpoint() override;
-    void flushPrimary() override;
-    TargetStats stats() const override;
-
-    const TwoLevelHierarchy &hierarchy() const { return *hierarchy_; }
-
-  private:
-    std::string name_;
-    std::unique_ptr<TwoLevelHierarchy> hierarchy_;
     /** Same-kind run gathering, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };

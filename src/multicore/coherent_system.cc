@@ -12,6 +12,17 @@ namespace cac
 namespace
 {
 
+/** The HoleStats counter list (delta/accumulate cannot drift apart). */
+constexpr std::uint64_t HoleStats::*kHoleFields[] = {
+    &HoleStats::l1Misses,
+    &HoleStats::l2Misses,
+    &HoleStats::l2Replacements,
+    &HoleStats::inclusionInvalidates,
+    &HoleStats::holesCreated,
+    &HoleStats::holeRefills,
+    &HoleStats::externalInvalidates,
+    &HoleStats::aliasRemovals};
+
 /** McCoreStats counter list (delta/accumulate cannot drift apart). */
 constexpr std::uint64_t McCoreStats::*kMcCoreFields[] = {
     &McCoreStats::interventionsReceived,
@@ -21,7 +32,32 @@ constexpr std::uint64_t McCoreStats::*kMcCoreFields[] = {
     &McCoreStats::l2EvictionsByOthers,
     &McCoreStats::interCoreConflictMisses};
 
+/** A one-element L1 vector (the one-core constructor's). */
+std::vector<std::unique_ptr<CacheModel>>
+oneL1(std::unique_ptr<CacheModel> l1)
+{
+    std::vector<std::unique_ptr<CacheModel>> l1s;
+    l1s.push_back(std::move(l1));
+    return l1s;
+}
+
 } // anonymous namespace
+
+HoleStats
+holeStatsDelta(const HoleStats &now, const HoleStats &then)
+{
+    HoleStats d;
+    for (auto field : kHoleFields)
+        d.*field = now.*field - then.*field;
+    return d;
+}
+
+void
+holeStatsAccumulate(HoleStats &into, const HoleStats &delta)
+{
+    for (auto field : kHoleFields)
+        into.*field += delta.*field;
+}
 
 McCoreStats
 mcCoreStatsDelta(const McCoreStats &now, const McCoreStats &then)
@@ -118,6 +154,16 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
     holes_.resize(l1s_.size());
 }
 
+CoherentSystem::CoherentSystem(std::unique_ptr<CacheModel> l1,
+                               std::unique_ptr<CacheModel> l2,
+                               PageMap page_map)
+    // With one core every address routes to core 0, whatever the
+    // window.
+    : CoherentSystem(oneL1(std::move(l1)), std::move(l2),
+                     std::move(page_map), ~std::uint64_t{0})
+{
+}
+
 bool
 CoherentSystem::access(unsigned core, std::uint64_t vaddr, bool is_write)
 {
@@ -136,6 +182,10 @@ void
 CoherentSystem::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
                             bool is_write)
 {
+    if (l1s_.size() == 1) {
+        coreBatch(0, vaddrs, n, is_write);
+        return;
+    }
     // Demultiplex into maximal same-core runs: within a scenario
     // quantum every address belongs to one program (one ASID window,
     // one core), so runs are long and the per-core fast path applies.
@@ -170,7 +220,9 @@ CoherentSystem::enterWindow(std::uint64_t vaddr)
     window_core_ = coreFor(vaddr);
 }
 
-void
+// Inlined into accessBatch(): gathered runs average a few accesses,
+// so a one-core batch must cost no second call.
+[[gnu::always_inline]] inline void
 CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
                           std::size_t n, bool is_write)
 {
@@ -241,7 +293,8 @@ CoherentSystem::invalidateOtherCopies(unsigned core, std::uint64_t pblock,
         entry.owner = kNoCore;
 }
 
-void
+// Inlined: every L1 eviction on the miss path comes through here.
+[[gnu::always_inline]] inline void
 CoherentSystem::unlinkL1(unsigned core, std::uint64_t pblock)
 {
     l1_contents_[core].erase(pblock);
@@ -255,23 +308,75 @@ CoherentSystem::unlinkL1(unsigned core, std::uint64_t pblock)
         dir_.erase(pblock);
 }
 
+bool
+CoherentSystem::joinOnMiss(unsigned core, std::uint64_t pblock,
+                           bool is_write, bool filled, DirEntry &entry)
+{
+    if (filled)
+        entry.sharers |= std::uint64_t{1} << core;
+    bool served = false;
+    const unsigned peer = entry.owner;
+    if (peer != kNoCore && peer != core) {
+        ++mc_.interventions;
+        ++mc_.cores[core].interventionsReceived;
+        ++mc_.cores[peer].interventionsSupplied;
+        // Read: the peer keeps a Shared copy (M -> S); a store
+        // invalidates it below. Either way the old ownership ends.
+        entry.owner = kNoCore;
+        served = true;
+    }
+    if (is_write) {
+        invalidateOtherCopies(core, pblock, entry);
+        if (filled)
+            entry.owner = static_cast<std::uint8_t>(core);
+    }
+    return served;
+}
+
+std::uint64_t
+CoherentSystem::releaseL2Victim(unsigned core, std::uint64_t victim_pblock)
+{
+    DirEntry *victim = dir_.find(victim_pblock);
+    if (victim == nullptr)
+        return 0;
+    if (victim->filler != kNoCore) {
+        if (victim->filler != core) {
+            ++mc_.cores[victim->filler].l2EvictionsByOthers;
+            victim->evictor = static_cast<std::uint8_t>(core);
+        } else {
+            victim->evictor = kNoCore;
+        }
+        victim->filler = kNoCore;
+    }
+    const std::uint64_t sharers = victim->sharers;
+    victim->sharers = 0;
+    victim->owner = kNoCore;
+    if (victim->unused())
+        dir_.erase(victim_pblock);
+    return sharers;
+}
+
 void
 CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                          const AccessResult &l1_result)
 {
-    // This follows TwoLevelHierarchy::missPath step for step; every
-    // coherence step is guarded so a 1-core system is statistically
-    // bit-identical to the plain hierarchy and never touches dir_.
+    // The virtual-real protocol of sections 3.1-3.3 (holes, the
+    // one-alias rule, L1 write-back, Inclusion). Every coherence step
+    // is guarded by `multi` and the larger ones live in the directory
+    // helpers, so a one-core system never touches dir_ and its miss
+    // path stays short.
     CacheModel &l1 = *l1s_[core];
-    McCoreStats &cs = mc_.cores[core];
+    HoleStats &holes = mc_.cores[core].holes;
     const bool multi = l1s_.size() > 1;
 
     const std::uint64_t vblock = l1.geometry().blockAddr(vaddr);
 
-    ++cs.holes.l1Misses;
+    ++holes.l1Misses;
     if (holes_[core].erase(vblock))
-        ++cs.holes.holeRefills;
+        ++holes.holeRefills;
 
+    // Translation after the L1 access mirrors the virtual-real
+    // pipeline: L1 is probed before (or in parallel with) the TLB.
     const std::uint64_t paddr = page_map_.translate(vaddr);
     const std::uint64_t pblock = l2_->geometry().blockAddr(paddr);
 
@@ -295,7 +400,7 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
         auto [resident, fresh] = l1_contents_[core].insert(pblock);
         if (!fresh && resident != vblock) {
             if (l1.invalidate(l1.geometry().byteAddr(resident)))
-                ++cs.holes.aliasRemovals;
+                ++holes.aliasRemovals;
         }
         resident = vblock;
     }
@@ -304,73 +409,41 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     // (L1-to-L1 intervention, no L2 involvement); a store shoots down
     // every other copy and takes ownership. No other directory entry
     // is inserted or erased while `entry` is in use, so it stays valid.
-    DirEntry *entry = nullptr;
-    bool served_by_intervention = false;
-    if (multi) {
-        entry = &dir_.insert(pblock).first;
-        if (l1_result.filled)
-            entry->sharers |= std::uint64_t{1} << core;
-        const unsigned peer = entry->owner;
-        if (peer != kNoCore && peer != core) {
-            ++mc_.interventions;
-            ++cs.interventionsReceived;
-            ++mc_.cores[peer].interventionsSupplied;
-            // Read: the peer keeps a Shared copy (M -> S); a store
-            // invalidates it below. Either way the old ownership ends.
-            entry->owner = kNoCore;
-            served_by_intervention = true;
-        }
-        if (is_write) {
-            invalidateOtherCopies(core, pblock, *entry);
-            if (l1_result.filled)
-                entry->owner = static_cast<std::uint8_t>(core);
-        }
+    DirEntry *entry = multi ? &dir_.insert(pblock).first : nullptr;
+    if (entry != nullptr
+        && joinOnMiss(core, pblock, is_write, l1_result.filled, *entry)) {
+        if (entry->unused())
+            dir_.erase(pblock);
+        return;
     }
 
-    // Shared-L2 lookup with the physical address, unless the data
-    // came from the peer L1.
-    AccessResult l2_result;
-    if (!served_by_intervention) {
-        l2_result = l2_->access(paddr, is_write);
-        if (!l2_result.hit) {
-            ++cs.holes.l2Misses;
-            if (multi) {
-                // Inter-core conflict attribution: this miss is on a
-                // line a different core's fill pushed out of the L2.
-                if (entry->evictor != kNoCore && entry->evictor != core)
-                    ++cs.interCoreConflictMisses;
-                entry->evictor = kNoCore;
-                if (l2_result.filled)
-                    entry->filler = static_cast<std::uint8_t>(core);
-            }
+    // Shared-L2 lookup with the physical address.
+    const AccessResult l2_result = l2_->access(paddr, is_write);
+    if (!l2_result.hit) {
+        ++holes.l2Misses;
+        if (entry != nullptr) {
+            // Inter-core conflict attribution: this miss is on a line
+            // a different core's fill pushed out of the L2.
+            if (entry->evictor != kNoCore && entry->evictor != core)
+                ++mc_.cores[core].interCoreConflictMisses;
+            entry->evictor = kNoCore;
+            if (l2_result.filled)
+                entry->filler = static_cast<std::uint8_t>(core);
         }
     }
-    if (multi && entry->unused())
+    if (entry != nullptr && entry->unused())
         dir_.erase(pblock);
-    if (served_by_intervention || l2_result.hit || !l2_result.evictedAddr)
+    if (l2_result.hit || !l2_result.evictedAddr)
         return;
 
-    ++cs.holes.l2Replacements;
+    ++holes.l2Replacements;
     const std::uint64_t victim_pblock =
         l2_->geometry().blockAddr(*l2_result.evictedAddr);
-    // One core has no directory: probe its reverse map directly.
-    std::uint64_t holders = 1;
-    DirEntry *victim = nullptr;
-    if (multi) {
-        victim = dir_.find(victim_pblock);
-        holders = victim != nullptr ? victim->sharers : 0;
-        if (victim != nullptr && victim->filler != kNoCore) {
-            if (victim->filler != core) {
-                ++mc_.cores[victim->filler].l2EvictionsByOthers;
-                victim->evictor = static_cast<std::uint8_t>(core);
-            } else {
-                victim->evictor = kNoCore;
-            }
-            victim->filler = kNoCore;
-        }
-    }
-    // Inclusion demands this data leave every private L1.
-    for (; holders != 0; holders &= holders - 1) {
+    // Inclusion demands this data leave every private L1. One core has
+    // no directory: probe its reverse map directly.
+    for (std::uint64_t holders =
+             multi ? releaseL2Victim(core, victim_pblock) : 1;
+         holders != 0; holders &= holders - 1) {
         const unsigned j = static_cast<unsigned>(std::countr_zero(holders));
         const std::uint64_t *resident = l1_contents_[j].find(victim_pblock);
         if (resident == nullptr)
@@ -387,11 +460,25 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
         }
         l1_contents_[j].erase(victim_pblock);
     }
-    if (victim != nullptr) {
-        victim->sharers = 0;
-        victim->owner = kNoCore;
-        if (victim->unused())
-            dir_.erase(victim_pblock);
+}
+
+void
+CoherentSystem::externalInvalidate(std::uint64_t paddr)
+{
+    ++external_invalidates_;
+    l2_->invalidate(paddr);
+    const std::uint64_t pblock = l2_->geometry().blockAddr(paddr);
+    for (unsigned c = 0; c < l1s_.size(); ++c) {
+        if (const std::uint64_t *resident = l1_contents_[c].find(pblock)) {
+            l1s_[c]->invalidate(l1s_[c]->geometry().byteAddr(*resident));
+            unlinkL1(c, pblock);
+        }
+    }
+    // The line left the L2 without a core's fill evicting it.
+    if (DirEntry *entry = dir_.find(pblock)) {
+        entry->filler = kNoCore;
+        if (entry->unused())
+            dir_.erase(pblock);
     }
 }
 
@@ -417,6 +504,7 @@ HoleStats
 CoherentSystem::aggregateHoles() const
 {
     HoleStats total;
+    total.externalInvalidates = external_invalidates_;
     for (const McCoreStats &core : mc_.cores)
         holeStatsAccumulate(total, core.holes);
     return total;

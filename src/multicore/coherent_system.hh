@@ -1,16 +1,25 @@
 /**
  * @file
- * N-core coherent shared-cache system: per-core private virtually
- * indexed L1s (any registry organization, so skewed/I-Poly L1s work
+ * The virtual-real cache hierarchy: per-core private virtually indexed
+ * L1s (any registry organization, so skewed/I-Poly L1s work
  * unchanged) over one shared physically indexed L2, joined by a
  * MESI-lite coherence layer.
  *
- * The single-core data path is *exactly* TwoLevelHierarchy's
- * virtual-real protocol (Inclusion with back-invalidation holes, the
- * one-alias rule, write-back of dirty L1 victims) generalized to a
- * vector of cores; with one core every coherence step is a no-op and
- * the statistics are bit-identical to `2lvl:` — the differential test
- * suite pins this. With more cores the layer adds:
+ * With one core this is the paper's two-level hierarchy (sections
+ * 3.1-3.3, after Wang, Baer & Levy [25]): L1 is virtually indexed
+ * (exposing address bits beyond the page offset to the I-Poly hash
+ * without translation delay), L2 is physically indexed, and Inclusion
+ * is enforced explicitly. When an L2 fill replaces a valid line, the
+ * corresponding virtual line is invalidated at L1, possibly creating a
+ * *hole*; a fill shoots down any other virtual alias of its physical
+ * block (at most one alias in L1 at any instant); dirty L1 victims are
+ * written back to L2. HoleStats counts L2 misses, forced invalidations,
+ * coincidences (invalidation target == incoming fill slot) and holes,
+ * which the holes_model bench compares against the analytic P_H. The
+ * `2lvl:` target grammar builds exactly this one-core system. With one
+ * core every coherence step is skipped and the directory stays empty.
+ *
+ * With more cores the layer adds:
  *
  *  - M/S/I line states. A store installs the line Modified in the
  *    writer's L1 after invalidating every other copy
@@ -61,12 +70,54 @@
 #include "cache/cache_model.hh"
 #include "common/block_table.hh"
 #include "hierarchy/page_map.hh"
-#include "hierarchy/two_level.hh"
 
 namespace cac
 {
 
 class SetAssocCache;
+
+/** Hole bookkeeping for the section 3.3 experiment. */
+struct HoleStats
+{
+    std::uint64_t l1Misses = 0;
+    std::uint64_t l2Misses = 0;
+    std::uint64_t l2Replacements = 0;    ///< L2 fills that evicted data
+    std::uint64_t inclusionInvalidates = 0; ///< victim found in L1 (P_r)
+    std::uint64_t holesCreated = 0;      ///< invalidation left a hole
+    std::uint64_t holeRefills = 0;       ///< L1 misses on holed blocks
+    std::uint64_t externalInvalidates = 0;
+    /**
+     * Virtual-alias removals: a fill found another virtual block for
+     * the same physical block resident at L1, and shot it down (the
+     * "at most one alias in L1 at any instant" rule, section 3.3
+     * cause 2).
+     */
+    std::uint64_t aliasRemovals = 0;
+
+    /** Measured fraction of L2 misses creating a hole (vs model P_H). */
+    double holesPerL2Miss() const
+    {
+        return l2Misses
+            ? static_cast<double>(holesCreated)
+              / static_cast<double>(l2Misses)
+            : 0.0;
+    }
+
+    /** Measured P_r: L2 victims found resident in L1. */
+    double replacedInL1PerL2Replacement() const
+    {
+        return l2Replacements
+            ? static_cast<double>(inclusionInvalidates)
+              / static_cast<double>(l2Replacements)
+            : 0.0;
+    }
+};
+
+/** now - then, counter by counter (sharded-replay reconciliation). */
+HoleStats holeStatsDelta(const HoleStats &now, const HoleStats &then);
+
+/** into += delta, counter by counter. */
+void holeStatsAccumulate(HoleStats &into, const HoleStats &delta);
 
 /**
  * Per-core statistics row: the core's private-L1 functional stats, its
@@ -128,8 +179,9 @@ void multiCoreStatsAccumulate(MultiCoreStats &into,
 
 /**
  * The coherent N-core two-level system. Construct with one L1 per
- * core (identical geometry) and the shared L2; drive it with
- * access()/accessBatch(); read per-core and aggregate stats back.
+ * core (identical geometry) and the shared L2, or with a single L1 for
+ * the plain two-level hierarchy; drive it with access()/accessBatch();
+ * read per-core and aggregate stats back.
  */
 class CoherentSystem
 {
@@ -156,6 +208,16 @@ class CoherentSystem
                    std::unique_ptr<CacheModel> l2, PageMap page_map,
                    std::uint64_t window_bytes);
 
+    /**
+     * One core: the plain two-level virtual-real hierarchy.
+     *
+     * @param l1 first-level cache; accessed with *virtual* addresses.
+     * @param l2 second-level cache; accessed with *physical* addresses.
+     * @param page_map translation model.
+     */
+    CoherentSystem(std::unique_ptr<CacheModel> l1,
+                   std::unique_ptr<CacheModel> l2, PageMap page_map);
+
     unsigned numCores() const
     {
         return static_cast<unsigned>(l1s_.size());
@@ -180,9 +242,20 @@ class CoherentSystem
     /**
      * @p n same-kind references in stream order, demultiplexed onto
      * cores by ASID window. Identical in outcome to n access() calls.
+     * When an L1 is a SetAssocCache with a batch-capable plan, its
+     * index words for a whole tile are precomputed in one SIMD pass and
+     * only misses fall into the slow bookkeeping path.
      */
     void accessBatch(const std::uint64_t *vaddrs, std::size_t n,
                      bool is_write);
+
+    /**
+     * External coherence invalidation, physically addressed: snooped
+     * at L2 per the Inclusion argument of section 3.2 and forwarded,
+     * through the reverse maps, to every private L1 holding a copy.
+     * Counted in the aggregate HoleStats::externalInvalidates.
+     */
+    void externalInvalidate(std::uint64_t paddr);
 
     const CacheModel &l1(unsigned core) const { return *l1s_[core]; }
     const CacheModel &l2() const { return *l2_; }
@@ -194,7 +267,10 @@ class CoherentSystem
     /** All cores' L1 stats summed into one row (sweep aggregate). */
     CacheStats aggregateL1() const;
 
-    /** All cores' hole bookkeeping summed into one row. */
+    /**
+     * All cores' hole bookkeeping summed into one row, plus the
+     * system-wide external invalidations.
+     */
     HoleStats aggregateHoles() const;
 
     /**
@@ -220,8 +296,10 @@ class CoherentSystem
 
     /**
      * Flush every private L1 (and the reverse maps, pending holes and
-     * ownership that describe their contents). The shared L2 and its
-     * fill attribution survive, as in TwoLevelHierarchy::flushL1().
+     * ownership that describe their contents) — the context-switch
+     * cold start of a virtual cache without ASIDs. The physically
+     * indexed shared L2 and its fill attribution survive; Inclusion
+     * trivially holds on empty L1s.
      */
     void flushL1s();
 
@@ -248,6 +326,24 @@ class CoherentSystem
     /** Everything access() does after a private-L1 miss. */
     void missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                   const AccessResult &l1_result);
+
+    /**
+     * The directory side of a miss: record @p core as a sharer when
+     * the L1 @p filled, take a peer's Modified copy (an intervention),
+     * and on a store invalidate every other copy and take ownership.
+     * @return true when a peer L1 served the miss (no L2 access).
+     */
+    bool joinOnMiss(unsigned core, std::uint64_t pblock, bool is_write,
+                    bool filled, DirEntry &entry);
+
+    /**
+     * Settle the directory entry of an L2 victim evicted by @p core's
+     * fill: charge the eviction to its filler, end sharing and
+     * ownership.
+     * @return the cores whose L1s held the victim (a sharer mask).
+     */
+    std::uint64_t releaseL2Victim(unsigned core,
+                                  std::uint64_t victim_pblock);
 
     /** S -> M promotion on a write hit: invalidate peers, take M. */
     void writeHitUpgrade(unsigned core, std::uint64_t vaddr);
@@ -284,8 +380,15 @@ class CoherentSystem
 
     /** Coherence + attribution counters (per-core l1 filled lazily). */
     MultiCoreStats mc_;
+    /** externalInvalidate() calls (a system event, not a core's). */
+    std::uint64_t external_invalidates_ = 0;
 
-    /** Per-core reverse maps: physical block -> resident vblock. */
+    /**
+     * Per-core reverse maps: physical block -> virtual block resident
+     * in that L1. The virtual-real protocol maintains exactly this
+     * association so physical invalidations can find virtual L1 lines
+     * without reverse translation hardware.
+     */
     std::vector<BlockTable<std::uint64_t>> l1_contents_;
     /** Per-core blocks invalidated by Inclusion, pending re-reference. */
     std::vector<BlockSet> holes_;

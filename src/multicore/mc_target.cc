@@ -6,10 +6,14 @@ namespace cac
 {
 
 MultiCoreTarget::MultiCoreTarget(std::string name,
-                                 std::unique_ptr<CoherentSystem> system)
-    : name_(std::move(name)), system_(std::move(system))
+                                 std::unique_ptr<CoherentSystem> system,
+                                 TargetKind kind)
+    : name_(std::move(name)), system_(std::move(system)), kind_(kind)
 {
     CAC_ASSERT(system_);
+    CAC_ASSERT(kind_ == TargetKind::MultiCore
+               || (kind_ == TargetKind::Hierarchy
+                   && system_->numCores() == 1));
 }
 
 void
@@ -49,13 +53,15 @@ TargetStats
 MultiCoreTarget::stats() const
 {
     TargetStats out;
-    out.kind = TargetKind::MultiCore;
+    out.kind = kind_;
     out.l1 = system_->aggregateL1();
     out.hasHierarchy = true;
     out.l2 = system_->l2().stats();
     out.holes = system_->aggregateHoles();
-    out.hasMultiCore = true;
-    out.mc = system_->stats();
+    if (kind_ == TargetKind::MultiCore) {
+        out.hasMultiCore = true;
+        out.mc = system_->stats();
+    }
     return out;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * MultiCoreTarget: the N-core coherent shared-cache system behind the
- * SimTarget interface, so sweeps, scenarios, the conflict profiler and
- * the CLI drive it exactly like a single cache or hierarchy.
+ * MultiCoreTarget: a CoherentSystem behind the SimTarget interface, so
+ * sweeps, scenarios, the conflict profiler and the CLI drive it
+ * exactly like a single cache.
  *
  * Labels: OrgRegistry::buildTarget() resolves
  * `mc:<cores>x<l1-org>/<l2-org>` (e.g. "mc:4xa2-Hp-Sk/a4") to this
@@ -11,6 +11,11 @@
  * CoherentSystem), so a Scenario mix's programs round-robin across
  * cores with no scheduler changes, starting at the core of the window
  * the first program's data starts in (core 2 for the Spec95 proxies).
+ *
+ * `2lvl:<l1-org>/<l2-org>` builds the same class over a one-core
+ * system and reports it as a TargetKind::Hierarchy: no per-core rows,
+ * so it time-shards like a plain cache and prints the plain two-level
+ * report.
  */
 
 #ifndef CAC_MULTICORE_MC_TARGET_HH
@@ -25,15 +30,20 @@
 namespace cac
 {
 
-/** N-core coherent shared-cache target. */
+/** Coherent-system target: the two-level hierarchy or N cores. */
 class MultiCoreTarget : public SimTarget
 {
   public:
+    /**
+     * @param kind MultiCore, or Hierarchy for a one-core system
+     *        reported without its multicore section.
+     */
     MultiCoreTarget(std::string name,
-                    std::unique_ptr<CoherentSystem> system);
+                    std::unique_ptr<CoherentSystem> system,
+                    TargetKind kind = TargetKind::MultiCore);
 
     std::string name() const override { return name_; }
-    TargetKind kind() const override { return TargetKind::MultiCore; }
+    TargetKind kind() const override { return kind_; }
     void accessBatch(const std::uint64_t *addrs, std::size_t n,
                      bool is_write) override;
     void replay(const TraceRecord *recs, std::size_t n) override;
@@ -48,6 +58,7 @@ class MultiCoreTarget : public SimTarget
   private:
     std::string name_;
     std::unique_ptr<CoherentSystem> system_;
+    TargetKind kind_;
     /** Same-kind run gathering, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };

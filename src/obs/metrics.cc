@@ -27,28 +27,54 @@ enum class Kind
  *  registry with a destroyed one that happened to reuse its address. */
 std::atomic<std::uint64_t> next_epoch{1};
 
+/** One shard cell: written by its owning thread only, read by any. */
+using Cell = std::atomic<std::uint64_t>;
+
+/**
+ * Add @p v to a cell only its owner thread writes. A relaxed load plus
+ * store, not fetch_add: there is one writer, so no update can be lost,
+ * and on x86 this compiles to the same plain add as a non-atomic cell.
+ */
+void
+bump(Cell &cell, std::uint64_t v)
+{
+    cell.store(cell.load(std::memory_order_relaxed) + v,
+               std::memory_order_relaxed);
+}
+
+std::uint64_t
+read(const Cell &cell)
+{
+    return cell.load(std::memory_order_relaxed);
+}
+
 } // anonymous namespace
 
 struct Registry::MetricDef
 {
     std::string name;
     Kind kind;
-    std::size_t index; ///< index into the shard vector of this kind
+    std::size_t index; ///< index into the shard array of this kind
 };
 
+/**
+ * One thread's metric values. Storage is fixed at the registration
+ * caps and never reallocates, so snapshot() may read cells while the
+ * owning thread writes them.
+ */
 struct Registry::Shard
 {
     /** One cell per histogram id: count, sum, log2 buckets. */
     struct HistCell
     {
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::array<std::uint64_t, kHistBuckets> buckets{};
+        Cell count{0};
+        Cell sum{0};
+        std::array<Cell, kHistBuckets> buckets{};
     };
 
-    std::vector<std::uint64_t> counters;
-    std::vector<std::uint64_t> gauges;
-    std::vector<HistCell> hists;
+    std::array<Cell, kMaxCounters> counters{};
+    std::array<Cell, kMaxGauges> gauges{};
+    std::array<HistCell, kMaxHistograms> hists{};
 };
 
 Registry::Registry()
@@ -77,6 +103,10 @@ Registry::counter(const std::string &name)
             return Counter(this, def.index);
         next = std::max(next, def.index + 1);
     }
+    if (next >= kMaxCounters) {
+        panic("metrics: more than %zu counters registered ('%s')",
+              kMaxCounters, name.c_str());
+    }
     defs_.push_back({name, Kind::Counter, next});
     return Counter(this, next);
 }
@@ -93,6 +123,10 @@ Registry::gauge(const std::string &name)
             return Gauge(this, def.index);
         next = std::max(next, def.index + 1);
     }
+    if (next >= kMaxGauges) {
+        panic("metrics: more than %zu gauges registered ('%s')",
+              kMaxGauges, name.c_str());
+    }
     defs_.push_back({name, Kind::Gauge, next});
     return Gauge(this, next);
 }
@@ -108,6 +142,10 @@ Registry::histogram(const std::string &name)
         if (def.name == name)
             return Histogram(this, def.index);
         next = std::max(next, def.index + 1);
+    }
+    if (next >= kMaxHistograms) {
+        panic("metrics: more than %zu histograms registered ('%s')",
+              kMaxHistograms, name.c_str());
     }
     defs_.push_back({name, Kind::Histogram, next});
     return Histogram(this, next);
@@ -150,10 +188,7 @@ Counter::add(std::uint64_t v) const
 {
     if (!owner_ || !owner_->enabled())
         return;
-    Registry::Shard *shard = owner_->localShard();
-    if (id_ >= shard->counters.size())
-        shard->counters.resize(id_ + 1, 0);
-    shard->counters[id_] += v;
+    bump(owner_->localShard()->counters[id_], v);
 }
 
 void
@@ -161,10 +196,9 @@ Gauge::set(std::uint64_t v) const
 {
     if (!owner_ || !owner_->enabled())
         return;
-    Registry::Shard *shard = owner_->localShard();
-    if (id_ >= shard->gauges.size())
-        shard->gauges.resize(id_ + 1, 0);
-    shard->gauges[id_] = std::max(shard->gauges[id_], v);
+    Cell &cell = owner_->localShard()->gauges[id_];
+    if (v > read(cell))
+        cell.store(v, std::memory_order_relaxed);
 }
 
 void
@@ -172,13 +206,10 @@ Histogram::observe(std::uint64_t v) const
 {
     if (!owner_ || !owner_->enabled())
         return;
-    Registry::Shard *shard = owner_->localShard();
-    if (id_ >= shard->hists.size())
-        shard->hists.resize(id_ + 1);
-    Registry::Shard::HistCell &cell = shard->hists[id_];
-    cell.count += 1;
-    cell.sum += v;
-    cell.buckets[std::bit_width(v)] += 1;
+    Registry::Shard::HistCell &cell = owner_->localShard()->hists[id_];
+    bump(cell.count, 1);
+    bump(cell.sum, v);
+    bump(cell.buckets[std::bit_width(v)], 1);
 }
 
 MetricsSnapshot
@@ -190,19 +221,15 @@ Registry::snapshot() const
         switch (def.kind) {
           case Kind::Counter: {
             std::uint64_t total = 0;
-            for (const auto &shard : shards_) {
-                if (def.index < shard->counters.size())
-                    total += shard->counters[def.index];
-            }
+            for (const auto &shard : shards_)
+                total += read(shard->counters[def.index]);
             snap.counters.emplace_back(def.name, total);
             break;
           }
           case Kind::Gauge: {
             std::uint64_t high = 0;
-            for (const auto &shard : shards_) {
-                if (def.index < shard->gauges.size())
-                    high = std::max(high, shard->gauges[def.index]);
-            }
+            for (const auto &shard : shards_)
+                high = std::max(high, read(shard->gauges[def.index]));
             snap.gauges.emplace_back(def.name, high);
             break;
           }
@@ -210,13 +237,11 @@ Registry::snapshot() const
             HistSnapshot hist;
             hist.name = def.name;
             for (const auto &shard : shards_) {
-                if (def.index >= shard->hists.size())
-                    continue;
                 const Shard::HistCell &cell = shard->hists[def.index];
-                hist.count += cell.count;
-                hist.sum += cell.sum;
+                hist.count += read(cell.count);
+                hist.sum += read(cell.sum);
                 for (std::size_t b = 0; b < kHistBuckets; ++b)
-                    hist.buckets[b] += cell.buckets[b];
+                    hist.buckets[b] += read(cell.buckets[b]);
             }
             snap.histograms.push_back(std::move(hist));
             break;
@@ -239,11 +264,17 @@ void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    auto zero = [](Cell &cell) {
+        cell.store(0, std::memory_order_relaxed);
+    };
     for (auto &shard : shards_) {
-        std::fill(shard->counters.begin(), shard->counters.end(), 0);
-        std::fill(shard->gauges.begin(), shard->gauges.end(), 0);
-        for (auto &cell : shard->hists)
-            cell = Shard::HistCell{};
+        std::for_each(shard->counters.begin(), shard->counters.end(), zero);
+        std::for_each(shard->gauges.begin(), shard->gauges.end(), zero);
+        for (auto &cell : shard->hists) {
+            zero(cell.count);
+            zero(cell.sum);
+            std::for_each(cell.buckets.begin(), cell.buckets.end(), zero);
+        }
     }
 }
 

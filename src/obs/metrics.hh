@@ -9,7 +9,7 @@
  *  - An update while metrics are runtime-disabled costs one relaxed
  *    atomic load and a branch.
  *  - An update while enabled touches only this thread's shard — a
- *    dense vector indexed by metric id — so there is no cross-thread
+ *    fixed array indexed by metric id — so there is no cross-thread
  *    cache-line traffic and no lock on the update path.
  *  - Updates happen at *boundaries* (per chunk, per segment, per
  *    retry), never per access; see obs/obs.hh.
@@ -21,12 +21,16 @@
  * (tests/obs/test_metrics.cc pins this down).
  *
  * Concurrency contract: updates are thread-safe from any number of
- * threads concurrently. snapshot()/reset() must run at a quiesce
- * point — after the instrumented work has been joined (SweepRunner's
+ * threads concurrently, and snapshot() may run while they happen.
+ * Shard storage is sized at the registration caps below and never
+ * reallocates; each cell is a relaxed atomic written only by its
+ * owning thread. A snapshot taken mid-run sees every cell at some
+ * recent value; the exact, deterministic totals need a quiesce point
+ * — after the instrumented work has been joined (SweepRunner's
  * parallelFor joins its pool before results are read, which is where
- * the engine snapshots). Shards are owned by the registry and survive
- * thread exit, so short-lived worker threads keep contributing to the
- * merged totals.
+ * the engine snapshots). reset() must run at a quiesce point. Shards
+ * are owned by the registry and survive thread exit, so short-lived
+ * worker threads keep contributing to the merged totals.
  */
 
 #ifndef CAC_OBS_METRICS_HH
@@ -49,6 +53,12 @@ class Registry;
  *  bit_width(v) == k, i.e. bucket 0 is v==0 and bucket k>=1 covers
  *  [2^(k-1), 2^k - 1]. 65 buckets span all of uint64_t. */
 constexpr std::size_t kHistBuckets = 65;
+
+/** Most counters, gauges and histograms one registry can hold (the
+ *  fixed shard sizes; registering one more is a library bug). */
+constexpr std::size_t kMaxCounters = 256;
+constexpr std::size_t kMaxGauges = 64;
+constexpr std::size_t kMaxHistograms = 64;
 
 /**
  * Handle to a named monotonic counter. Cheap to copy; obtain once per
@@ -165,7 +175,7 @@ class Registry
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** Merge every shard (quiesce point only; see file comment). */
+    /** Merge every shard (exact at a quiesce point; see file comment). */
     MetricsSnapshot snapshot() const;
 
     /** Zero every shard's values (quiesce point only). */

@@ -2,8 +2,8 @@
  * @file
  * Tests for the SimTarget abstraction: the extended target label
  * grammar ("2lvl:", "cpu:"), and agreement of each target class with
- * the serial driver it subsumes (runTraceMemory, a hand-rolled
- * TwoLevelHierarchy loop, OooCore::run).
+ * the serial driver it subsumes (runTraceMemory, a scalar
+ * CoherentSystem::access loop, OooCore::run).
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include "core/registry.hh"
 #include "core/sim_target.hh"
 #include "cpu/ooo_core.hh"
-#include "hierarchy/two_level.hh"
 #include "index/factory.hh"
+#include "multicore/coherent_system.hh"
 #include "workloads/spec_proxy.hh"
 
 namespace cac
@@ -92,26 +92,28 @@ TEST(CacheTargetTest, ReplayMatchesRunTraceMemory)
     EXPECT_EQ(got.l1.evictions, want.evictions);
 }
 
-TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
+TEST(TwoLevelTargetTest, BatchedReplayMatchesScalarLoop)
 {
     const Trace trace = proxyTrace();
 
-    // Reference: the pre-engine holes_model part-2 loop.
+    // Reference: one scalar access() per memory operation, in trace
+    // order (the pre-engine holes_model part-2 loop).
     auto makeLevel = [](IndexKind kind, std::uint64_t bytes,
                         unsigned ways, unsigned input_bits) {
         const CacheGeometry geom(bytes, 32, ways);
         return std::make_unique<SetAssocCache>(
             geom, makeIndexFn(kind, geom.setBits(), ways, input_bits));
     };
-    TwoLevelHierarchy reference(
+    CoherentSystem reference(
         makeLevel(IndexKind::IPolySkew, 8 * 1024, 2, 14),
         makeLevel(IndexKind::Modulo, 256 * 1024, 2, 18), PageMap());
     for (const auto &rec : trace) {
         if (isMemOp(rec.op))
-            reference.access(rec.addr, rec.op == OpClass::Store);
+            reference.access(0, rec.addr, rec.op == OpClass::Store);
     }
 
-    // Engine path: the same configuration through the label grammar.
+    // Engine path: the same configuration through the label grammar,
+    // replayed as gathered same-kind batches.
     const TargetSpec spec; // defaults: 8KB L1, 256KB 2-way L2
     auto target = OrgRegistry::global().buildTarget("2lvl:a2-Hp-Sk/a2",
                                                     spec);
@@ -120,7 +122,9 @@ TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
     const TargetStats got = target->stats();
 
     ASSERT_TRUE(got.hasHierarchy);
-    const HoleStats &want = reference.holeStats();
+    EXPECT_EQ(got.kind, TargetKind::Hierarchy);
+    EXPECT_FALSE(got.hasMultiCore);
+    const HoleStats want = reference.aggregateHoles();
     EXPECT_EQ(got.holes.l1Misses, want.l1Misses);
     EXPECT_EQ(got.holes.l2Misses, want.l2Misses);
     EXPECT_EQ(got.holes.l2Replacements, want.l2Replacements);
@@ -128,8 +132,8 @@ TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
     EXPECT_EQ(got.holes.holesCreated, want.holesCreated);
     EXPECT_EQ(got.holes.holeRefills, want.holeRefills);
     EXPECT_EQ(got.holes.aliasRemovals, want.aliasRemovals);
-    EXPECT_EQ(got.l1.loads, reference.l1().stats().loads);
-    EXPECT_EQ(got.l1.loadMisses, reference.l1().stats().loadMisses);
+    EXPECT_EQ(got.l1.loads, reference.l1(0).stats().loads);
+    EXPECT_EQ(got.l1.loadMisses, reference.l1(0).stats().loadMisses);
     EXPECT_EQ(got.l2.misses(), reference.l2().stats().misses());
 }
 

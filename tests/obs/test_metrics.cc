@@ -2,11 +2,14 @@
  * @file
  * Tests for the metrics registry (obs/metrics.hh): the disabled
  * fast path, per-thread shard merging that is deterministic at 1, 4
- * and 8 worker threads, gauge max-merge, log2-histogram bucketing and
- * quantiles on known distributions, reset(), and the JSON rendering.
+ * and 8 worker threads, snapshots taken while writers update, gauge
+ * max-merge, log2-histogram bucketing and quantiles on known
+ * distributions, reset(), and the JSON rendering.
  */
 
+#include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,6 +86,49 @@ TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
         EXPECT_EQ(many.histograms[0].sum, one.histograms[0].sum);
         EXPECT_EQ(many.histograms[0].buckets, one.histograms[0].buckets);
     }
+}
+
+TEST(Metrics, SnapshotWhileWritersUpdate)
+{
+    // Writers update freshly registered metrics (so their shard cells
+    // are first touched mid-run) while this thread snapshots in a
+    // loop. Run under ThreadSanitizer this is the data-race check;
+    // everywhere it checks that totals only grow and end exact.
+    Registry reg;
+    reg.setEnabled(true);
+    const Counter adds = reg.counter("adds");
+    std::vector<Histogram> hists;
+    for (int k = 0; k < 4; ++k)
+        hists.push_back(reg.histogram("h" + std::to_string(k)));
+
+    constexpr unsigned kWriters = 3;
+    constexpr unsigned kRounds = 20000;
+    std::atomic<unsigned> done{0};
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t < kWriters; ++t) {
+        writers.emplace_back([&] {
+            for (unsigned i = 0; i < kRounds; ++i) {
+                hists[i % hists.size()].observe(i);
+                adds.add(1);
+            }
+            done.fetch_add(1);
+        });
+    }
+    std::uint64_t last = 0;
+    while (done.load() < kWriters) {
+        const std::uint64_t now = reg.snapshot().counter("adds");
+        EXPECT_GE(now, last);
+        last = now;
+    }
+    for (std::thread &th : writers)
+        th.join();
+
+    const MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("adds"), std::uint64_t{kWriters} * kRounds);
+    std::uint64_t observed = 0;
+    for (const HistSnapshot &hist : snap.histograms)
+        observed += hist.count;
+    EXPECT_EQ(observed, std::uint64_t{kWriters} * kRounds);
 }
 
 TEST(Metrics, SnapshotIsSortedByName)
