@@ -128,10 +128,11 @@ class IndexSearch
     run(std::shared_ptr<const Trace> trace) const;
 
     /**
-     * Evaluate every candidate on a CACTRC01 trace *file*, streamed:
-     * each cell replays the file through its own chunked TraceReader,
-     * so memory stays bounded however long the trace is. Results are
-     * identical to loading the trace and calling run().
+     * Evaluate every candidate on a CACTRC01/02 trace *file*,
+     * streamed: each group of candidates shares one chunked
+     * TraceReader (SweepRunner row replay), so memory stays bounded
+     * however long the trace is. Results are identical to loading the
+     * trace and calling run().
      */
     std::vector<SearchResult>
     runTraceFile(const std::string &path) const;

@@ -15,6 +15,20 @@ CacheModel::accessBatch(const std::uint64_t *addrs, std::size_t n,
         access(addrs[i], is_write);
 }
 
+void
+CacheModel::accessMixed(const std::uint64_t *addrs, const bool *writes,
+                        std::size_t n)
+{
+    std::size_t base = 0;
+    while (base < n) {
+        std::size_t end = base + 1;
+        while (end < n && writes[end] == writes[base])
+            ++end;
+        accessBatch(addrs + base, end - base, writes[base]);
+        base = end;
+    }
+}
+
 namespace
 {
 

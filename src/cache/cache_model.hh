@@ -81,6 +81,50 @@ struct AccessResult
 };
 
 /**
+ * Kind sources for batch kernels. Every organization writes one batch
+ * kernel templated on where an access's load/store flag comes from,
+ * and shares it between accessBatch() (UniformKind: one flag for the
+ * whole batch) and accessMixed() (MixedKind: one flag per access).
+ * Both answer the same three questions about a batch window.
+ */
+struct UniformKind
+{
+    bool write; ///< every access is a store when true
+
+    /** Is access @p i a store? */
+    bool isWrite(std::size_t) const { return write; }
+
+    /** Stores among accesses [base, base + n). */
+    std::size_t
+    writesIn(std::size_t, std::size_t n) const
+    {
+        return write ? n : 0;
+    }
+
+    /** The kinds of the sub-batch starting at access @p base. */
+    UniformKind from(std::size_t) const { return *this; }
+};
+
+/** Per-access kind source (see UniformKind). */
+struct MixedKind
+{
+    const bool *writes; ///< writes[i]: access i is a store
+
+    bool isWrite(std::size_t i) const { return writes[i]; }
+
+    std::size_t
+    writesIn(std::size_t base, std::size_t n) const
+    {
+        std::size_t stores = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            stores += writes[base + i] ? 1 : 0;
+        return stores;
+    }
+
+    MixedKind from(std::size_t base) const { return {writes + base}; }
+};
+
+/**
  * Abstract functional cache. Addresses are byte addresses; models mask
  * out the block offset internally.
  */
@@ -113,6 +157,27 @@ class CacheModel
      */
     virtual void accessBatch(const std::uint64_t *addrs, std::size_t n,
                              bool is_write);
+
+    /**
+     * Perform @p n accesses of mixed kind in order — access i is a
+     * store when writes[i] — with the same stats-identity contract as
+     * accessBatch(). This is what trace replay feeds: MemRunGatherer
+     * collects up to MemRunGatherer::kMaxRun memory operations of any
+     * kind per call, so one dispatch covers a long run however often
+     * the stream alternates loads and stores.
+     *
+     * Organizations override it with the same templated kernel that
+     * backs their accessBatch(). The base implementation splits the
+     * batch into maximal same-kind runs and issues one accessBatch()
+     * per run, so a decorator that overrides only accessBatch() stays
+     * correct (it just sees the shorter runs).
+     *
+     * @param addrs byte addresses, accessed in array order.
+     * @param writes per-access kind: store when true, load when false.
+     * @param n number of accesses.
+     */
+    virtual void accessMixed(const std::uint64_t *addrs,
+                             const bool *writes, std::size_t n);
 
     /** Hit check without any state or statistics update. */
     virtual bool probe(std::uint64_t addr) const = 0;

@@ -20,12 +20,27 @@ FullyAssocCache::access(std::uint64_t addr, bool is_write)
     return accessOne(addr, is_write);
 }
 
+template <typename Kind>
+void
+FullyAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
+                             Kind kind)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        accessOne(addrs[i], kind.isWrite(i));
+}
+
 void
 FullyAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
                              bool is_write)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        accessOne(addrs[i], is_write);
+    batchKernel(addrs, n, UniformKind{is_write});
+}
+
+void
+FullyAssocCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
+                             std::size_t n)
+{
+    batchKernel(addrs, n, MixedKind{writes});
 }
 
 AccessResult

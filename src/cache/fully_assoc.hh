@@ -35,6 +35,8 @@ class FullyAssocCache : public CacheModel
     AccessResult access(std::uint64_t addr, bool is_write) override;
     void accessBatch(const std::uint64_t *addrs, std::size_t n,
                      bool is_write) override;
+    void accessMixed(const std::uint64_t *addrs, const bool *writes,
+                     std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;
@@ -43,6 +45,11 @@ class FullyAssocCache : public CacheModel
   private:
     /** Non-virtual body of access(); the batch loop calls this. */
     AccessResult accessOne(std::uint64_t addr, bool is_write);
+
+    /** accessBatch()/accessMixed() kernel, templated on the kind source. */
+    template <typename Kind>
+    void batchKernel(const std::uint64_t *addrs, std::size_t n,
+                     Kind kind);
 
     bool write_allocate_;
     /** MRU at front, LRU at back; values are block addresses. */

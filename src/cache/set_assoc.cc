@@ -90,14 +90,15 @@ SetAssocCache::access(std::uint64_t addr, bool is_write)
     return accessOne(addr, is_write);
 }
 
+template <typename Kind>
 void
-SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                           bool is_write)
+SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
+                           Kind kind)
 {
     ensurePlan();
     if (!plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            accessOne(addrs[i], is_write);
+            accessOne(addrs[i], kind.isWrite(i));
         return;
     }
     // Tile the stream: one SIMD/SWAR index pass per tile, then the
@@ -113,7 +114,7 @@ SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
         plan_.indexPackedBatch(blocks, m, packed);
         if (!repl_plain_lru_) {
             for (std::size_t i = 0; i < m; ++i)
-                accessPacked(blocks[i], packed[i], is_write);
+                accessPacked(blocks[i], packed[i], kind.isWrite(base + i));
             continue;
         }
         // Plain-LRU hit fast path with the access counters hoisted
@@ -122,13 +123,13 @@ SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
         // shared fill path; the counter totals are order-independent,
         // so bulk-adding loads/stores up front is stats-identical to
         // accessPacked()'s per-access increments.
-        if (is_write)
-            stats_.stores += m;
-        else
-            stats_.loads += m;
+        const std::size_t stores = kind.writesIn(base, m);
+        stats_.stores += stores;
+        stats_.loads += m - stores;
         std::uint64_t tick = tick_;
         for (std::size_t i = 0; i < m; ++i) {
             ++tick;
+            const bool is_write = kind.isWrite(base + i);
             const std::uint64_t block = blocks[i];
             Line *hit = nullptr;
             for (unsigned w = 0; w < ways; ++w) {
@@ -157,6 +158,20 @@ SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
         }
         tick_ = tick;
     }
+}
+
+void
+SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
+                           bool is_write)
+{
+    batchKernel(addrs, n, UniformKind{is_write});
+}
+
+void
+SetAssocCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
+                           std::size_t n)
+{
+    batchKernel(addrs, n, MixedKind{writes});
 }
 
 AccessResult

@@ -58,6 +58,8 @@ class SetAssocCache : public CacheModel
     AccessResult access(std::uint64_t addr, bool is_write) override;
     void accessBatch(const std::uint64_t *addrs, std::size_t n,
                      bool is_write) override;
+    void accessMixed(const std::uint64_t *addrs, const bool *writes,
+                     std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;
@@ -139,6 +141,14 @@ class SetAssocCache : public CacheModel
 
     /** Non-virtual body of access(); the batch loop calls this. */
     AccessResult accessOne(std::uint64_t addr, bool is_write);
+
+    /**
+     * The one batch kernel behind accessBatch() and accessMixed(),
+     * templated on the kind source (UniformKind / MixedKind).
+     */
+    template <typename Kind>
+    void batchKernel(const std::uint64_t *addrs, std::size_t n,
+                     Kind kind);
 
     /**
      * Recompile the plan if the index function was reprogrammed since

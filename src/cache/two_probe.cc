@@ -46,16 +46,17 @@ TwoProbeCache::access(std::uint64_t addr, bool is_write)
     return accessOne(addr, is_write);
 }
 
+template <typename Kind>
 void
-TwoProbeCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                           bool is_write)
+TwoProbeCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
+                           Kind kind)
 {
     // The polynomial plan is batch-capable for every registry
     // configuration (one way always packs); the Callback plan the test
     // hook forces is the only exception.
     if (rehash_ == RehashKind::IPoly && !poly_plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            accessOne(addrs[i], is_write);
+            accessOne(addrs[i], kind.isWrite(i));
         return;
     }
 
@@ -77,8 +78,22 @@ TwoProbeCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
         }
         for (std::size_t i = 0; i < m; ++i)
             accessIndexed(blocks[i], blocks[i] & set_mask, second[i],
-                          is_write);
+                          kind.isWrite(base + i));
     }
+}
+
+void
+TwoProbeCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
+                           bool is_write)
+{
+    batchKernel(addrs, n, UniformKind{is_write});
+}
+
+void
+TwoProbeCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
+                           std::size_t n)
+{
+    batchKernel(addrs, n, MixedKind{writes});
 }
 
 AccessResult

@@ -49,6 +49,8 @@ class TwoProbeCache : public CacheModel
     AccessResult access(std::uint64_t addr, bool is_write) override;
     void accessBatch(const std::uint64_t *addrs, std::size_t n,
                      bool is_write) override;
+    void accessMixed(const std::uint64_t *addrs, const bool *writes,
+                     std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;
@@ -69,6 +71,11 @@ class TwoProbeCache : public CacheModel
 
     /** Non-virtual body of access(); the batch loop calls this. */
     AccessResult accessOne(std::uint64_t addr, bool is_write);
+
+    /** accessBatch()/accessMixed() kernel, templated on the kind source. */
+    template <typename Kind>
+    void batchKernel(const std::uint64_t *addrs, std::size_t n,
+                     Kind kind);
 
     /**
      * accessOne() with both probe indices already computed — the batch

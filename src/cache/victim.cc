@@ -67,12 +67,27 @@ VictimCache::access(std::uint64_t addr, bool is_write)
     return accessOne(addr, is_write);
 }
 
+template <typename Kind>
+void
+VictimCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
+                         Kind kind)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        accessOne(addrs[i], kind.isWrite(i));
+}
+
 void
 VictimCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
                          bool is_write)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        accessOne(addrs[i], is_write);
+    batchKernel(addrs, n, UniformKind{is_write});
+}
+
+void
+VictimCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
+                         std::size_t n)
+{
+    batchKernel(addrs, n, MixedKind{writes});
 }
 
 AccessResult

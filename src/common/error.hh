@@ -66,7 +66,10 @@ struct Error
     /** Byte offset in the file where the damage was found. */
     std::uint64_t byteOffset = kNoOffset;
 
-    /** Chunk index (CACTRC02) the failure belongs to. */
+    /**
+     * Chunk index the failure belongs to: the CACTRC02 file chunk, or
+     * for a CACTRC01 record the reader's chunkRecords()-sized chunk.
+     */
     std::uint64_t chunkIndex = kNoOffset;
 
     /** What was being processed (usually the file path or cell name). */

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,14 +28,17 @@ CacheStats runAddressStream(CacheModel &cache,
                             const std::vector<std::uint64_t> &addrs);
 
 /**
- * Gathers runs of same-kind memory operations from an instruction
- * stream so a sink sees one accessBatch() per run instead of one
- * virtual access() per record. Restartable: replay() may be called
- * with consecutive stream chunks (the partially-gathered run carries
+ * Gathers the memory operations of an instruction stream into mixed
+ * load/store batches, so a sink sees one accessMixed() per
+ * kMaxRun memory operations instead of one virtual access() per record
+ * (or one accessBatch() per same-kind run — loads and stores alternate
+ * every few records in real traces, so kind-split runs average under
+ * three accesses). Restartable: replay() may be called with
+ * consecutive stream chunks (the partially-gathered batch carries
  * over), so the single batching rule serves both whole-trace replay
  * (runTraceMemory) and chunked streaming (CacheTarget). The sink is
- * anything with an accessBatch(addrs, n, is_write) member — a
- * CacheModel or the two-level hierarchy.
+ * anything with an accessMixed(addrs, writes, n) member — a CacheModel
+ * or a CoherentSystem.
  */
 class MemRunGatherer
 {
@@ -42,7 +46,9 @@ class MemRunGatherer
     /** Batch size of the gathered runs (the engine's hot-path unit). */
     static constexpr std::size_t kMaxRun = 4096;
 
-    MemRunGatherer() { run_.reserve(kMaxRun); }
+    MemRunGatherer()
+        : addrs_(new std::uint64_t[kMaxRun]), writes_(new bool[kMaxRun])
+    {}
 
     /** Feed the memory operations of @p recs[0..n) into @p sink. */
     template <typename Sink>
@@ -55,29 +61,29 @@ class MemRunGatherer
             const TraceRecord &rec = recs[i];
             if (!isMemOp(rec.op))
                 continue;
-            const bool is_write = rec.op == OpClass::Store;
-            if (is_write != run_is_write_ || run_.size() == kMaxRun) {
+            if (n_ == kMaxRun)
                 flush(sink);
-                run_is_write_ = is_write;
-            }
-            run_.push_back(rec.addr);
+            addrs_[n_] = rec.addr;
+            writes_[n_] = rec.op == OpClass::Store;
+            ++n_;
         }
     }
 
-    /** Issue the partially-gathered run, preserving access order. */
+    /** Issue the partially-gathered batch, preserving access order. */
     template <typename Sink>
     void
     flush(Sink &sink)
     {
-        if (!run_.empty()) {
-            sink.accessBatch(run_.data(), run_.size(), run_is_write_);
-            run_.clear();
+        if (n_ != 0) {
+            sink.accessMixed(addrs_.get(), writes_.get(), n_);
+            n_ = 0;
         }
     }
 
   private:
-    std::vector<std::uint64_t> run_;
-    bool run_is_write_ = false;
+    std::unique_ptr<std::uint64_t[]> addrs_;
+    std::unique_ptr<bool[]> writes_;
+    std::size_t n_ = 0; ///< gathered accesses pending in the batch
 };
 
 /** Outcome of one measureThroughput() run. */

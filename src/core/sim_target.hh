@@ -184,7 +184,7 @@ class CacheTarget : public SimTarget
 
   private:
     std::unique_ptr<CacheModel> model_;
-    /** Same-kind run gathering, restartable across replay() chunks. */
+    /** Mixed load/store batching, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };
 

@@ -17,29 +17,49 @@ namespace cac
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
 /**
- * Cooperative per-cell deadline: check() throws a Timeout CacError
- * once the wall-clock budget is spent. Callers invoke it between
- * chunks/batches, so a runaway cell is cancelled at the next chunk
- * boundary instead of hanging the sweep.
+ * Cooperative per-cell deadline. A cell is charged the wall time of
+ * its own target calls plus the decode of every chunk its row's shared
+ * reader handed it (what a private reader would have cost it), never
+ * its row siblings' work. check() throws a Timeout CacError once the
+ * charge exceeds the budget; callers invoke it between chunks/batches,
+ * so a runaway cell is cancelled at the next chunk boundary instead of
+ * hanging the sweep.
  */
 class CellDeadline
 {
   public:
-    explicit CellDeadline(unsigned ms)
-        : ms_(ms), start_(std::chrono::steady_clock::now())
-    {}
+    explicit CellDeadline(unsigned ms = 0) : ms_(ms) {}
+
+    /** Add @p d to the cell's charge. */
+    void
+    charge(Clock::duration d)
+    {
+        spent_ += d;
+    }
+
+    /** Run @p f, charging its wall time when a deadline is set. */
+    template <typename F>
+    void
+    timed(F &&f)
+    {
+        if (ms_ == 0) {
+            f();
+            return;
+        }
+        const Clock::time_point t0 = Clock::now();
+        f();
+        spent_ += Clock::now() - t0;
+    }
 
     void
     check(const std::string &what) const
     {
         if (ms_ == 0)
             return;
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        if (elapsed > static_cast<long long>(ms_)) {
+        if (spent_ > std::chrono::milliseconds(ms_)) {
             throw CacError(Error::make(
                 ErrorCode::Timeout,
                 what + ": cell exceeded its " + std::to_string(ms_)
@@ -49,13 +69,66 @@ class CellDeadline
 
   private:
     unsigned ms_;
-    std::chrono::steady_clock::time_point start_;
+    Clock::duration spent_{};
 };
 
 /** Batch size for deadline checks on in-memory workloads. */
 constexpr std::size_t kDeadlineBatch = 65536;
 
 } // anonymous namespace
+
+/**
+ * One cell of a task in flight: its result slot, its target and the
+ * per-cell machinery (deadline, window sampler, sweep.cell span) that
+ * a row's cells keep separately while they share one reader.
+ */
+struct SweepRunner::CellRun
+{
+    SweepCell *cell = nullptr;
+    std::string where; ///< "workload x target", for diagnostics
+    std::unique_ptr<SimTarget> target;
+    CellDeadline deadline;
+    std::optional<obs::WindowSampler> sampler;
+#if CAC_OBS
+    std::optional<obs::ScopedSpan> span;
+#endif
+
+    /**
+     * Mark the cell failed with @p error. Its stats are zeroed once
+     * the task ends; it receives no further chunks.
+     */
+    void
+    fail(Error error)
+    {
+        cell->failed = true;
+        cell->error = std::move(error);
+    }
+
+    /**
+     * Run @p f under this cell's quarantine: whatever it throws —
+     * strict-policy damage, a blown deadline, a worker exception —
+     * lands in the cell's failed/error fields and the rest of the
+     * task keeps going. No-op once the cell has failed.
+     */
+    template <typename F>
+    void
+    contain(F &&f)
+    {
+        if (cell->failed)
+            return;
+        try {
+            f();
+        } catch (const CacError &e) {
+            fail(e.err());
+        } catch (const std::exception &e) {
+            fail(Error::make(ErrorCode::WorkerFailed,
+                             where + ": " + e.what()));
+        } catch (...) {
+            fail(Error::make(ErrorCode::WorkerFailed,
+                             where + ": unknown exception"));
+        }
+    }
+};
 
 SweepRunner::SweepRunner(unsigned threads)
 {
@@ -221,135 +294,212 @@ SweepRunner::materializeWorkloads() const
     return materialized;
 }
 
-void
-SweepRunner::runCellBody(SweepCell &cell, const Workload &workload,
-                         SimTarget &target,
-                         const std::vector<SharedAddrs> &materialized,
-                         std::size_t wi) const
+std::vector<SweepRunner::Task>
+SweepRunner::planTasks() const
 {
-    const CellDeadline deadline(cell_deadline_ms_);
-    const std::string where = workload.name + " x " + cell.org;
-    CAC_OBS_SPAN_D("sweep", "sweep.cell", where);
+    // Streamed rows split into ceil(threads / rows) contiguous target
+    // groups (at most one per target), so every worker has work while
+    // each trace is still decoded once per group. The count depends
+    // on nothing but the thread and row counts, and grouping never
+    // changes a result, only which cells share a reader.
+    const std::size_t rows = workloads_.size();
+    const std::size_t orgs = targets_.size();
+    const std::size_t groups = std::min<std::size_t>(
+        orgs, std::max<std::size_t>(1, (threads_ + rows - 1) / rows));
+    std::vector<Task> tasks;
+    for (std::size_t wi = 0; wi < rows; ++wi) {
+        if (workloads_[wi].tracePath.empty()) {
+            for (std::size_t t = 0; t < orgs; ++t)
+                tasks.push_back(Task{wi, t, 1});
+            continue;
+        }
+        for (std::size_t g = 0; g < groups; ++g) {
+            const std::size_t first = g * orgs / groups;
+            const std::size_t last = (g + 1) * orgs / groups;
+            tasks.push_back(Task{wi, first, last - first});
+        }
+    }
+    return tasks;
+}
 
-    // Windowed telemetry: poked at chunk boundaries only, so
-    // in-memory workloads switch to bounded slices while it is live
-    // (same shape the deadline check already uses).
-    std::optional<obs::WindowSampler> sampler;
-    if (obs_window_ > 0)
-        sampler.emplace(target, obs_window_);
-    const bool sliced = cell_deadline_ms_ > 0 || sampler.has_value();
+void
+SweepRunner::replayRow(const Workload &workload,
+                       std::vector<CellRun> &runs) const
+{
+    // One reader for the whole group: each decoded chunk goes to every
+    // live cell before the next chunk is decoded.
+    TraceReaderOptions options =
+        workload.read ? *workload.read : read_options_;
+    options.chunkRecords = workload.chunkRecords;
+    TraceReader reader(workload.tracePath, options);
+    if (!reader.ok()) {
+        for (CellRun &run : runs) {
+            if (!run.cell->failed)
+                run.fail(reader.errorInfo());
+        }
+        return;
+    }
+    const bool clocked = cell_deadline_ms_ > 0;
+    std::size_t live = static_cast<std::size_t>(
+        std::count_if(runs.begin(), runs.end(),
+                      [](const CellRun &run) { return !run.cell->failed; }));
+    while (live > 0) {
+        const Clock::time_point t0 =
+            clocked ? Clock::now() : Clock::time_point{};
+        const std::vector<TraceRecord> &chunk = reader.next();
+        if (chunk.empty())
+            break;
+        const Clock::duration decode =
+            clocked ? Clock::now() - t0 : Clock::duration{};
+        live = 0;
+        for (CellRun &run : runs) {
+            run.contain([&] {
+                run.deadline.charge(decode);
+                run.deadline.timed([&] {
+                    run.target->replay(chunk.data(), chunk.size());
+                });
+                run.deadline.check(run.where);
+                if (run.sampler)
+                    run.sampler->sample();
+            });
+            live += run.cell->failed ? 0 : 1;
+        }
+    }
+    // Damage the shared reader found fails (strict) or degrades
+    // (skip/resync) every cell still live, exactly as each cell's
+    // private reader would have.
+    for (CellRun &run : runs) {
+        if (run.cell->failed)
+            continue;
+        run.cell->read = reader.readStats();
+        if (!reader.ok())
+            run.fail(reader.errorInfo());
+    }
+}
 
+void
+SweepRunner::feedCell(const Workload &workload, CellRun &run,
+                      const SharedAddrs &materialized) const
+{
+    SimTarget &target = *run.target;
+    // Feed in slices only when a deadline or sampler wants mid-stream
+    // checks; the single-call fast path stays the default.
+    const bool sliced = cell_deadline_ms_ > 0 || run.sampler.has_value();
     if (workload.scenario) {
         // Multiprogrammed replay: segments + switch policy, with the
-        // per-program attribution landing in the cell.
-        ScenarioResult scenario_result = workload.scenario->replayInto(
-            target, workload.scenarioChunkRecords,
-            sampler ? &*sampler : nullptr);
-        cell.programs = std::move(scenario_result.programs);
-        deadline.check(where);
-    } else if (!workload.tracePath.empty()) {
-        // Streamed replay: this cell's private reader, chunk by chunk,
-        // under the workload's (or the runner's) read options.
-        TraceReaderOptions options =
-            workload.read ? *workload.read : read_options_;
-        options.chunkRecords = workload.chunkRecords;
-        TraceReader reader(workload.tracePath, options);
-        if (!reader.ok())
-            throw CacError(reader.errorInfo());
-        while (true) {
-            const std::vector<TraceRecord> &chunk = reader.next();
-            if (chunk.empty())
-                break;
-            target.replay(chunk.data(), chunk.size());
-            deadline.check(where);
-            if (sampler)
-                sampler->sample();
-        }
-        cell.read = reader.readStats();
-        if (!reader.ok())
-            throw CacError(reader.errorInfo());
+        // per-program attribution landing in the cell. The deadline is
+        // checked once the whole replay returns.
+        ScenarioResult scenario_result;
+        run.deadline.timed([&] {
+            scenario_result = workload.scenario->replayInto(
+                target, workload.scenarioChunkRecords,
+                run.sampler ? &*run.sampler : nullptr);
+        });
+        run.cell->programs = std::move(scenario_result.programs);
+        run.deadline.check(run.where);
     } else if (workload.trace) {
-        // Feed in slices only when a deadline or sampler wants
-        // mid-stream checks; the single-call fast path stays the
-        // default.
         const Trace &trace = *workload.trace;
         const std::size_t batch = sliced ? kDeadlineBatch : trace.size();
         for (std::size_t at = 0; at < trace.size(); at += batch) {
-            const std::size_t run =
-                std::min(batch, trace.size() - at);
-            target.replay(trace.data() + at, run);
-            deadline.check(where);
-            if (sampler)
-                sampler->sample();
+            const std::size_t n = std::min(batch, trace.size() - at);
+            run.deadline.timed(
+                [&] { target.replay(trace.data() + at, n); });
+            run.deadline.check(run.where);
+            if (run.sampler)
+                run.sampler->sample();
         }
     } else {
         const std::vector<std::uint64_t> &addrs =
-            workload.addrs ? *workload.addrs : *materialized[wi];
+            workload.addrs ? *workload.addrs : *materialized;
         const std::size_t batch = sliced ? kDeadlineBatch : addrs.size();
         for (std::size_t at = 0; at < addrs.size(); at += batch) {
-            const std::size_t run =
-                std::min(batch, addrs.size() - at);
-            target.accessBatch(addrs.data() + at, run, false);
-            deadline.check(where);
-            if (sampler)
-                sampler->sample();
+            const std::size_t n = std::min(batch, addrs.size() - at);
+            run.deadline.timed(
+                [&] { target.accessBatch(addrs.data() + at, n, false); });
+            run.deadline.check(run.where);
+            if (run.sampler)
+                run.sampler->sample();
         }
     }
-    target.finish();
+}
 
+void
+SweepRunner::finishCell(CellRun &run) const
+{
+    SimTarget &target = *run.target;
+    SweepCell &cell = *run.cell;
+    target.finish();
     cell.target = target.stats();
     cell.stats = cell.target.l1;
     if (cell.target.hasMultiCore)
         cell.cores = cell.target.mc.cores;
-    if (sampler) {
-        sampler->finish();
-        cell.windows = sampler->windows();
+    if (run.sampler) {
+        run.sampler->finish();
+        cell.windows = run.sampler->windows();
     }
     if (observer_)
         observer_(cell, target);
 }
 
-SweepCell
-SweepRunner::runCell(std::size_t index,
-                     const std::vector<SharedAddrs> &materialized) const
+void
+SweepRunner::runTask(const Task &task,
+                     const std::vector<SharedAddrs> &materialized,
+                     SweepCell *out) const
 {
-    const std::size_t wi = index / targets_.size();
-    const Workload &workload = workloads_[wi];
-    const Target &target_entry = targets_[index % targets_.size()];
+    const Workload &workload = workloads_[task.workload];
 
-    SweepCell cell;
-    cell.workload = workload.name;
-    cell.org = target_entry.label;
+    // Open the cells in grid order: build the target, then its
+    // sweep.cell span. They close in reverse below, so the spans of a
+    // row (and any span a decorator target holds for its lifetime)
+    // nest LIFO on this worker thread.
+    std::vector<CellRun> runs(task.count);
+    for (std::size_t k = 0; k < task.count; ++k) {
+        CellRun &run = runs[k];
+        const Target &entry = targets_[task.first + k];
+        run.cell = &out[k];
+        run.cell->workload = workload.name;
+        run.cell->org = entry.label;
+        run.where = workload.name + " x " + entry.label;
+        run.deadline = CellDeadline(cell_deadline_ms_);
+        run.contain([&] {
+            run.target = entry.build();
+            CAC_ASSERT(run.target != nullptr);
+            run.cell->cacheName = run.target->name();
+#if CAC_OBS
+            run.span.emplace("sweep", "sweep.cell", run.where);
+#endif
+            // Windowed telemetry: poked at chunk boundaries only, so
+            // in-memory workloads switch to bounded slices while it is
+            // live (same shape the deadline check already uses).
+            if (obs_window_ > 0)
+                run.sampler.emplace(*run.target, obs_window_);
+        });
+    }
 
-    // Quarantine: whatever goes wrong in this cell — strict-policy
-    // damage, a blown deadline, a worker exception — lands in the
-    // cell's failed/error fields and the rest of the grid still runs.
-    try {
-        std::unique_ptr<SimTarget> target = target_entry.build();
-        CAC_ASSERT(target != nullptr);
-        cell.cacheName = target->name();
-        runCellBody(cell, workload, *target, materialized, wi);
-    } catch (const CacError &e) {
-        cell.failed = true;
-        cell.error = e.err();
-    } catch (const std::exception &e) {
-        cell.failed = true;
-        cell.error = Error::make(ErrorCode::WorkerFailed,
-                                 cell.workload + " x " + cell.org
-                                     + ": " + e.what());
-    } catch (...) {
-        cell.failed = true;
-        cell.error = Error::make(ErrorCode::WorkerFailed,
-                                 cell.workload + " x " + cell.org
-                                     + ": unknown exception");
+    if (!workload.tracePath.empty()) {
+        replayRow(workload, runs);
+    } else {
+        CellRun &run = runs.front();
+        run.contain(
+            [&] { feedCell(workload, run, materialized[task.workload]); });
     }
-    if (cell.failed) {
-        cell.stats = CacheStats{};
-        cell.target = TargetStats{};
-        cell.programs.clear();
-        cell.cores.clear();
+
+    for (std::size_t k = task.count; k-- > 0;) {
+        CellRun &run = runs[k];
+        run.contain([&] { finishCell(run); });
+        run.sampler.reset();
+#if CAC_OBS
+        run.span.reset();
+#endif
+        run.target.reset();
+        SweepCell &cell = *run.cell;
+        if (cell.failed) {
+            cell.stats = CacheStats{};
+            cell.target = TargetStats{};
+            cell.programs.clear();
+            cell.cores.clear();
+        }
     }
-    return cell;
 }
 
 std::vector<SweepCell>
@@ -365,29 +515,38 @@ SweepRunner::run() const
     // immutable stream instead of regenerating it per cell.
     const std::vector<SharedAddrs> materialized = materializeWorkloads();
 
-    // Dynamic work sharing: threads pull the next unclaimed cell and
-    // write into its slot, so the output order is the grid order no
-    // matter how cells are interleaved in time.
+    // Dynamic work sharing: threads pull the next unclaimed task and
+    // write into its cells' slots, so the output order is the grid
+    // order no matter how tasks are interleaved in time.
+    const std::vector<Task> tasks = planTasks();
+    const auto execute = [&](const Task &task) {
+        runTask(task, materialized,
+                &results[task.workload * targets_.size() + task.first]);
+    };
 #if CAC_OBS
-    // Queue wait per cell: fan-out start to the moment a worker picks
-    // the cell up. Recorded as its own span so a trace shows which
-    // cells sat behind long-running ones.
+    // Queue wait per task: fan-out start to the moment a worker picks
+    // the task up. Recorded as its own span so a trace shows which
+    // tasks sat behind long-running ones.
     obs::Tracer &tracer = obs::Tracer::global();
     const bool tracing = tracer.enabled();
     const std::uint64_t fanout_us = tracing ? tracer.nowUs() : 0;
-    parallelFor(threads_, cells, [&](std::size_t i) {
+    parallelFor(threads_, tasks.size(), [&](std::size_t i) {
+        const Task &task = tasks[i];
         if (tracing) {
+            std::string detail = workloads_[task.workload].name + " x "
+                + targets_[task.first].label;
+            if (task.count > 1) {
+                detail +=
+                    " .. " + targets_[task.first + task.count - 1].label;
+            }
             tracer.record("sweep", "sweep.queue_wait", fanout_us,
-                          tracer.nowUs(),
-                          workloads_[i / targets_.size()].name + " x "
-                              + targets_[i % targets_.size()].label);
+                          tracer.nowUs(), std::move(detail));
         }
-        results[i] = runCell(i, materialized);
+        execute(task);
     });
 #else
-    parallelFor(threads_, cells, [&](std::size_t i) {
-        results[i] = runCell(i, materialized);
-    });
+    parallelFor(threads_, tasks.size(),
+                [&](std::size_t i) { execute(tasks[i]); });
 #endif
     return results;
 }

@@ -17,16 +17,30 @@
  *
  * Workloads come in three forms: in-memory address streams (optionally
  * produced by a generator, materialized once per run), in-memory
- * instruction traces, and *streamed* trace files, which every cell
- * replays through its own chunked TraceReader so memory stays bounded
- * by the chunk size however long the trace is.
+ * instruction traces, and *streamed* CACTRC01/CACTRC02 trace files,
+ * replayed through a chunked TraceReader so memory stays bounded by the
+ * chunk size however long the trace is.
+ *
+ * Row replay: the unit of parallel work is a (workload, target group)
+ * task. A streamed row is split into ceil(threads / rows) contiguous
+ * groups of targets (so every worker has work); each task opens ONE
+ * reader and replays every decoded chunk into each target of its group
+ * before decoding the next chunk, so a trace is read, checked and
+ * unpacked once per group instead of once per cell — the one-pass,
+ * many-caches scheme of trace-driven simulation. In-memory and
+ * scenario rows run one target per task. A task builds its targets in
+ * grid order and finishes, observes and destroys them in reverse, so
+ * the spans of a row's cells nest on the worker thread.
  *
  * Resilience: a cell that fails — damaged trace under the strict
  * policy, a worker exception, or a blown per-cell deadline
  * (setCellDeadline()) — is quarantined: its SweepCell comes back with
- * failed/error set and zeroed stats, and every other cell still runs
- * to completion. Cells reading under Skip/Resync (setReadOptions())
- * complete with exact drop totals in SweepCell::read; sweepCsv() adds
+ * failed/error set and zeroed stats, and every other cell, its row
+ * siblings included, still runs to completion. Damage found by a
+ * row's shared reader fails (strict) or degrades (skip/resync) every
+ * cell of the group, exactly as a private reader per cell would.
+ * Cells reading under Skip/Resync (setReadOptions()) complete with
+ * exact drop totals in SweepCell::read; sweepCsv() adds
  * dropped_records/status columns exactly when some cell was degraded
  * or failed, so healthy sweeps keep the historical column set and
  * degraded results are never silently reported as exact.
@@ -142,11 +156,14 @@ class SweepRunner
     }
 
     /**
-     * Soft per-cell deadline in milliseconds (0 = none). Checked
-     * cooperatively between replay chunks/batches, so a cell overruns
-     * by at most one chunk before it is cancelled with a Timeout error
-     * — the rest of the grid still completes. Scenario cells are
-     * checked only at segment granularity.
+     * Soft per-cell deadline in milliseconds (0 = none). A cell is
+     * charged the time of its own target calls plus the decode of the
+     * chunks its row's shared reader handed it — not the time its row
+     * siblings spend. Checked cooperatively between replay
+     * chunks/batches, so a cell overruns by at most one chunk before
+     * it is cancelled with a Timeout error — the rest of the grid,
+     * its row siblings included, still completes. Scenario cells are
+     * checked only at the end of their replay.
      */
     void setCellDeadline(unsigned deadline_ms)
     {
@@ -185,7 +202,9 @@ class SweepRunner
 
     /**
      * Add a custom target. @p build is called once per cell, from
-     * worker threads, and must be safe to call concurrently.
+     * worker threads, and must be safe to call concurrently. The
+     * targets of one streamed-row task are alive at the same time on
+     * one thread; a target that throws fails only its own cell.
      */
     void addTarget(const std::string &label, TargetBuilder build);
 
@@ -224,13 +243,14 @@ class SweepRunner
                           std::shared_ptr<const Trace> trace);
 
     /**
-     * Add a *streamed* instruction-trace workload: every cell replays
-     * the CACTRC01 file at @p path through its own TraceReader in
-     * @p chunk_records-sized chunks, so the trace is never resident in
-     * memory. Stats-identical to loading the trace and calling
+     * Add a *streamed* instruction-trace workload: the CACTRC01/02
+     * file at @p path is replayed in @p chunk_records-sized chunks,
+     * one TraceReader per target group of the row (see the file
+     * comment), so the trace is never resident in memory.
+     * Stats-identical to loading the trace and calling
      * addTraceWorkload(). The header is validated here (fatal on a
-     * missing or malformed file); truncation discovered mid-replay is
-     * fatal with byte offsets.
+     * missing or malformed file); damage discovered mid-replay fails
+     * or degrades the row's cells per the read policy.
      */
     void addTraceFileWorkload(
         const std::string &name, const std::string &path,
@@ -271,8 +291,9 @@ class SweepRunner
      * target-specific state the unified TargetStats row cannot carry —
      * the analysis layer pulls per-set ConflictProfiles out of
      * profiled targets this way. The observer runs on worker threads
-     * (concurrently for different cells) and must synchronize its own
-     * state; pass nullptr to remove.
+     * (concurrently for different tasks; within one streamed-row task,
+     * in reverse grid order) and must synchronize its own state; it is
+     * not called for failed cells. Pass nullptr to remove.
      */
     void setCellObserver(CellObserver observer)
     {
@@ -328,15 +349,43 @@ class SweepRunner
      */
     std::vector<SharedAddrs> materializeWorkloads() const;
 
-    /** Execute one cell (cell index = workload * numOrgs + target). */
-    SweepCell runCell(std::size_t index,
-                      const std::vector<SharedAddrs> &materialized) const;
+    /**
+     * One unit of parallel work: targets [first, first + count) of
+     * workload row `workload`. Streamed rows split into groups of
+     * several targets that share one reader; every other row runs one
+     * target per task.
+     */
+    struct Task
+    {
+        std::size_t workload;
+        std::size_t first;
+        std::size_t count;
+    };
 
-    /** The throwing inner body runCell() contains. */
-    void runCellBody(SweepCell &cell, const Workload &workload,
-                     SimTarget &target,
-                     const std::vector<SharedAddrs> &materialized,
-                     std::size_t wi) const;
+    /** Per-cell state while a task runs (defined in sweep.cc). */
+    struct CellRun;
+
+    /** Split the grid into tasks (see planTasks() in sweep.cc). */
+    std::vector<Task> planTasks() const;
+
+    /** Execute @p task, writing its cells into out[0..task.count). */
+    void runTask(const Task &task,
+                 const std::vector<SharedAddrs> &materialized,
+                 SweepCell *out) const;
+
+    /**
+     * Streamed row replay: one TraceReader for the group; each decoded
+     * chunk is replayed into every live cell before the next decode.
+     */
+    void replayRow(const Workload &workload,
+                   std::vector<CellRun> &runs) const;
+
+    /** Feed an in-memory or scenario workload to a one-target task. */
+    void feedCell(const Workload &workload, CellRun &run,
+                  const SharedAddrs &materialized) const;
+
+    /** finish() the target and assemble its SweepCell; runs observer_. */
+    void finishCell(CellRun &run) const;
 
     unsigned threads_;
     TargetSpec spec_;

@@ -179,11 +179,59 @@ CoherentSystem::access(unsigned core, std::uint64_t vaddr, bool is_write)
 }
 
 void
-CoherentSystem::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
-                            bool is_write)
+CoherentSystem::enterWindow(std::uint64_t vaddr)
+{
+    window_lo_ = vaddr - vaddr % window_bytes_;
+    window_core_ = coreFor(vaddr);
+}
+
+// Inlined into batchKernel(): short batches (a demultiplexed run,
+// the tail of a stream) must cost no second call.
+template <typename Kind>
+[[gnu::always_inline]] inline void
+CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
+                          std::size_t n, Kind kind)
+{
+    SetAssocCache *sa = l1_sa_[core];
+    if (sa == nullptr || !sa->indexPlan().packedCapable()) {
+        for (std::size_t i = 0; i < n; ++i)
+            access(core, vaddrs[i], kind.isWrite(i));
+        return;
+    }
+    // L1 hits — the overwhelming majority — cost one precomputed-index
+    // lookup; only misses (and write hits needing an S -> M upgrade)
+    // enter the translation + coherence path.
+    const IndexPlan &plan = sa->indexPlan();
+    constexpr std::size_t kTile = 256;
+    std::uint64_t blocks[kTile];
+    std::uint64_t packed[kTile];
+    const bool multi = l1s_.size() > 1;
+    for (std::size_t base = 0; base < n; base += kTile) {
+        const std::size_t m = n - base < kTile ? n - base : kTile;
+        for (std::size_t i = 0; i < m; ++i)
+            blocks[i] = sa->geometry().blockAddr(vaddrs[base + i]);
+        plan.indexPackedBatch(blocks, m, packed);
+        for (std::size_t i = 0; i < m; ++i) {
+            const bool is_write = kind.isWrite(base + i);
+            const AccessResult r =
+                sa->accessPacked(blocks[i], packed[i], is_write);
+            if (r.hit) {
+                if (is_write && multi)
+                    writeHitUpgrade(core, vaddrs[base + i]);
+            } else {
+                missPath(core, vaddrs[base + i], is_write, r);
+            }
+        }
+    }
+}
+
+template <typename Kind>
+void
+CoherentSystem::batchKernel(const std::uint64_t *vaddrs, std::size_t n,
+                            Kind kind)
 {
     if (l1s_.size() == 1) {
-        coreBatch(0, vaddrs, n, is_write);
+        coreBatch(0, vaddrs, n, kind);
         return;
     }
     // Demultiplex into maximal same-core runs: within a scenario
@@ -208,54 +256,23 @@ CoherentSystem::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
                 break;
             ++end;
         }
-        coreBatch(core, vaddrs + base, end - base, is_write);
+        coreBatch(core, vaddrs + base, end - base, kind.from(base));
         base = end;
     }
 }
 
 void
-CoherentSystem::enterWindow(std::uint64_t vaddr)
+CoherentSystem::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
+                            bool is_write)
 {
-    window_lo_ = vaddr - vaddr % window_bytes_;
-    window_core_ = coreFor(vaddr);
+    batchKernel(vaddrs, n, UniformKind{is_write});
 }
 
-// Inlined into accessBatch(): gathered runs average a few accesses,
-// so a one-core batch must cost no second call.
-[[gnu::always_inline]] inline void
-CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
-                          std::size_t n, bool is_write)
+void
+CoherentSystem::accessMixed(const std::uint64_t *vaddrs,
+                            const bool *writes, std::size_t n)
 {
-    SetAssocCache *sa = l1_sa_[core];
-    if (sa == nullptr || !sa->indexPlan().packedCapable()) {
-        for (std::size_t i = 0; i < n; ++i)
-            access(core, vaddrs[i], is_write);
-        return;
-    }
-    // L1 hits — the overwhelming majority — cost one precomputed-index
-    // lookup; only misses (and write hits needing an S -> M upgrade)
-    // enter the translation + coherence path.
-    const IndexPlan &plan = sa->indexPlan();
-    constexpr std::size_t kTile = 256;
-    std::uint64_t blocks[kTile];
-    std::uint64_t packed[kTile];
-    const bool multi = l1s_.size() > 1;
-    for (std::size_t base = 0; base < n; base += kTile) {
-        const std::size_t m = n - base < kTile ? n - base : kTile;
-        for (std::size_t i = 0; i < m; ++i)
-            blocks[i] = sa->geometry().blockAddr(vaddrs[base + i]);
-        plan.indexPackedBatch(blocks, m, packed);
-        for (std::size_t i = 0; i < m; ++i) {
-            const AccessResult r =
-                sa->accessPacked(blocks[i], packed[i], is_write);
-            if (r.hit) {
-                if (is_write && multi)
-                    writeHitUpgrade(core, vaddrs[base + i]);
-            } else {
-                missPath(core, vaddrs[base + i], is_write, r);
-            }
-        }
-    }
+    batchKernel(vaddrs, n, MixedKind{writes});
 }
 
 void

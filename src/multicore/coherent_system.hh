@@ -250,6 +250,15 @@ class CoherentSystem
                      bool is_write);
 
     /**
+     * @p n references of mixed kind (writes[i]: reference i is a
+     * store), otherwise exactly accessBatch(): the same demultiplexer
+     * and per-core kernel, identical in outcome to n access() calls.
+     * Trace replay feeds the system through this (MemRunGatherer).
+     */
+    void accessMixed(const std::uint64_t *vaddrs, const bool *writes,
+                     std::size_t n);
+
+    /**
      * External coherence invalidation, physically addressed: snooped
      * at L2 per the Inclusion argument of section 3.2 and forwarded,
      * through the reverse maps, to every private L1 holding a copy.
@@ -364,9 +373,19 @@ class CoherentSystem
     /** Make @p vaddr's ASID window the demultiplexer's current one. */
     void enterWindow(std::uint64_t vaddr);
 
+    /**
+     * The one batch kernel behind accessBatch() and accessMixed():
+     * demultiplex into same-core runs and feed each to coreBatch().
+     * Templated on the kind source (UniformKind / MixedKind).
+     */
+    template <typename Kind>
+    void batchKernel(const std::uint64_t *vaddrs, std::size_t n,
+                     Kind kind);
+
     /** Per-core batch with the packed-index fast path when possible. */
+    template <typename Kind>
     void coreBatch(unsigned core, const std::uint64_t *vaddrs,
-                   std::size_t n, bool is_write);
+                   std::size_t n, Kind kind);
 
     std::vector<std::unique_ptr<CacheModel>> l1s_;
     /** l1s_[i] downcast when it is a SetAssocCache (batch fast path). */

@@ -59,7 +59,7 @@ class MultiCoreTarget : public SimTarget
     std::string name_;
     std::unique_ptr<CoherentSystem> system_;
     TargetKind kind_;
-    /** Same-kind run gathering, restartable across replay() chunks. */
+    /** Mixed load/store batching, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };
 

@@ -484,7 +484,7 @@ TraceReader::decodeChunkV1(std::vector<TraceRecord> &out, Error &err,
                             + " has invalid opcode "
                             + std::to_string(p.op) + " (near byte "
                             + std::to_string(recordOffset(at)) + ")",
-                        path_, recordOffset(at));
+                        path_, recordOffset(at), at / chunk_records_);
                     return false;
                 }
                 ++stats.droppedRecords;

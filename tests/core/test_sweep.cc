@@ -1,21 +1,28 @@
 /**
  * @file
  * Tests for the SweepRunner simulation engine: grid ordering, thread
- * determinism, and agreement with the serial experiment drivers.
+ * determinism, agreement with the serial experiment drivers, and the
+ * row-replay oracle — a streamed grid, whose rows share one reader per
+ * target group, equals the loaded grid cell for cell at any thread
+ * count, with per-cell quarantine inside a row.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/registry.hh"
 #include "core/sweep.hh"
+#include "obs/obs.hh"
 #include "trace/builder.hh"
 #include "trace/io.hh"
+#include "workloads/spec_proxy.hh"
 #include "workloads/stride.hh"
 
 namespace cac
@@ -267,6 +274,299 @@ TEST(SweepRunnerTargets, StreamedWorkloadMatchesLoadedWorkload)
                   streamed[i].target.cpu.cycles) << i;
     }
     std::remove(path.c_str());
+}
+
+// ---- row replay ------------------------------------------------------
+
+/**
+ * Every registry organization plus a hierarchy, a multicore system and
+ * a CPU: the target kinds a streamed row can mix.
+ */
+std::vector<std::string>
+oracleTargets()
+{
+    std::vector<std::string> labels =
+        OrgRegistry::global().exampleLabels();
+    for (const std::string &label : standardComparisonLabels()) {
+        if (std::find(labels.begin(), labels.end(), label) == labels.end())
+            labels.push_back(label);
+    }
+    labels.push_back("2lvl:a2/a4");
+    labels.push_back("mc:2xa2-Hp-Sk/a4");
+    labels.push_back("cpu:8k-conv");
+    return labels;
+}
+
+/** A cache target that throws once it has been fed @p limit records. */
+class PoisonedTarget : public SimTarget
+{
+  public:
+    explicit PoisonedTarget(std::uint64_t limit)
+        : inner_(OrgRegistry::global().buildTarget("a2", TargetSpec{})),
+          limit_(limit)
+    {}
+
+    std::string name() const override { return "poisoned"; }
+    TargetKind kind() const override { return inner_->kind(); }
+
+    void
+    accessBatch(const std::uint64_t *addrs, std::size_t n,
+                bool is_write) override
+    {
+        inner_->accessBatch(addrs, n, is_write);
+    }
+
+    void
+    replay(const TraceRecord *recs, std::size_t n) override
+    {
+        fed_ += n;
+        if (fed_ > limit_)
+            throw std::runtime_error("poisoned replay");
+        inner_->replay(recs, n);
+    }
+
+    void finish() override { inner_->finish(); }
+    TargetStats stats() const override { return inner_->stats(); }
+
+  private:
+    std::unique_ptr<SimTarget> inner_;
+    std::uint64_t limit_;
+    std::uint64_t fed_ = 0;
+};
+
+/** Position of the poisoned target inside the oracle rows. */
+constexpr std::size_t kPoisonAt = 5;
+
+/** Proxy traces for the oracle rows, written once as CACTRC02 files. */
+struct OracleTraces
+{
+    std::vector<std::string> names = {"swim", "tomcatv", "gcc"};
+    std::vector<Trace> traces;
+    std::vector<std::string> paths;
+
+    OracleTraces()
+    {
+        for (const std::string &name : names) {
+            traces.push_back(buildSpecProxy(name, 6000));
+            paths.push_back((std::filesystem::temp_directory_path()
+                             / ("cac_sweep_row_" + name + ".trc"))
+                                .string());
+            writeTrace(traces.back(), paths.back());
+        }
+    }
+
+    ~OracleTraces()
+    {
+        for (const std::string &path : paths)
+            std::remove(path.c_str());
+    }
+};
+
+/**
+ * The oracle grid over the first @p rows traces: streamed (97-record
+ * chunks, so chunk boundaries fall mid-run) or loaded in memory.
+ */
+SweepRunner
+makeOracleGrid(const OracleTraces &in, std::size_t rows, bool streamed,
+               unsigned threads)
+{
+    SweepRunner sweep(threads);
+    const std::vector<std::string> labels = oracleTargets();
+    for (std::size_t t = 0; t < labels.size(); ++t) {
+        if (t == kPoisonAt) {
+            sweep.addTarget("poisoned", [] {
+                return std::make_unique<PoisonedTarget>(3000);
+            });
+        }
+        sweep.addTarget(labels[t]);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (streamed)
+            sweep.addTraceFileWorkload(in.names[r], in.paths[r], 97);
+        else
+            sweep.addTraceWorkload(in.names[r], in.traces[r]);
+    }
+    return sweep;
+}
+
+/** Every counter a cell reports, hierarchy, CPU and multicore included. */
+void
+expectCellsIdentical(const std::vector<SweepCell> &want,
+                     const std::vector<SweepCell> &got,
+                     const std::string &label)
+{
+    expectCellsEqual(want, got);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const TargetStats &a = want[i].target;
+        const TargetStats &b = got[i].target;
+        const std::string where = label + " cell " + std::to_string(i);
+        EXPECT_EQ(want[i].failed, got[i].failed) << where;
+        EXPECT_EQ(want[i].error.code, got[i].error.code) << where;
+        EXPECT_EQ(a.kind, b.kind) << where;
+        EXPECT_EQ(a.l1.writebacks, b.l1.writebacks) << where;
+        EXPECT_EQ(a.l1.firstProbeHits, b.l1.firstProbeHits) << where;
+        EXPECT_EQ(a.l1.secondProbeHits, b.l1.secondProbeHits) << where;
+        EXPECT_EQ(a.l2.accesses(), b.l2.accesses()) << where;
+        EXPECT_EQ(a.l2.misses(), b.l2.misses()) << where;
+        EXPECT_EQ(a.holes.holesCreated, b.holes.holesCreated) << where;
+        EXPECT_EQ(a.holes.inclusionInvalidates,
+                  b.holes.inclusionInvalidates)
+            << where;
+        EXPECT_EQ(a.cpu.cycles, b.cpu.cycles) << where;
+        EXPECT_EQ(a.cpu.instructions, b.cpu.instructions) << where;
+        EXPECT_EQ(a.mc.interventions, b.mc.interventions) << where;
+        EXPECT_EQ(a.mc.totalL2EvictionsByOthers(),
+                  b.mc.totalL2EvictionsByOthers())
+            << where;
+        EXPECT_EQ(want[i].read.droppedRecords, got[i].read.droppedRecords)
+            << where;
+    }
+}
+
+TEST(SweepRunnerRows, StreamedGridEqualsLoadedGridAtAnyThreadCount)
+{
+    const OracleTraces in;
+    for (std::size_t rows : {std::size_t{1}, std::size_t{3}}) {
+        const std::vector<SweepCell> loaded =
+            makeOracleGrid(in, rows, false, 1).run();
+        // 1 thread: one group per row; 2 and 4: several targets per
+        // group (and several groups per row); 16: one target per group.
+        for (unsigned threads : {1u, 2u, 4u, 16u}) {
+            const std::string label = std::to_string(rows) + " rows, "
+                + std::to_string(threads) + " threads";
+            const std::vector<SweepCell> streamed =
+                makeOracleGrid(in, rows, true, threads).run();
+            expectCellsIdentical(loaded, streamed, label);
+
+            const std::size_t orgs = oracleTargets().size() + 1;
+            ASSERT_EQ(streamed.size(), rows * orgs) << label;
+            for (std::size_t i = 0; i < streamed.size(); ++i) {
+                const SweepCell &cell = streamed[i];
+                if (i % orgs == kPoisonAt) {
+                    // Only the poisoned cell fails...
+                    EXPECT_TRUE(cell.failed) << label;
+                    EXPECT_EQ(cell.error.code, ErrorCode::WorkerFailed)
+                        << label;
+                    EXPECT_NE(cell.error.message().find("poisoned"),
+                              std::string::npos)
+                        << cell.error.message();
+                    EXPECT_EQ(cell.stats.loads, 0u) << label;
+                } else {
+                    // ...its row siblings finish with exact stats.
+                    EXPECT_FALSE(cell.failed)
+                        << label << " " << cell.org << ": "
+                        << cell.error.message();
+                    EXPECT_GT(cell.stats.loads, 0u)
+                        << label << " " << cell.org;
+                }
+            }
+        }
+    }
+}
+
+TEST(SweepRunnerRows, SharedReaderDamageReachesEveryCellOfTheRow)
+{
+    // A CRC-valid record with an invalid opcode: strict fails every
+    // cell of the row with BadRecord, skip degrades every cell by
+    // exactly that record — as each cell's private reader would.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "cac_sweep_badrec.trc")
+            .string();
+    Trace trace = buildSpecProxy("swim", 3000);
+    trace[1234].op = static_cast<OpClass>(0xEE);
+    writeTrace(trace, path);
+    const std::vector<std::string> labels = {"a2", "a2-Hp-Sk",
+                                             "2lvl:a2/a4", "cpu:8k-conv"};
+
+    SweepRunner strict(1);
+    strict.addOrgs(labels);
+    strict.addTraceFileWorkload("bad", path, 100);
+    for (const SweepCell &cell : strict.run()) {
+        EXPECT_TRUE(cell.failed) << cell.org;
+        EXPECT_EQ(cell.error.code, ErrorCode::BadRecord) << cell.org;
+        EXPECT_EQ(cell.error.chunkIndex, 1234u / 4096u) << cell.org;
+    }
+
+    SweepRunner skip(1);
+    skip.addOrgs(labels);
+    TraceReaderOptions options;
+    options.policy = ReadPolicy::Skip;
+    skip.setReadOptions(options);
+    skip.addTraceFileWorkload("bad", path, 100);
+    SweepRunner clean(1);
+    clean.addOrgs(labels);
+    Trace dropped = trace;
+    dropped.erase(dropped.begin() + 1234);
+    clean.addTraceWorkload("bad", dropped);
+    const std::vector<SweepCell> degraded = skip.run();
+    expectCellsEqual(clean.run(), degraded);
+    for (const SweepCell &cell : degraded) {
+        EXPECT_FALSE(cell.failed) << cell.org;
+        EXPECT_EQ(cell.read.droppedRecords, 1u) << cell.org;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SweepRunnerRows, RowCellSpansNestOnTheWorkerThread)
+{
+#if CAC_OBS
+    const OracleTraces in;
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.enable();
+    makeOracleGrid(in, 3, true, 1).run();
+    tracer.disable();
+    const std::vector<obs::TraceEvent> events = tracer.drain();
+    tracer.clear();
+
+    std::vector<obs::TraceEvent> cells;
+    std::size_t waits = 0;
+    for (const obs::TraceEvent &e : events) {
+        if (std::string(e.name) == "sweep.cell")
+            cells.push_back(e);
+        else if (std::string(e.name) == "sweep.queue_wait")
+            ++waits;
+    }
+    const std::size_t orgs = oracleTargets().size() + 1;
+    ASSERT_EQ(cells.size(), 3 * orgs);
+    EXPECT_EQ(waits, 3u); // one task per row at one thread
+    // Every pair of spans on one thread is disjoint or nested.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        for (std::size_t j = i + 1; j < cells.size(); ++j) {
+            const obs::TraceEvent &a = cells[i];
+            const obs::TraceEvent &b = cells[j];
+            if (a.tid != b.tid)
+                continue;
+            const bool disjoint =
+                a.endUs <= b.startUs || b.endUs <= a.startUs;
+            const bool nested =
+                (a.startUs <= b.startUs && b.endUs <= a.endUs)
+                || (b.startUs <= a.startUs && a.endUs <= b.endUs);
+            EXPECT_TRUE(disjoint || nested) << a.detail << " / " << b.detail;
+        }
+    }
+    // A row's cells run together: its first cell's span contains all
+    // of the row's others.
+    for (std::size_t r = 0; r < 3; ++r) {
+        const obs::TraceEvent *outer = nullptr;
+        for (const obs::TraceEvent &e : cells) {
+            if (e.detail.rfind(in.names[r] + " x ", 0) == 0
+                && (outer == nullptr || e.startUs < outer->startUs
+                    || (e.startUs == outer->startUs
+                        && e.endUs > outer->endUs))) {
+                outer = &e;
+            }
+        }
+        ASSERT_NE(outer, nullptr);
+        for (const obs::TraceEvent &e : cells) {
+            if (e.detail.rfind(in.names[r] + " x ", 0) == 0) {
+                EXPECT_LE(outer->startUs, e.startUs) << e.detail;
+                EXPECT_GE(outer->endUs, e.endUs) << e.detail;
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "instrumentation compiled out";
+#endif
 }
 
 TEST(SweepRunnerDeath, MissingStreamedTraceFailsAtAddTime)

@@ -15,14 +15,17 @@
  *  - the shared L2 holds only lines the cores ever fetched: probing
  *    the translations of never-accessed pages misses;
  *  - randomized oracles: seeded draws of L1 geometry x registry
- *    organization x L2 x stream at 2, 3 and 4 cores with aliased
- *    (shared) pages keep the SWMR, directory and Inclusion invariants
- *    after every batch. Failures name the seed and the drawn
- *    configuration.
+ *    organization x L2 x stream at 1 to 4 cores with aliased (shared)
+ *    pages keep the SWMR, directory and Inclusion invariants after
+ *    every batch, and a twin system fed the same references as mixed
+ *    load/store batches (accessMixed()) ends every group of batches
+ *    with exactly the per-kind system's counters. Failures name the
+ *    seed and the drawn configuration.
  */
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -359,10 +362,39 @@ drawBatch(Rng &rng, std::uint64_t base, std::uint64_t footprint)
     return addrs;
 }
 
+/** Every per-core, bus and L2 counter of @p a equals @p b's. */
+void
+expectSystemsEqual(const CoherentSystem &a, const CoherentSystem &b,
+                   const std::string &label)
+{
+    const MultiCoreStats sa = a.stats();
+    const MultiCoreStats sb = b.stats();
+    ASSERT_EQ(sa.cores.size(), sb.cores.size()) << label;
+    for (std::size_t c = 0; c < sa.cores.size(); ++c) {
+        const std::string core = label + " core " + std::to_string(c);
+        const McCoreStats &x = sa.cores[c];
+        const McCoreStats &y = sb.cores[c];
+        expectCacheStatsEqual(x.l1, y.l1, core);
+        expectHoleStatsEqual(x.holes, y.holes, core);
+        EXPECT_EQ(x.interventionsReceived, y.interventionsReceived) << core;
+        EXPECT_EQ(x.interventionsSupplied, y.interventionsSupplied) << core;
+        EXPECT_EQ(x.invalidationsReceived, y.invalidationsReceived) << core;
+        EXPECT_EQ(x.upgrades, y.upgrades) << core;
+        EXPECT_EQ(x.l2EvictionsByOthers, y.l2EvictionsByOthers) << core;
+        EXPECT_EQ(x.interCoreConflictMisses, y.interCoreConflictMisses)
+            << core;
+    }
+    EXPECT_EQ(sa.interventions, sb.interventions) << label;
+    EXPECT_EQ(sa.invalidationMessages, sb.invalidationMessages) << label;
+    expectCacheStatsEqual(a.l2().stats(), b.l2().stats(), label + " L2");
+    expectHoleStatsEqual(a.aggregateHoles(), b.aggregateHoles(),
+                         label + " holes");
+}
+
 TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
 {
     std::uint64_t interventions = 0, invalidations = 0, upgrades = 0;
-    for (unsigned cores : {2u, 3u, 4u}) {
+    for (unsigned cores : {1u, 2u, 3u, 4u}) {
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             Rng rng(seed * 100 + cores);
             // Two L1s can drop a line on a *hit* without reporting it:
@@ -376,13 +408,35 @@ TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
                 cfg = drawConfig(rng);
             SCOPED_TRACE("cores " + std::to_string(cores) + " seed "
                          + std::to_string(seed) + " " + cfg.describe());
-            auto built = OrgRegistry::global().buildTarget(
-                "mc:" + std::to_string(cores) + "x" + cfg.l1 + "/"
-                    + cfg.l2,
-                cfg.spec);
+            const std::string label = "mc:" + std::to_string(cores) + "x"
+                + cfg.l1 + "/" + cfg.l2;
+            auto built = OrgRegistry::global().buildTarget(label, cfg.spec);
             auto *mc = dynamic_cast<MultiCoreTarget *>(built.get());
             ASSERT_NE(mc, nullptr);
             CoherentSystem &sys = mc->system();
+            // The twin sees the same references as mixed batches:
+            // several per-kind draws, from different cores, per call.
+            auto twin_built =
+                OrgRegistry::global().buildTarget(label, cfg.spec);
+            auto *twin_mc =
+                dynamic_cast<MultiCoreTarget *>(twin_built.get());
+            ASSERT_NE(twin_mc, nullptr);
+            CoherentSystem &twin = twin_mc->system();
+            std::vector<std::uint64_t> pending;
+            std::vector<char> pending_writes;
+            const auto flushTwin = [&](unsigned b) {
+                std::unique_ptr<bool[]> writes(new bool[pending.size()]);
+                for (std::size_t i = 0; i < pending.size(); ++i)
+                    writes[i] = pending_writes[i] != 0;
+                twin.accessMixed(pending.data(), writes.get(),
+                                 pending.size());
+                pending.clear();
+                pending_writes.clear();
+                expectSystemsEqual(sys, twin,
+                                   "mixed after batch " + std::to_string(b));
+                ASSERT_TRUE(twin.checkCoherence()) << "batch " << b;
+                ASSERT_TRUE(twin.checkInclusion()) << "batch " << b;
+            };
 
             // Every core's window aliases its low pages onto core 0's,
             // so the cores share physical blocks and the protocol's
@@ -394,6 +448,7 @@ TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
                 for (std::uint64_t off = 0; off < footprint / 2;
                      off += page) {
                     sys.pageMap().aliasTo(c * window + off, off);
+                    twin.pageMap().aliasTo(c * window + off, off);
                 }
             }
             for (unsigned b = 0; b < 1500; ++b) {
@@ -401,11 +456,18 @@ TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
                     static_cast<unsigned>(rng.nextBelow(cores));
                 const std::vector<std::uint64_t> batch =
                     drawBatch(rng, core * window, footprint);
-                built->accessBatch(batch.data(), batch.size(),
-                                   rng.chance(0.3));
+                const bool is_write = rng.chance(0.3);
+                built->accessBatch(batch.data(), batch.size(), is_write);
                 ASSERT_TRUE(sys.checkCoherence()) << "batch " << b;
                 ASSERT_TRUE(sys.checkInclusion()) << "batch " << b;
+                pending.insert(pending.end(), batch.begin(), batch.end());
+                pending_writes.insert(pending_writes.end(), batch.size(),
+                                      is_write ? 1 : 0);
+                if (b % 4 == 3)
+                    flushTwin(b);
             }
+            if (!pending.empty())
+                flushTwin(1500);
             const MultiCoreStats stats = sys.stats();
             interventions += stats.interventions;
             invalidations += stats.invalidationMessages;

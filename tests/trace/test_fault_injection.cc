@@ -151,6 +151,97 @@ TEST(FaultInjection, FlippedPayloadBitIsDetectedNotSimulated)
     std::remove(path.c_str());
 }
 
+// ---- CRC-valid but invalid records (BadRecord) ---------------------
+
+/**
+ * @p trace with record @p index given an opcode above the last
+ * OpClass, as a buggy producer would write it: the writer seals the
+ * chunk with valid checksums, so only the decoder's opcode check
+ * (BadRecord) can catch it.
+ */
+Trace
+withBadOpcode(Trace trace, std::size_t index)
+{
+    trace[index].op = static_cast<OpClass>(0xEE);
+    return trace;
+}
+
+TEST(FaultInjection, BadRecordV2StrictNamesChunkAndOffset)
+{
+    const std::string path = tmpPath("cac_fi_badrec_v2.trc");
+    writeTrace(withBadOpcode(randomTrace(1000, 31), 437), path,
+               TraceFormat::V2, 100);
+
+    TraceReader reader(path, withPolicy(ReadPolicy::Strict));
+    const Trace got = drain(reader);
+    EXPECT_FALSE(reader.ok());
+    const Error &err = reader.errorInfo();
+    EXPECT_EQ(err.code, ErrorCode::BadRecord) << err.message();
+    EXPECT_EQ(err.chunkIndex, 4u);
+    EXPECT_EQ(err.byteOffset,
+              static_cast<std::uint64_t>(chunkOffset(4, 100) + 20 + 37 * 24));
+    EXPECT_EQ(reader.readStats().crcErrors, 0u); // checksums agreed
+    EXPECT_EQ(got.size(), 400u); // chunks 0..3 delivered intact
+    std::remove(path.c_str());
+}
+
+TEST(FaultInjection, BadRecordV2SkipDropsExactlyTheRecord)
+{
+    const std::string path = tmpPath("cac_fi_badrec_v2_skip.trc");
+    const Trace original = randomTrace(1000, 32);
+    writeTrace(withBadOpcode(original, 600), path, TraceFormat::V2, 100);
+
+    TraceReader reader(path, withPolicy(ReadPolicy::Skip));
+    const Trace got = drain(reader);
+    EXPECT_TRUE(reader.ok()) << reader.error();
+    const ReadStats &st = reader.readStats();
+    EXPECT_EQ(st.droppedRecords, 1u);
+    EXPECT_EQ(st.droppedChunks, 0u);
+    EXPECT_EQ(st.crcErrors, 0u);
+    EXPECT_TRUE(st.degraded());
+    EXPECT_EQ(reader.recordsRead() + st.droppedRecords,
+              reader.recordCount());
+    Trace expect(original.begin(), original.begin() + 600);
+    expect.insert(expect.end(), original.begin() + 601, original.end());
+    expectTracesEqual(got, expect);
+    std::remove(path.c_str());
+}
+
+TEST(FaultInjection, BadRecordV1StrictNamesChunkAndOffset)
+{
+    const std::string path = tmpPath("cac_fi_badrec_v1.trc");
+    writeTrace(withBadOpcode(randomTrace(1000, 33), 523), path,
+               TraceFormat::V1);
+
+    TraceReader reader(path, withPolicy(ReadPolicy::Strict));
+    const Trace got = drain(reader);
+    EXPECT_FALSE(reader.ok());
+    const Error &err = reader.errorInfo();
+    EXPECT_EQ(err.code, ErrorCode::BadRecord) << err.message();
+    EXPECT_EQ(err.chunkIndex, 5u); // 100-record reader chunks
+    // V1: a 16-byte header, then bare 24-byte records.
+    EXPECT_EQ(err.byteOffset, 16u + 523u * 24u);
+    EXPECT_EQ(got.size(), 500u);
+    std::remove(path.c_str());
+}
+
+TEST(FaultInjection, BadRecordV1SkipDropsExactlyTheRecord)
+{
+    const std::string path = tmpPath("cac_fi_badrec_v1_skip.trc");
+    const Trace original = randomTrace(1000, 34);
+    // The very last record: the drop ends the stream cleanly.
+    writeTrace(withBadOpcode(original, 999), path, TraceFormat::V1);
+
+    TraceReader reader(path, withPolicy(ReadPolicy::Skip));
+    const Trace got = drain(reader);
+    EXPECT_TRUE(reader.ok()) << reader.error();
+    EXPECT_EQ(reader.readStats().droppedRecords, 1u);
+    EXPECT_EQ(reader.recordsRead() + reader.readStats().droppedRecords,
+              reader.recordCount());
+    expectTracesEqual(got, Trace(original.begin(), original.end() - 1));
+    std::remove(path.c_str());
+}
+
 TEST(FaultInjection, CorruptChunkHeaderSkipsOrResyncs)
 {
     const std::string path = tmpPath("cac_fi_badchunk.trc");
