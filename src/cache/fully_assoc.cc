@@ -14,19 +14,13 @@ FullyAssocCache::FullyAssocCache(std::uint64_t size_bytes,
     map_.reserve(geometry_.numBlocks() * 2);
 }
 
-AccessResult
-FullyAssocCache::access(std::uint64_t addr, bool is_write)
-{
-    return accessOne(addr, is_write);
-}
-
 template <typename Kind>
 void
 FullyAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                              Kind kind)
 {
     for (std::size_t i = 0; i < n; ++i)
-        accessOne(addrs[i], kind.isWrite(i));
+        access(addrs[i], kind.isWrite(i));
 }
 
 void
@@ -44,7 +38,7 @@ FullyAssocCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
 }
 
 AccessResult
-FullyAssocCache::accessOne(std::uint64_t addr, bool is_write)
+FullyAssocCache::access(std::uint64_t addr, bool is_write)
 {
     const std::uint64_t block = geometry_.blockAddr(addr);
     if (is_write)

@@ -21,7 +21,7 @@ namespace cac
 {
 
 /** Fully-associative cache with true-LRU replacement. */
-class FullyAssocCache : public CacheModel
+class FullyAssocCache final : public CacheModel
 {
   public:
     /**
@@ -43,9 +43,6 @@ class FullyAssocCache : public CacheModel
     std::string name() const override;
 
   private:
-    /** Non-virtual body of access(); the batch loop calls this. */
-    AccessResult accessOne(std::uint64_t addr, bool is_write);
-
     /** accessBatch()/accessMixed() kernel, templated on the kind source. */
     template <typename Kind>
     void batchKernel(const std::uint64_t *addrs, std::size_t n,

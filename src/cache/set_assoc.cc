@@ -44,29 +44,13 @@ SetAssocCache::lineAt(unsigned way, std::uint64_t set) const
     return lines_[(std::uint64_t{way} << geometry_.setBits()) + set];
 }
 
-SetAssocCache::Line *
-SetAssocCache::findLine(std::uint64_t block_addr)
-{
-    const Line *line =
-        static_cast<const SetAssocCache *>(this)->findLine(block_addr);
-    return const_cast<Line *>(line);
-}
-
-const SetAssocCache::Line *
-SetAssocCache::findLine(std::uint64_t block_addr) const
+template <typename Fn>
+auto
+SetAssocCache::withSets(std::uint64_t block_addr, Fn &&fn) const
 {
     ensurePlan();
-    const unsigned ways = geometry_.ways();
-    if (plan_.uniform()) {
-        // Non-skewed placement: one set shared by every way.
-        const std::uint64_t set = plan_.indexOne(block_addr, 0);
-        for (unsigned w = 0; w < ways; ++w) {
-            const Line &line = lineAt(w, set);
-            if (line.valid && line.block == block_addr)
-                return &line;
-        }
-        return nullptr;
-    }
+    if (plan_.packedCapable())
+        return fn(PackedSets{plan_, plan_.packedOne(block_addr)});
     // Stack buffer keeps const lookups free of shared mutable state
     // (concurrent probe() calls stay safe); associativities beyond
     // kStackWays spill to the per-instance scratch, losing only that
@@ -74,20 +58,136 @@ SetAssocCache::findLine(std::uint64_t block_addr) const
     constexpr unsigned kStackWays = 32;
     std::uint64_t stack_sets[kStackWays];
     std::uint64_t *sets =
-        ways <= kStackWays ? stack_sets : way_sets_.data();
+        geometry_.ways() <= kStackWays ? stack_sets : way_sets_.data();
     plan_.indexAll(block_addr, sets);
+    return fn(ArraySets{sets});
+}
+
+template <typename Sets>
+unsigned
+SetAssocCache::findWay(std::uint64_t block_addr, const Sets &sets) const
+{
+    const unsigned ways = geometry_.ways();
     for (unsigned w = 0; w < ways; ++w) {
         const Line &line = lineAt(w, sets[w]);
         if (line.valid && line.block == block_addr)
-            return &line;
+            return w;
     }
-    return nullptr;
+    return ways;
 }
 
-AccessResult
-SetAssocCache::access(std::uint64_t addr, bool is_write)
+const SetAssocCache::Line *
+SetAssocCache::lookup(std::uint64_t addr) const
 {
-    return accessOne(addr, is_write);
+    const std::uint64_t block = geometry_.blockAddr(addr);
+    return withSets(block, [&](const auto &sets) -> const Line * {
+        const unsigned way = findWay(block, sets);
+        return way < geometry_.ways() ? &lineAt(way, sets[way]) : nullptr;
+    });
+}
+
+// Inlined into every caller: accessPacked() runs it once per L1 access
+// of the coherent targets, where an out-of-line call measurably costs.
+template <typename Sets>
+[[gnu::always_inline]] inline bool
+SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
+                    bool is_write, bool allow_fill, AccessResult &out)
+{
+    const unsigned way = findWay(block_addr, sets);
+    const bool hit = way < geometry_.ways();
+    if (!hit && !allow_fill)
+        return false;
+
+    ++tick_;
+    if (is_write)
+        ++stats_.stores;
+    else
+        ++stats_.loads;
+
+    if (hit) {
+        const std::uint64_t set = sets[way];
+        Line &line = lineAt(way, set);
+        if (repl_plain_lru_)
+            line.repl.lastTouch = tick_;
+        else
+            repl_->onAccess(line.repl, set, way, tick_);
+        if (is_write && write_back_)
+            line.dirty = true;
+        out = AccessResult{};
+        out.hit = true;
+        return true;
+    }
+
+    if (is_write) {
+        ++stats_.storeMisses;
+        if (write_allocate_ == WriteAllocate::No) {
+            out = AccessResult{}; // write-through no-allocate: no fill
+            return true;
+        }
+    } else {
+        ++stats_.loadMisses;
+    }
+    out = fillWith(block_addr, sets, is_write && write_back_);
+    return true;
+}
+
+template <typename Sets>
+AccessResult
+SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
+                        bool dirty)
+{
+    const unsigned ways = geometry_.ways();
+    unsigned victim = 0;
+    if (repl_plain_lru_) {
+        // Inlined LRU victim scan, identical to LruPolicy: the first
+        // invalid candidate in way order, else the first line with the
+        // smallest lastTouch.
+        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+        for (unsigned w = 0; w < ways; ++w) {
+            const Line &line = lineAt(w, sets[w]);
+            if (!line.valid) {
+                victim = w;
+                break;
+            }
+            if (line.repl.lastTouch < oldest) {
+                oldest = line.repl.lastTouch;
+                victim = w;
+            }
+        }
+    } else {
+        for (unsigned w = 0; w < ways; ++w) {
+            const std::uint64_t set = sets[w];
+            const Line &line = lineAt(w, set);
+            fill_candidates_[w] =
+                ReplCandidate{line.valid, &line.repl, set, w};
+        }
+        victim = static_cast<unsigned>(repl_->chooseVictim(fill_candidates_));
+        CAC_ASSERT(victim < ways);
+    }
+
+    const std::uint64_t set = sets[victim];
+    Line &line = lineAt(victim, set);
+    AccessResult r;
+    r.filled = true;
+    ++stats_.fills;
+    if (line.valid) {
+        ++stats_.evictions;
+        r.evictedAddr = geometry_.byteAddr(line.block);
+        r.evictedDirty = line.dirty;
+        if (line.dirty)
+            ++stats_.writebacks;
+    }
+    line.valid = true;
+    line.dirty = dirty;
+    line.block = block_addr;
+    if (repl_plain_lru_) {
+        line.repl.lastTouch = tick_;
+        line.repl.insertTick = tick_;
+        line.repl.referenced = false;
+    } else {
+        repl_->onInsert(line.repl, set, victim, tick_);
+    }
+    return r;
 }
 
 template <typename Kind>
@@ -98,7 +198,7 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
     ensurePlan();
     if (!plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            accessOne(addrs[i], kind.isWrite(i));
+            access(addrs[i], kind.isWrite(i));
         return;
     }
     // Tile the stream: one SIMD/SWAR index pass per tile, then the
@@ -119,10 +219,10 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
         }
         // Plain-LRU hit fast path with the access counters hoisted
         // into registers (the compiler cannot do it: every line store
-        // may alias the members). Misses sync tick_ and drop to the
-        // shared fill path; the counter totals are order-independent,
-        // so bulk-adding loads/stores up front is stats-identical to
-        // accessPacked()'s per-access increments.
+        // may alias the members). Misses sync tick_ and drop to
+        // fillWith(); the counter totals are order-independent, so
+        // bulk-adding loads/stores up front is stats-identical to
+        // step()'s per-access increments.
         const std::size_t stores = kind.writesIn(base, m);
         stats_.stores += stores;
         stats_.loads += m - stores;
@@ -146,7 +246,7 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                     hit->dirty = true;
                 continue;
             }
-            tick_ = tick; // fillPacked stamps new lines from tick_
+            tick_ = tick; // fillWith stamps new lines from tick_
             if (is_write) {
                 ++stats_.storeMisses;
                 if (write_allocate_ == WriteAllocate::No)
@@ -154,7 +254,8 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
             } else {
                 ++stats_.loadMisses;
             }
-            fillPacked(block, packed[i], is_write && write_back_);
+            fillWith(block, PackedSets{plan_, packed[i]},
+                     is_write && write_back_);
         }
         tick_ = tick;
     }
@@ -175,47 +276,10 @@ SetAssocCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
 }
 
 AccessResult
-SetAssocCache::accessOne(std::uint64_t addr, bool is_write)
+SetAssocCache::access(std::uint64_t addr, bool is_write)
 {
-    ensurePlan();
-    const std::uint64_t block = geometry_.blockAddr(addr);
-    if (plan_.packedCapable())
-        return accessPacked(block, plan_.packedOne(block), is_write);
-
-    ++tick_;
-    if (is_write)
-        ++stats_.stores;
-    else
-        ++stats_.loads;
-
-    if (Line *line = findLine(block)) {
-        // Recompute this way's set for the policy callback. findLine
-        // returned a pointer into lines_, so derive way/set from its
-        // position.
-        const std::size_t pos =
-            static_cast<std::size_t>(line - lines_.data());
-        const unsigned way =
-            static_cast<unsigned>(pos >> geometry_.setBits());
-        const std::uint64_t set =
-            pos & (geometry_.numSets() - 1);
-        repl_->onAccess(line->repl, set, way, tick_);
-        if (is_write && write_back_)
-            line->dirty = true;
-        AccessResult r;
-        r.hit = true;
-        return r;
-    }
-
-    // Miss.
-    if (is_write) {
-        ++stats_.storeMisses;
-        if (write_allocate_ == WriteAllocate::No) {
-            return AccessResult{}; // write-through no-allocate: no fill
-        }
-    } else {
-        ++stats_.loadMisses;
-    }
-    AccessResult r = fillBlock(block, is_write && write_back_);
+    AccessResult r;
+    tryAccess(addr, is_write, true, r);
     return r;
 }
 
@@ -223,211 +287,41 @@ AccessResult
 SetAssocCache::accessPacked(std::uint64_t block_addr, std::uint64_t packed,
                             bool is_write)
 {
-    ++tick_;
-    if (is_write)
-        ++stats_.stores;
-    else
-        ++stats_.loads;
-
-    const unsigned ways = geometry_.ways();
-    for (unsigned w = 0; w < ways; ++w) {
-        const std::uint64_t set = plan_.wayFromPacked(packed, w);
-        Line &line = lineAt(w, set);
-        if (line.valid && line.block == block_addr) {
-            if (repl_plain_lru_)
-                line.repl.lastTouch = tick_;
-            else
-                repl_->onAccess(line.repl, set, w, tick_);
-            if (is_write && write_back_)
-                line.dirty = true;
-            AccessResult r;
-            r.hit = true;
-            return r;
-        }
-    }
-
-    // Miss.
-    if (is_write) {
-        ++stats_.storeMisses;
-        if (write_allocate_ == WriteAllocate::No) {
-            return AccessResult{}; // write-through no-allocate: no fill
-        }
-    } else {
-        ++stats_.loadMisses;
-    }
-    return fillPacked(block_addr, packed, is_write && write_back_);
+    AccessResult r;
+    step(block_addr, PackedSets{plan_, packed}, is_write, true, r);
+    return r;
 }
 
 bool
 SetAssocCache::tryAccess(std::uint64_t addr, bool is_write,
                          bool allow_fill, AccessResult &out)
 {
-    ensurePlan();
     const std::uint64_t block = geometry_.blockAddr(addr);
-    if (!plan_.packedCapable()) {
-        if (!allow_fill && findLine(block) == nullptr)
-            return false;
-        out = accessOne(addr, is_write);
-        return true;
-    }
-
-    const std::uint64_t packed = plan_.packedOne(block);
-    const unsigned ways = geometry_.ways();
-    for (unsigned w = 0; w < ways; ++w) {
-        const std::uint64_t set = plan_.wayFromPacked(packed, w);
-        Line &line = lineAt(w, set);
-        if (line.valid && line.block == block) {
-            ++tick_;
-            if (is_write)
-                ++stats_.stores;
-            else
-                ++stats_.loads;
-            if (repl_plain_lru_)
-                line.repl.lastTouch = tick_;
-            else
-                repl_->onAccess(line.repl, set, w, tick_);
-            if (is_write && write_back_)
-                line.dirty = true;
-            out = AccessResult{};
-            out.hit = true;
-            return true;
-        }
-    }
-
-    if (!allow_fill)
-        return false;
-
-    ++tick_;
-    if (is_write) {
-        ++stats_.stores;
-        ++stats_.storeMisses;
-        if (write_allocate_ == WriteAllocate::No) {
-            out = AccessResult{};
-            return true;
-        }
-    } else {
-        ++stats_.loads;
-        ++stats_.loadMisses;
-    }
-    out = fillPacked(block, packed, is_write && write_back_);
-    return true;
+    return withSets(block, [&](const auto &sets) {
+        return step(block, sets, is_write, allow_fill, out);
+    });
 }
 
 AccessResult
 SetAssocCache::fill(std::uint64_t addr, bool dirty)
 {
     ++tick_;
-    return fillBlock(geometry_.blockAddr(addr), dirty && write_back_);
-}
-
-AccessResult
-SetAssocCache::fillBlock(std::uint64_t block_addr, bool dirty)
-{
-    ensurePlan();
-    if (plan_.packedCapable())
-        return fillPacked(block_addr, plan_.packedOne(block_addr), dirty);
-
-    // Reuse the member scratch buffers: the fill path allocates nothing.
-    plan_.indexAll(block_addr, way_sets_.data());
-    std::vector<ReplCandidate> &candidates = fill_candidates_;
-    for (unsigned w = 0; w < geometry_.ways(); ++w) {
-        const std::uint64_t set = way_sets_[w];
-        const Line &line = lineAt(w, set);
-        candidates[w].valid = line.valid;
-        candidates[w].state = &line.repl;
-        candidates[w].set = set;
-        candidates[w].way = w;
-    }
-    const std::size_t victim_pos = repl_->chooseVictim(candidates);
-    CAC_ASSERT(victim_pos < candidates.size());
-    return installLine(candidates[victim_pos].way,
-                       candidates[victim_pos].set, block_addr, dirty);
-}
-
-AccessResult
-SetAssocCache::fillPacked(std::uint64_t block_addr, std::uint64_t packed,
-                          bool dirty)
-{
-    const unsigned ways = geometry_.ways();
-    if (repl_plain_lru_) {
-        // Inlined LRU victim scan, identical to LruPolicy: the first
-        // invalid candidate in way order, else the first line with the
-        // smallest lastTouch.
-        unsigned victim_way = 0;
-        std::uint64_t victim_set = plan_.wayFromPacked(packed, 0);
-        std::uint64_t oldest =
-            std::numeric_limits<std::uint64_t>::max();
-        for (unsigned w = 0; w < ways; ++w) {
-            const std::uint64_t set = plan_.wayFromPacked(packed, w);
-            const Line &line = lineAt(w, set);
-            if (!line.valid) {
-                victim_way = w;
-                victim_set = set;
-                break;
-            }
-            if (line.repl.lastTouch < oldest) {
-                oldest = line.repl.lastTouch;
-                victim_way = w;
-                victim_set = set;
-            }
-        }
-        return installLine(victim_way, victim_set, block_addr, dirty);
-    }
-
-    std::vector<ReplCandidate> &candidates = fill_candidates_;
-    for (unsigned w = 0; w < ways; ++w) {
-        const std::uint64_t set = plan_.wayFromPacked(packed, w);
-        const Line &line = lineAt(w, set);
-        candidates[w].valid = line.valid;
-        candidates[w].state = &line.repl;
-        candidates[w].set = set;
-        candidates[w].way = w;
-    }
-    const std::size_t victim_pos = repl_->chooseVictim(candidates);
-    CAC_ASSERT(victim_pos < candidates.size());
-    return installLine(candidates[victim_pos].way,
-                       candidates[victim_pos].set, block_addr, dirty);
-}
-
-AccessResult
-SetAssocCache::installLine(unsigned way, std::uint64_t set,
-                           std::uint64_t block_addr, bool dirty)
-{
-    AccessResult r;
-    r.filled = true;
-    ++stats_.fills;
-
-    Line &line = lineAt(way, set);
-    if (line.valid) {
-        ++stats_.evictions;
-        r.evictedAddr = geometry_.byteAddr(line.block);
-        r.evictedDirty = line.dirty;
-        if (line.dirty)
-            ++stats_.writebacks;
-    }
-    line.valid = true;
-    line.dirty = dirty;
-    line.block = block_addr;
-    if (repl_plain_lru_) {
-        line.repl.lastTouch = tick_;
-        line.repl.insertTick = tick_;
-        line.repl.referenced = false;
-    } else {
-        repl_->onInsert(line.repl, set, way, tick_);
-    }
-    return r;
+    const std::uint64_t block = geometry_.blockAddr(addr);
+    return withSets(block, [&](const auto &sets) {
+        return fillWith(block, sets, dirty && write_back_);
+    });
 }
 
 bool
 SetAssocCache::probe(std::uint64_t addr) const
 {
-    return findLine(geometry_.blockAddr(addr)) != nullptr;
+    return lookup(addr) != nullptr;
 }
 
 bool
 SetAssocCache::invalidate(std::uint64_t addr)
 {
-    if (Line *line = findLine(geometry_.blockAddr(addr))) {
+    if (Line *line = const_cast<Line *>(lookup(addr))) {
         line->valid = false;
         line->dirty = false;
         ++stats_.invalidations;
@@ -454,7 +348,7 @@ SetAssocCache::name() const
 bool
 SetAssocCache::isDirty(std::uint64_t addr) const
 {
-    const Line *line = findLine(geometry_.blockAddr(addr));
+    const Line *line = lookup(addr);
     return line != nullptr && line->dirty;
 }
 

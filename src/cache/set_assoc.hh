@@ -14,6 +14,23 @@
  * index/index_plan.hh); every lookup and fill evaluates the plan
  * inline, so the hot path performs no virtual dispatch and no heap
  * allocation regardless of the placement scheme.
+ *
+ * One state machine: every scalar entry point (access, accessPacked,
+ * tryAccess, fill, probe, invalidate, isDirty) evaluates the plan once
+ * into a *way-set view* and hands it to the same two bodies — step()
+ * (hit, refused miss, or miss and fill) and fillWith() (victim choice
+ * and install). The views are PackedSets, which extracts each way's set
+ * from one packed index word (Modulo and Packed plans, i.e. every
+ * registry organization), and ArraySets, which reads indexAll() output
+ * from a stack buffer (RowMask and Callback plans).
+ *
+ * The batch kernel keeps its own plain-LRU hit loop, with the tick and
+ * the load/store counters hoisted into registers (the compiler cannot
+ * hoist them: every line store may alias the members). Together with
+ * the batched index pass it makes batch replay about twice the scalar
+ * rate (docs/PERF_LOG.md). It is chosen by the policy's isPlainLru(),
+ * not by an option; every miss, and every access under another policy,
+ * goes through fillWith()/step().
  */
 
 #ifndef CAC_CACHE_SET_ASSOC_HH
@@ -38,7 +55,7 @@ enum class WriteAllocate
 };
 
 /** Configurable set-associative / skewed cache. */
-class SetAssocCache : public CacheModel
+class SetAssocCache final : public CacheModel
 {
   public:
     /**
@@ -106,8 +123,9 @@ class SetAssocCache : public CacheModel
      * is present, or @p allow_fill is true, performs exactly what
      * access(addr, is_write) would and returns true; otherwise leaves
      * the cache (stats included) untouched and returns false. This is
-     * the MSHR-gated L1 lookup of the timing model, which previously
-     * paid probe() *and* access().
+     * the MSHR-gated L1 lookup of the timing model and the victim
+     * cache's main-array lookup, which would otherwise pay probe()
+     * *and* access().
      */
     bool tryAccess(std::uint64_t addr, bool is_write, bool allow_fill,
                    AccessResult &out);
@@ -121,26 +139,57 @@ class SetAssocCache : public CacheModel
         ReplState repl;
     };
 
-    /** Locate the (way, line) holding @p block_addr, or nullptr. */
-    Line *findLine(std::uint64_t block_addr);
-    const Line *findLine(std::uint64_t block_addr) const;
+    /** Way-set view over a packed index word (Modulo / Packed plans). */
+    struct PackedSets
+    {
+        const IndexPlan &plan;
+        std::uint64_t packed;
+
+        std::uint64_t operator[](unsigned way) const
+        {
+            return plan.wayFromPacked(packed, way);
+        }
+    };
+
+    /** Way-set view over indexAll() output (RowMask / Callback plans). */
+    struct ArraySets
+    {
+        const std::uint64_t *sets;
+
+        std::uint64_t operator[](unsigned way) const { return sets[way]; }
+    };
 
     Line &lineAt(unsigned way, std::uint64_t set);
     const Line &lineAt(unsigned way, std::uint64_t set) const;
 
-    /** Victim selection + replacement for @p block_addr. */
-    AccessResult fillBlock(std::uint64_t block_addr, bool dirty);
+    /**
+     * Evaluate the plan for @p block_addr once and call @p fn with the
+     * matching way-set view; returns what @p fn returns.
+     */
+    template <typename Fn>
+    auto withSets(std::uint64_t block_addr, Fn &&fn) const;
 
-    /** fillBlock() with the index word already computed. */
-    AccessResult fillPacked(std::uint64_t block_addr, std::uint64_t packed,
-                            bool dirty);
+    /** Way holding @p block_addr, or ways() when it is absent. */
+    template <typename Sets>
+    unsigned findWay(std::uint64_t block_addr, const Sets &sets) const;
 
-    /** Shared eviction + insert tail of the fill paths. */
-    AccessResult installLine(unsigned way, std::uint64_t set,
-                             std::uint64_t block_addr, bool dirty);
+    /** The line holding the block of @p addr, or nullptr. */
+    const Line *lookup(std::uint64_t addr) const;
 
-    /** Non-virtual body of access(); the batch loop calls this. */
-    AccessResult accessOne(std::uint64_t addr, bool is_write);
+    /**
+     * The one scalar state machine. A hit updates replacement and dirty
+     * state; a miss with @p allow_fill counts the miss and fills (unless
+     * write-no-allocate). Returns false, touching nothing, only for a
+     * miss without @p allow_fill.
+     */
+    template <typename Sets>
+    bool step(std::uint64_t block_addr, const Sets &sets, bool is_write,
+              bool allow_fill, AccessResult &out);
+
+    /** The one fill body: choose a victim among the ways and install. */
+    template <typename Sets>
+    AccessResult fillWith(std::uint64_t block_addr, const Sets &sets,
+                          bool dirty);
 
     /**
      * The one batch kernel behind accessBatch() and accessMixed(),
@@ -169,9 +218,9 @@ class SetAssocCache : public CacheModel
     mutable std::uint64_t plan_epoch_ = 0;
     std::unique_ptr<ReplacementPolicy> repl_;
     /**
-     * Cached repl_->isPlainLru(): the batch fast path inlines the
-     * whole LRU policy (touch on hit, first-invalid-else-oldest on
-     * fill) instead of two virtual calls per access.
+     * Cached repl_->isPlainLru(): step(), fillWith() and the batch
+     * fast path inline the whole LRU policy (touch on hit,
+     * first-invalid-else-oldest on fill) instead of virtual calls.
      */
     bool repl_plain_lru_ = false;
     WriteAllocate write_allocate_;
@@ -180,10 +229,9 @@ class SetAssocCache : public CacheModel
     /** lines_[way * numSets + set]. */
     std::vector<Line> lines_;
     /**
-     * Per-access scratch: one set index per way (no allocation). Const
-     * lookups only touch it beyond 32 ways (findLine uses a stack
-     * buffer below that), so concurrent probe() calls on realistic
-     * associativities never share mutable state.
+     * Set-index scratch for RowMask / Callback plans beyond 32 ways
+     * (withSets() uses a stack buffer below that), so concurrent probe()
+     * calls on realistic associativities never share mutable state.
      */
     mutable std::vector<std::uint64_t> way_sets_;
     /** Per-fill scratch candidates, sized ways() once (no allocation). */

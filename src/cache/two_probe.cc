@@ -40,12 +40,6 @@ TwoProbeCache::secondaryIndex(std::uint64_t block) const
     return poly_plan_.indexOne(block, 0);
 }
 
-AccessResult
-TwoProbeCache::access(std::uint64_t addr, bool is_write)
-{
-    return accessOne(addr, is_write);
-}
-
 template <typename Kind>
 void
 TwoProbeCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
@@ -56,7 +50,7 @@ TwoProbeCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
     // hook forces is the only exception.
     if (rehash_ == RehashKind::IPoly && !poly_plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            accessOne(addrs[i], kind.isWrite(i));
+            access(addrs[i], kind.isWrite(i));
         return;
     }
 
@@ -97,7 +91,7 @@ TwoProbeCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
 }
 
 AccessResult
-TwoProbeCache::accessOne(std::uint64_t addr, bool is_write)
+TwoProbeCache::access(std::uint64_t addr, bool is_write)
 {
     const std::uint64_t block = geometry_.blockAddr(addr);
     return accessIndexed(block, primaryIndex(block),

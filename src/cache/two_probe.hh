@@ -34,7 +34,7 @@ enum class RehashKind
 };
 
 /** Direct-mapped cache with a second probe at an alternative index. */
-class TwoProbeCache : public CacheModel
+class TwoProbeCache final : public CacheModel
 {
   public:
     /**
@@ -69,16 +69,13 @@ class TwoProbeCache : public CacheModel
     std::uint64_t primaryIndex(std::uint64_t block) const;
     std::uint64_t secondaryIndex(std::uint64_t block) const;
 
-    /** Non-virtual body of access(); the batch loop calls this. */
-    AccessResult accessOne(std::uint64_t addr, bool is_write);
-
     /** accessBatch()/accessMixed() kernel, templated on the kind source. */
     template <typename Kind>
     void batchKernel(const std::uint64_t *addrs, std::size_t n,
                      Kind kind);
 
     /**
-     * accessOne() with both probe indices already computed — the batch
+     * access() with both probe indices already computed — the batch
      * path evaluates the polynomial rehash for a whole tile per pass
      * and feeds the results here.
      */

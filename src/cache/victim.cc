@@ -61,19 +61,13 @@ VictimCache::insertVictim(std::uint64_t block)
     slot->lastTouch = tick_;
 }
 
-AccessResult
-VictimCache::access(std::uint64_t addr, bool is_write)
-{
-    return accessOne(addr, is_write);
-}
-
 template <typename Kind>
 void
 VictimCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                          Kind kind)
 {
     for (std::size_t i = 0; i < n; ++i)
-        accessOne(addrs[i], kind.isWrite(i));
+        access(addrs[i], kind.isWrite(i));
 }
 
 void
@@ -91,7 +85,7 @@ VictimCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
 }
 
 AccessResult
-VictimCache::accessOne(std::uint64_t addr, bool is_write)
+VictimCache::access(std::uint64_t addr, bool is_write)
 {
     ++tick_;
     const std::uint64_t block = geometry_.blockAddr(addr);
@@ -100,15 +94,10 @@ VictimCache::accessOne(std::uint64_t addr, bool is_write)
     else
         ++stats_.loads;
 
-    // Qualified calls: main_ is a concrete member, so probe/access
-    // dispatch statically into SetAssocCache's compiled-plan hot path.
-    if (main_.SetAssocCache::probe(addr)) {
-        // Main-cache hit; forward to keep its LRU state warm.
-        main_.SetAssocCache::access(addr, is_write);
-        AccessResult r;
-        r.hit = true;
+    // Main-cache hit: one index evaluation and tag scan, which also
+    // keeps its LRU state warm; a miss leaves main_ untouched.
+    if (AccessResult r; main_.tryAccess(addr, is_write, false, r))
         return r;
-    }
 
     if (VictimLine *vline = findVictim(block)) {
         // Victim hit: swap the line back into the main cache; the block

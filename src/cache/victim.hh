@@ -17,7 +17,7 @@ namespace cac
 {
 
 /** Main cache + small fully-associative victim buffer. */
-class VictimCache : public CacheModel
+class VictimCache final : public CacheModel
 {
   public:
     /**
@@ -51,9 +51,6 @@ class VictimCache : public CacheModel
 
     /** Insert an evicted block into the buffer, LRU-replacing. */
     void insertVictim(std::uint64_t block);
-
-    /** Non-virtual body of access(); the batch loop calls this. */
-    AccessResult accessOne(std::uint64_t addr, bool is_write);
 
     /** accessBatch()/accessMixed() kernel, templated on the kind source. */
     template <typename Kind>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 
 #include "common/crc32c.hh"
 #include "common/logging.hh"
@@ -83,6 +85,21 @@ std::uint64_t
 recordOffset(std::uint64_t index)
 {
     return kHeaderBytesV1 + index * sizeof(PackedRecord);
+}
+
+/**
+ * recordOffset(@p count) as text for diagnostics. A lying header can
+ * claim more records than 64-bit byte offsets reach; say so rather
+ * than print the wrapped value.
+ */
+std::string
+expectedBytesText(std::uint64_t count)
+{
+    constexpr std::uint64_t kMaxCount =
+        (std::numeric_limits<std::uint64_t>::max() - kHeaderBytesV1)
+        / sizeof(PackedRecord);
+    return count <= kMaxCount ? std::to_string(recordOffset(count))
+                              : std::string("more than 2^64");
 }
 
 std::uint32_t
@@ -517,8 +534,7 @@ TraceReader::decodeChunkV1(std::vector<TraceRecord> &out, Error &err,
                             + " (data ends near byte "
                             + std::to_string(recordOffset(have))
                             + ", expected "
-                            + std::to_string(
-                                  recordOffset(record_count_))
+                            + expectedBytesText(record_count_)
                             + " bytes)",
                         path_, recordOffset(have));
                 }
@@ -757,9 +773,14 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
             continue;
         }
 
-        if (opts_.policy == ReadPolicy::Resync) {
+        // Truncated means the file ends inside this chunk, so every
+        // later chunk lies past the end: drop them in one step rather
+        // than one failed read each (a lying header can promise 2^50
+        // chunks).
+        const bool at_end = damage == ErrorCode::Truncated;
+        if (at_end || opts_.policy == ReadPolicy::Resync) {
             std::uint64_t found = 0;
-            if (resyncScan(chunk_off + 1, found, stats)) {
+            if (!at_end && resyncScan(chunk_off + 1, found, stats)) {
                 if (found > next_chunk_) {
                     const std::uint64_t gap = found - next_chunk_;
                     stats.droppedChunks += gap;
@@ -768,7 +789,7 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
                 }
                 continue;
             }
-            // Nothing plausible ahead: the rest of the file is lost.
+            // Nothing readable ahead: the rest of the file is lost.
             stats.droppedChunks += num_chunks_ - next_chunk_;
             stats.droppedRecords +=
                 record_count_ - next_chunk_ * file_chunk_records_;
@@ -1102,7 +1123,15 @@ tryReadTrace(const std::string &path, Trace &out, Error &error,
         error = reader.errorInfo();
         return false;
     }
-    out.reserve(reader.recordCount());
+    // The header's count is untrusted: reserve no more records than
+    // the file can hold, so a lying header ends in the reader's
+    // Truncated error instead of a failed allocation.
+    std::error_code size_error;
+    const std::uintmax_t file_bytes =
+        std::filesystem::file_size(path, size_error);
+    out.reserve(static_cast<std::size_t>(std::min<std::uintmax_t>(
+        reader.recordCount(),
+        size_error ? 0 : file_bytes / sizeof(PackedRecord))));
     while (true) {
         const std::vector<TraceRecord> &chunk = reader.next();
         if (chunk.empty())

@@ -223,5 +223,127 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SetAssocRepl,
                                            ReplKind::Random, ReplKind::Nru,
                                            ReplKind::TreePlru));
 
+/** The placement plans the twin test drives, one per IndexPlan kind. */
+struct TwinPlan
+{
+    const char *name;
+    IndexKind kind;
+    CacheGeometry geometry;
+    bool force_callback;
+    IndexPlan::Kind expect;
+};
+
+bool
+sameResult(const AccessResult &a, const AccessResult &b)
+{
+    return a.hit == b.hit && a.filled == b.filled
+        && a.evictedAddr == b.evictedAddr
+        && a.evictedDirty == b.evictedDirty;
+}
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b,
+                std::uint64_t fill_only, const std::string &where)
+{
+    // fill() counts a fill but no load; every other counter must agree.
+    EXPECT_EQ(a.loads, b.loads + fill_only) << where;
+    EXPECT_EQ(a.loadMisses, b.loadMisses + fill_only) << where;
+    EXPECT_EQ(a.stores, b.stores) << where;
+    EXPECT_EQ(a.storeMisses, b.storeMisses) << where;
+    EXPECT_EQ(a.fills, b.fills) << where;
+    EXPECT_EQ(a.evictions, b.evictions) << where;
+    EXPECT_EQ(a.writebacks, b.writebacks) << where;
+}
+
+/**
+ * tryAccess() against access() on twin caches, for every plan kind and
+ * every replacement policy: an accepted call is exactly an access(), a
+ * refused miss changes nothing (stats, contents, and — because the
+ * reference twin never sees it — every later outcome), and fill()
+ * picks the same victim as a miss's fill.
+ */
+TEST(SetAssocCache, TryAccessMatchesAccessOnEveryPlanAndPolicy)
+{
+    const CacheGeometry l1 = CacheGeometry::paperL1_8k();
+    const CacheGeometry wide(128 * 1024, 32, 8); // 8 ways x 9 set bits
+    const TwinPlan plans[] = {
+        {"modulo", IndexKind::Modulo, l1, false, IndexPlan::Kind::Modulo},
+        {"packed", IndexKind::IPoly, l1, false, IndexPlan::Kind::Packed},
+        {"packed-skew", IndexKind::IPolySkew, l1, false,
+         IndexPlan::Kind::Packed},
+        {"rowmask", IndexKind::IPoly, wide, false,
+         IndexPlan::Kind::RowMask},
+        {"callback", IndexKind::IPolySkew, l1, true,
+         IndexPlan::Kind::Callback},
+    };
+    const ReplKind policies[] = {ReplKind::Lru, ReplKind::Fifo,
+                                 ReplKind::Random, ReplKind::Nru,
+                                 ReplKind::TreePlru};
+    for (const TwinPlan &plan : plans) {
+        for (ReplKind policy : policies) {
+            for (WriteAllocate wa : {WriteAllocate::Yes, WriteAllocate::No}) {
+                const CacheGeometry &g = plan.geometry;
+                IndexPlan::forceCallbackForTests(plan.force_callback);
+                auto make = [&] {
+                    return SetAssocCache(
+                        g, makeIndexFn(plan.kind, g.setBits(), g.ways(), 14),
+                        makeReplacementPolicy(policy, g.numSets(), g.ways()),
+                        wa, true);
+                };
+                SetAssocCache ref = make();
+                SetAssocCache twin = make();
+                IndexPlan::forceCallbackForTests(false);
+                ASSERT_EQ(twin.indexPlan().kind(), plan.expect) << plan.name;
+                if (policy == ReplKind::TreePlru
+                    && !twin.indexPlan().uniform())
+                    continue; // TreePLRU needs non-skewed placement
+
+                const std::string where = std::string(plan.name) + " "
+                    + std::to_string(static_cast<int>(policy))
+                    + (wa == WriteAllocate::Yes ? " wa" : " nwa");
+                Rng rng(17);
+                std::uint64_t fill_only = 0;
+                std::uint64_t refused = 0;
+                for (int i = 0; i < 20000; ++i) {
+                    const std::uint64_t addr =
+                        rng.nextBelow(4 * g.sizeBytes()) & ~31ull;
+                    const bool is_write = rng.chance(0.3);
+                    const bool present = twin.probe(addr);
+                    ASSERT_EQ(present, ref.probe(addr)) << where;
+
+                    if (!present && rng.chance(0.05)) {
+                        // Fill without an access: same victim as the
+                        // reference twin's load-miss fill.
+                        const AccessResult want = ref.access(addr, false);
+                        const AccessResult got = twin.fill(addr);
+                        ASSERT_TRUE(sameResult(want, got)) << where;
+                        ++fill_only;
+                        continue;
+                    }
+
+                    const bool allow_fill = rng.chance(0.5);
+                    const CacheStats before = twin.stats();
+                    AccessResult got;
+                    const bool accepted =
+                        twin.tryAccess(addr, is_write, allow_fill, got);
+                    ASSERT_EQ(accepted, present || allow_fill) << where;
+                    if (!accepted) {
+                        ++refused;
+                        expectSameStats(before, twin.stats(), 0, where);
+                        ASSERT_FALSE(twin.probe(addr)) << where;
+                        continue;
+                    }
+                    const AccessResult want = ref.access(addr, is_write);
+                    ASSERT_TRUE(sameResult(want, got)) << where << " i=" << i;
+                    ASSERT_EQ(ref.isDirty(addr), twin.isDirty(addr)) << where;
+                }
+                expectSameStats(ref.stats(), twin.stats(), fill_only, where);
+                EXPECT_GT(refused, 0u) << where;
+                EXPECT_GT(fill_only, 0u) << where;
+            }
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace cac

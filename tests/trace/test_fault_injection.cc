@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.hh"
 #include "common/rng.hh"
 #include "trace/fault_injector.hh"
 #include "trace/io.hh"
@@ -344,6 +345,52 @@ TEST(FaultInjection, TruncationMatrixEveryByteOffsetBothFormats)
         std::remove(full.c_str());
         std::remove(path.c_str());
     }
+
+    // Lying headers: files that end right after a header promising
+    // 2^62 records — a 16-byte CACTRC01 one and a CRC-valid 24-byte
+    // CACTRC02 one. Strict must report Truncated (not abort on a
+    // 2^62-record allocation, nor print a wrapped byte count); Skip
+    // and Resync must account every promised record as dropped
+    // without one failed read per missing chunk.
+    constexpr std::uint64_t kLie = std::uint64_t{1} << 62;
+    std::vector<std::uint8_t> v1 = {'C', 'A', 'C', 'T', 'R', 'C', '0', '1'};
+    std::vector<std::uint8_t> v2 = {'C', 'A', 'C', 'T', 'R', 'C', '0', '2'};
+    const auto append = [](std::vector<std::uint8_t> &bytes,
+                           std::uint64_t value, int width) {
+        for (int i = 0; i < width; ++i)
+            bytes.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    };
+    append(v1, kLie, 8);
+    append(v2, kLie, 8);
+    append(v2, 4096, 4); // records per chunk
+    append(v2, crc32c(v2.data(), 20), 4);
+    const std::string path = tmpPath("cac_fi_trunc_lie.trc");
+    for (const auto *header : {&v1, &v2}) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(header->data(), 1, header->size(), f);
+        std::fclose(f);
+        const std::string name = header == &v1 ? "v1 lie" : "v2 lie";
+
+        Trace out;
+        Error error;
+        ASSERT_FALSE(tryReadTrace(path, out, error,
+                                  withPolicy(ReadPolicy::Strict)))
+            << name;
+        EXPECT_EQ(error.code, ErrorCode::Truncated) << name;
+        EXPECT_EQ(error.message().find("expected 16 bytes"),
+                  std::string::npos)
+            << error.message();
+        for (ReadPolicy policy : {ReadPolicy::Skip, ReadPolicy::Resync}) {
+            ReadStats stats;
+            ASSERT_TRUE(tryReadTrace(path, out, error, withPolicy(policy),
+                                     &stats))
+                << name << ": " << error.message();
+            EXPECT_TRUE(out.empty()) << name;
+            EXPECT_EQ(stats.droppedRecords, kLie) << name;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 // ---- injected storage faults -----------------------------------------
