@@ -30,7 +30,10 @@ constexpr unsigned kRetryBackoffUs = 100;
 /** Resync scan block size (the scan window stays this bounded). */
 constexpr std::size_t kResyncBlock = 65536;
 
-/** Sanity cap on a CACTRC02 chunk size (16M records = 384 MB). */
+/**
+ * Sanity cap on a CACTRC02 chunk size: 16M records, 384 MiB on disk
+ * and 256 MiB once decoded into 16-byte TraceRecords.
+ */
 constexpr std::uint64_t kMaxFileChunkRecords = 1u << 24;
 
 constexpr std::uint8_t kMaxOp =

@@ -1,12 +1,16 @@
 /**
  * @file
- * Instruction-trace record format.
+ * In-memory instruction-trace record.
  *
  * The CPU model is trace driven (like the paper's own simulator): each
  * record is one dynamic instruction with its class, register operands,
  * and — for memory operations — the effective address, or — for
  * branches — the actual direction. Architectural registers 0..31 are
  * integer, 32..63 floating point; -1 marks "no operand".
+ *
+ * A decoded TraceRecord is 16 bytes; the CACTRC01/02 files store each
+ * record in a separate 24-byte on-disk layout, and only the pack() and
+ * unpack() converters in trace/io.cc translate between the two.
  */
 
 #ifndef CAC_TRACE_RECORD_HH
@@ -52,14 +56,13 @@ isFpOp(OpClass op)
         || op == OpClass::FpDiv || op == OpClass::FpSqrt;
 }
 
-/** One dynamic instruction. */
+/**
+ * One dynamic instruction: 16 bytes, no padding. `op` and `taken`
+ * share one byte; the reader rejects any op byte above Branch before it
+ * decodes a record, so the 7-bit field holds every valid class.
+ */
 struct TraceRecord
 {
-    OpClass op = OpClass::IntAlu;
-    std::int8_t dst = -1;  ///< destination register or -1
-    std::int8_t src1 = -1; ///< first source register or -1
-    std::int8_t src2 = -1; ///< second source register or -1
-    bool taken = false;    ///< branch outcome
     /** Effective byte address for Load/Store; 0 otherwise. */
     std::uint64_t addr = 0;
     /**
@@ -69,7 +72,14 @@ struct TraceRecord
      * predictor index on.
      */
     std::uint32_t pc = 0;
+    OpClass op : 7 = OpClass::IntAlu;
+    bool taken : 1 = false; ///< branch outcome
+    std::int8_t dst = -1;   ///< destination register or -1
+    std::int8_t src1 = -1;  ///< first source register or -1
+    std::int8_t src2 = -1;  ///< second source register or -1
 };
+
+static_assert(sizeof(TraceRecord) == 16, "TraceRecord grew padding");
 
 /** A dynamic instruction stream. */
 using Trace = std::vector<TraceRecord>;

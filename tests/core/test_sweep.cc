@@ -473,7 +473,7 @@ TEST(SweepRunnerRows, SharedReaderDamageReachesEveryCellOfTheRow)
         (std::filesystem::temp_directory_path() / "cac_sweep_badrec.trc")
             .string();
     Trace trace = buildSpecProxy("swim", 3000);
-    trace[1234].op = static_cast<OpClass>(0xEE);
+    trace[1234].op = static_cast<OpClass>(0x7F);
     writeTrace(trace, path);
     const std::vector<std::string> labels = {"a2", "a2-Hp-Sk",
                                              "2lvl:a2/a4", "cpu:8k-conv"};

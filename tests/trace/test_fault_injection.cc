@@ -74,7 +74,7 @@ expectTracesEqual(const Trace &a, const Trace &b)
     }
 }
 
-/** XOR one bit into the file at @p offset. */
+/** XOR @p mask into the byte at @p offset of the file. */
 void
 flipBit(const std::string &path, long offset, int mask)
 {
@@ -158,12 +158,14 @@ TEST(FaultInjection, FlippedPayloadBitIsDetectedNotSimulated)
  * @p trace with record @p index given an opcode above the last
  * OpClass, as a buggy producer would write it: the writer seals the
  * chunk with valid checksums, so only the decoder's opcode check
- * (BadRecord) can catch it.
+ * (BadRecord) can catch it. 0x7F is the largest opcode the in-memory
+ * 7-bit field holds; larger op bytes are written straight into a file
+ * (BadRecordV1HighOpByteNeverReachesTheRecord).
  */
 Trace
 withBadOpcode(Trace trace, std::size_t index)
 {
-    trace[index].op = static_cast<OpClass>(0xEE);
+    trace[index].op = static_cast<OpClass>(0x7F);
     return trace;
 }
 
@@ -240,6 +242,42 @@ TEST(FaultInjection, BadRecordV1SkipDropsExactlyTheRecord)
     EXPECT_EQ(reader.recordsRead() + reader.readStats().droppedRecords,
               reader.recordCount());
     expectTracesEqual(got, Trace(original.begin(), original.end() - 1));
+    std::remove(path.c_str());
+}
+
+TEST(FaultInjection, BadRecordV1HighOpByteNeverReachesTheRecord)
+{
+    // An op byte >= 0x80 does not fit the 7-bit in-memory field; only
+    // the reader's range check keeps it from being truncated into a
+    // record. V1 has no checksum, so the byte goes straight into the
+    // file and reaches the decoder unchanged.
+    const std::string path = tmpPath("cac_fi_badrec_v1_high.trc");
+    const Trace original = randomTrace(1000, 35);
+    writeTrace(original, path, TraceFormat::V1);
+    flipBit(path, 16 + 311 * 24, static_cast<int>(original[311].op) ^ 0xEE);
+
+    {
+        TraceReader strict(path, withPolicy(ReadPolicy::Strict));
+        const Trace got = drain(strict);
+        EXPECT_FALSE(strict.ok());
+        const Error &err = strict.errorInfo();
+        EXPECT_EQ(err.code, ErrorCode::BadRecord) << err.message();
+        EXPECT_NE(err.message().find("invalid opcode 238"),
+                  std::string::npos)
+            << err.message();
+        EXPECT_EQ(err.byteOffset, 16u + 311u * 24u);
+        EXPECT_EQ(got.size(), 300u);
+    }
+    {
+        TraceReader skip(path, withPolicy(ReadPolicy::Skip));
+        const Trace got = drain(skip);
+        EXPECT_TRUE(skip.ok()) << skip.error();
+        EXPECT_EQ(skip.readStats().droppedRecords, 1u);
+        Trace expect(original.begin(), original.begin() + 311);
+        expect.insert(expect.end(), original.begin() + 312,
+                      original.end());
+        expectTracesEqual(got, expect);
+    }
     std::remove(path.c_str());
 }
 
