@@ -114,10 +114,11 @@ IndexSearch::run(std::shared_ptr<const Trace> trace) const
 }
 
 std::vector<SearchResult>
-IndexSearch::runTraceFile(const std::string &path) const
+IndexSearch::runTraceFile(const std::string &path,
+                          const TraceReaderOptions &options) const
 {
-    return runGrid([path](SweepRunner &sweep) {
-        sweep.addTraceFileWorkload("search", path);
+    return runGrid([&](SweepRunner &sweep) {
+        sweep.addTraceFileWorkload("search", path, options);
     });
 }
 

@@ -35,6 +35,7 @@
 #include "cache/geometry.hh"
 #include "common/error.hh"
 #include "index/index_fn.hh"
+#include "trace/io.hh"
 #include "trace/record.hh"
 
 namespace cac
@@ -132,10 +133,13 @@ class IndexSearch
      * streamed: each group of candidates shares one chunked
      * TraceReader (SweepRunner row replay), so memory stays bounded
      * however long the trace is. Results are identical to loading the
-     * trace and calling run().
+     * trace and calling run(). @p options configure the reader
+     * (policy, checksum verification, fault injection, chunk size);
+     * damage it cannot recover from fails the results.
      */
     std::vector<SearchResult>
-    runTraceFile(const std::string &path) const;
+    runTraceFile(const std::string &path,
+                 const TraceReaderOptions &options = {}) const;
 
   private:
     std::vector<SearchResult>

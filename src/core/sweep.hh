@@ -254,7 +254,7 @@ class SweepRunner
      */
     void addTraceFileWorkload(
         const std::string &name, const std::string &path,
-        std::size_t chunk_records = TraceReader::kDefaultChunkRecords);
+        std::size_t chunk_records = kDefaultTraceChunkRecords);
 
     /**
      * Streamed trace-file workload with its own reader configuration
@@ -332,7 +332,7 @@ class SweepRunner
         std::shared_ptr<const Trace> trace;
         std::string tracePath; ///< streamed CACTRC01/02 file
         std::shared_ptr<const Scenario> scenario;
-        std::size_t chunkRecords = TraceReader::kDefaultChunkRecords;
+        std::size_t chunkRecords = kDefaultTraceChunkRecords;
         /** Scenario chunking (0 = whole segments). */
         std::size_t scenarioChunkRecords = 0;
         /** Per-workload reader override (else the runner's). */

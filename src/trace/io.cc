@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <utility>
 
 #include "common/crc32c.hh"
 #include "common/logging.hh"
@@ -67,6 +68,36 @@ unpack(const PackedRecord &p)
     rec.addr = p.addr;
     rec.pc = p.pc;
     return rec;
+}
+
+/**
+ * Unpack @p count on-disk records at @p in into @p out (resized to the
+ * survivors) — the one decode loop both containers share. A record
+ * with an out-of-range opcode throws @p bad_record(i, op) under the
+ * strict policy and is dropped (and counted) otherwise.
+ */
+template <typename BadRecord>
+[[gnu::always_inline]] inline void
+unpackRecords(const std::uint8_t *in, std::size_t count,
+              std::vector<TraceRecord> &out, ReadPolicy policy,
+              ReadStats &stats, BadRecord &&bad_record)
+{
+    // Direct indexed writes (resize once, no per-record push_back
+    // bookkeeping): this loop runs on the replay hot path.
+    out.resize(count);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; ++i, in += sizeof(PackedRecord)) {
+        PackedRecord p;
+        std::memcpy(&p, in, sizeof(PackedRecord));
+        if (p.op > kMaxOp) {
+            if (policy == ReadPolicy::Strict)
+                throw CacError(bad_record(i, p.op));
+            ++stats.droppedRecords;
+            continue;
+        }
+        out[kept++] = unpack(p);
+    }
+    out.resize(kept);
 }
 
 PackedRecord
@@ -251,32 +282,19 @@ writeTrace(const Trace &trace, const std::string &path,
 
 TraceReader::TraceReader(const std::string &path,
                          std::size_t chunk_records, Prefetch prefetch)
-    : TraceReader(path, [&] {
-          TraceReaderOptions options;
-          options.chunkRecords = chunk_records;
-          options.prefetch = prefetch;
-          return options;
-      }())
+    : TraceReader(path, TraceReaderOptions{.chunkRecords = chunk_records,
+                                           .prefetch = prefetch})
 {}
 
 TraceReader::TraceReader(const std::string &path,
                          const TraceReaderOptions &options)
     : path_(path), opts_(options),
       chunk_records_(options.chunkRecords > 0 ? options.chunkRecords
-                                              : 1)
+                                              : 1),
+      prefetch_enabled_(options.prefetch == Prefetch::Auto
+                            ? std::thread::hardware_concurrency() > 1
+                            : options.prefetch == Prefetch::On)
 {
-    switch (opts_.prefetch) {
-      case Prefetch::Auto:
-        prefetch_enabled_ = std::thread::hardware_concurrency() > 1;
-        break;
-      case Prefetch::Off:
-        prefetch_enabled_ = false;
-        break;
-      case Prefetch::On:
-        prefetch_enabled_ = true;
-        break;
-    }
-
     if (opts_.inject)
         injector_ = std::make_unique<FaultInjector>(*opts_.inject);
 
@@ -290,25 +308,11 @@ TraceReader::TraceReader(const std::string &path,
         return;
     }
 
-    // Contain header-time failures (including injected ones) the same
-    // way mid-stream failures are contained: as an error state, never
-    // an escaping exception.
-    try {
-        readHeader();
-    } catch (const CacError &e) {
-        fail(e.err());
-    } catch (const std::exception &e) {
-        fail(Error::make(ErrorCode::WorkerFailed,
-                         "'" + path_ + "': header read failed: "
-                             + e.what(),
-                         path_, byte_pos_));
-    } catch (...) {
-        fail(Error::make(ErrorCode::WorkerFailed,
-                         "'" + path_
-                             + "': header read failed with an unknown "
-                               "exception",
-                         path_, byte_pos_));
-    }
+    // Header-time failures (including injected ones) are contained the
+    // same way mid-stream failures are: as an error state, never an
+    // escaping exception.
+    if (Error err = contain("header read", [this] { readHeader(); }))
+        fail(std::move(err));
 }
 
 TraceReader::~TraceReader()
@@ -331,20 +335,65 @@ TraceReader::fail(Error err)
     return false;
 }
 
+Error
+TraceReader::errorAt(ErrorCode code, const std::string &what,
+                     std::uint64_t byte_offset,
+                     std::uint64_t chunk_index) const
+{
+    return Error::make(code, "'" + path_ + "': " + what, path_,
+                       byte_offset, chunk_index);
+}
+
+template <typename Step>
+Error
+TraceReader::contain(const char *what, Step &&step)
+{
+    try {
+        step();
+        return Error{};
+    } catch (const CacError &e) {
+        return e.err();
+    } catch (const std::exception &e) {
+        return errorAt(ErrorCode::WorkerFailed,
+                       std::string(what) + " failed: " + e.what(),
+                       byte_pos_);
+    } catch (...) {
+        return errorAt(ErrorCode::WorkerFailed,
+                       std::string(what)
+                           + " failed with an unknown exception",
+                       byte_pos_);
+    }
+}
+
+bool
+TraceReader::readHeaderBytes(std::uint8_t *dst, std::size_t want,
+                             const char *truncated_before)
+{
+    bool rfail = false;
+    const std::size_t got = rawRead(dst, want, rfail, stats_);
+    if (rfail) {
+        throw CacError(errorAt(ErrorCode::ReadFailed,
+                               "read failed reading the header (retry "
+                               "budget exhausted)",
+                               byte_pos_));
+    }
+    if (got < want && truncated_before != nullptr) {
+        throw CacError(errorAt(ErrorCode::Truncated,
+                               std::string("truncated header (file ends "
+                                           "before the ")
+                                   + truncated_before + ")",
+                               byte_pos_));
+    }
+    return got == want;
+}
+
 void
 TraceReader::readHeader()
 {
     std::uint8_t header[kHeaderBytesV2];
-    bool rfail = false;
-    if (rawRead(header, 8, rfail, stats_) < 8 || rfail) {
-        if (rfail) {
-            throw CacError(Error::make(
-                ErrorCode::ReadFailed,
-                "'" + path_
-                    + "': read failed reading the header (retry "
-                      "budget exhausted)",
-                path_, byte_pos_));
-        }
+    if (!readHeaderBytes(header, 8, nullptr)
+        || (std::memcmp(header, kMagicV1, 8) != 0
+            && std::memcmp(header, kMagicV2, 8) != 0)) {
         throw CacError(Error::make(
             ErrorCode::BadMagic,
             "'" + path_ + "' is not a CACTRC01/02 trace", path_, 0));
@@ -352,69 +401,28 @@ TraceReader::readHeader()
 
     if (std::memcmp(header, kMagicV1, 8) == 0) {
         format_ = TraceFormat::V1;
-        std::uint8_t count[8];
-        if (rawRead(count, 8, rfail, stats_) < 8 || rfail) {
-            if (rfail) {
-                throw CacError(Error::make(
-                    ErrorCode::ReadFailed,
-                    "'" + path_
-                        + "': read failed reading the header (retry "
-                          "budget exhausted)",
-                    path_, byte_pos_));
-            }
-            throw CacError(Error::make(
-                ErrorCode::Truncated,
-                "'" + path_
-                    + "': truncated header (file ends before the "
-                    + std::to_string(kHeaderBytesV1)
-                    + "-byte magic + count)",
-                path_, byte_pos_));
-        }
-        record_count_ = loadLE64(count);
+        readHeaderBytes(header + 8, 8, "16-byte magic + count");
+        record_count_ = loadLE64(header + 8);
         raw_.resize(chunk_records_ * sizeof(PackedRecord));
         return;
     }
 
-    if (std::memcmp(header, kMagicV2, 8) != 0) {
-        throw CacError(Error::make(
-            ErrorCode::BadMagic,
-            "'" + path_ + "' is not a CACTRC01/02 trace", path_, 0));
-    }
-
     format_ = TraceFormat::V2;
-    if (rawRead(header + 8, kHeaderBytesV2 - 8, rfail, stats_)
-            < kHeaderBytesV2 - 8
-        || rfail) {
-        if (rfail) {
-            throw CacError(Error::make(
-                ErrorCode::ReadFailed,
-                "'" + path_
-                    + "': read failed reading the header (retry "
-                      "budget exhausted)",
-                path_, byte_pos_));
-        }
-        throw CacError(Error::make(
-            ErrorCode::Truncated,
-            "'" + path_
-                + "': truncated header (file ends before the "
-                + std::to_string(kHeaderBytesV2)
-                + "-byte CACTRC02 header)",
-            path_, byte_pos_));
-    }
+    readHeaderBytes(header + 8, kHeaderBytesV2 - 8,
+                    "24-byte CACTRC02 header");
     if (crc32c(header, 20) != loadLE32(header + 20)) {
-        throw CacError(Error::make(
-            ErrorCode::BadFileHeader,
-            "'" + path_ + "': CACTRC02 file header checksum mismatch",
-            path_, 0));
+        throw CacError(errorAt(ErrorCode::BadFileHeader,
+                               "CACTRC02 file header checksum mismatch",
+                               0));
     }
     const std::uint64_t count = loadLE64(header + 8);
     const std::uint32_t chunk = loadLE32(header + 16);
     if (chunk == 0 || chunk > kMaxFileChunkRecords) {
-        throw CacError(Error::make(
-            ErrorCode::BadFileHeader,
-            "'" + path_ + "': CACTRC02 chunk size "
-                + std::to_string(chunk) + " out of range",
-            path_, 16));
+        throw CacError(errorAt(ErrorCode::BadFileHeader,
+                               "CACTRC02 chunk size "
+                                   + std::to_string(chunk)
+                                   + " out of range",
+                               16));
     }
     record_count_ = count;
     file_chunk_records_ = chunk;
@@ -430,12 +438,21 @@ TraceReader::rawRead(void *dst, std::size_t want, bool &failed,
     std::size_t got = 0;
     unsigned attempts = 0;
     while (got < want) {
-        std::size_t r;
+        std::size_t r = 0;
+        bool transient = false;
         try {
             r = injector_
                     ? injector_->read(file_, out + got, want - got)
                     : std::fread(out + got, 1, want - got, file_);
         } catch (const TransientIoError &) {
+            transient = true;
+        }
+        if (!transient && r == 0) {
+            if (!std::ferror(file_))
+                break; // true end of file
+            transient = true;
+        }
+        if (transient) {
             // Retryable: bounded retries with exponential backoff.
             if (attempts >= kMaxRetries) {
                 failed = true;
@@ -443,22 +460,9 @@ TraceReader::rawRead(void *dst, std::size_t want, bool &failed,
             }
             ++attempts;
             ++stats.retries;
+            std::clearerr(file_);
             instrumentedBackoff(attempts);
             continue;
-        }
-        if (r == 0) {
-            if (std::ferror(file_)) {
-                if (attempts >= kMaxRetries) {
-                    failed = true;
-                    break;
-                }
-                ++attempts;
-                ++stats.retries;
-                std::clearerr(file_);
-                instrumentedBackoff(attempts);
-                continue;
-            }
-            break; // true end of file
         }
         got += r;
     }
@@ -466,8 +470,8 @@ TraceReader::rawRead(void *dst, std::size_t want, bool &failed,
     return got;
 }
 
-bool
-TraceReader::decodeChunkV1(std::vector<TraceRecord> &out, Error &err,
+void
+TraceReader::decodeChunkV1(std::vector<TraceRecord> &out,
                            ReadStats &stats)
 {
     out.clear();
@@ -479,40 +483,25 @@ TraceReader::decodeChunkV1(std::vector<TraceRecord> &out, Error &err,
             raw_.resize(want * sizeof(PackedRecord));
 
         bool rfail = false;
-        const std::size_t bytes = rawRead(
-            raw_.data(), want * sizeof(PackedRecord), rfail, stats);
-        const std::size_t got = bytes / sizeof(PackedRecord);
+        const std::size_t got =
+            rawRead(raw_.data(), want * sizeof(PackedRecord), rfail,
+                    stats)
+            / sizeof(PackedRecord);
 
-        // Decode with direct indexed writes (resize once, no
-        // per-record push_back bookkeeping) — this loop runs on the
-        // replay hot path. Records with an out-of-range opcode are the
-        // only corruption V1 can detect.
-        out.resize(got);
-        std::size_t kept = 0;
-        const std::uint8_t *in = raw_.data();
-        for (std::size_t i = 0; i < got;
-             ++i, in += sizeof(PackedRecord)) {
-            PackedRecord p;
-            std::memcpy(&p, in, sizeof(PackedRecord));
-            if (p.op > kMaxOp) {
-                if (opts_.policy == ReadPolicy::Strict) {
-                    const std::uint64_t at = next_record_ + i;
-                    err = Error::make(
-                        ErrorCode::BadRecord,
-                        "'" + path_ + "': record "
-                            + std::to_string(at)
-                            + " has invalid opcode "
-                            + std::to_string(p.op) + " (near byte "
-                            + std::to_string(recordOffset(at)) + ")",
-                        path_, recordOffset(at), at / chunk_records_);
-                    return false;
-                }
-                ++stats.droppedRecords;
-                continue;
-            }
-            out[kept++] = unpack(p);
-        }
-        out.resize(kept);
+        // Records with an out-of-range opcode are the only corruption
+        // V1 can detect.
+        unpackRecords(
+            raw_.data(), got, out, opts_.policy, stats,
+            [&](std::size_t i, unsigned op) {
+                const std::uint64_t at = next_record_ + i;
+                return errorAt(ErrorCode::BadRecord,
+                               "record " + std::to_string(at)
+                                   + " has invalid opcode "
+                                   + std::to_string(op) + " (near byte "
+                                   + std::to_string(recordOffset(at))
+                                   + ")",
+                               recordOffset(at), at / chunk_records_);
+            });
         next_record_ += got;
 
         if (rfail || got < want) {
@@ -521,37 +510,33 @@ TraceReader::decodeChunkV1(std::vector<TraceRecord> &out, Error &err,
             // out; Skip/Resync drop the missing tail and end cleanly.
             const std::uint64_t have = next_record_;
             if (opts_.policy == ReadPolicy::Strict) {
-                if (rfail) {
-                    err = Error::make(
-                        ErrorCode::ReadFailed,
-                        "'" + path_ + "': read failed near byte "
-                            + std::to_string(byte_pos_)
-                            + " (retries exhausted)",
-                        path_, byte_pos_);
-                } else {
-                    err = Error::make(
-                        ErrorCode::Truncated,
-                        "'" + path_ + "': truncated at record "
-                            + std::to_string(have) + " of "
-                            + std::to_string(record_count_)
-                            + " (data ends near byte "
-                            + std::to_string(recordOffset(have))
-                            + ", expected "
-                            + expectedBytesText(record_count_)
-                            + " bytes)",
-                        path_, recordOffset(have));
-                }
-                return false;
+                throw CacError(
+                    rfail ? errorAt(ErrorCode::ReadFailed,
+                                    "read failed near byte "
+                                        + std::to_string(byte_pos_)
+                                        + " (retries exhausted)",
+                                    byte_pos_)
+                          : errorAt(ErrorCode::Truncated,
+                                    "truncated at record "
+                                        + std::to_string(have) + " of "
+                                        + std::to_string(record_count_)
+                                        + " (data ends near byte "
+                                        + std::to_string(
+                                            recordOffset(have))
+                                        + ", expected "
+                                        + expectedBytesText(
+                                            record_count_)
+                                        + " bytes)",
+                                    recordOffset(have)));
             }
             stats.droppedRecords += record_count_ - have;
             next_record_ = record_count_;
-            return true;
+            return;
         }
         if (!out.empty())
-            return true;
+            return;
         // Every record in this chunk was dropped; decode the next one.
     }
-    return true;
 }
 
 std::uint32_t
@@ -568,6 +553,17 @@ TraceReader::chunkOffsetV2(std::uint64_t seq) const
     const std::uint64_t stride =
         kChunkHeaderBytes + file_chunk_records_ * sizeof(PackedRecord);
     return kHeaderBytesV2 + seq * stride;
+}
+
+void
+TraceReader::dropChunksBefore(std::uint64_t seq, ReadStats &stats)
+{
+    if (seq <= next_chunk_)
+        return;
+    const std::uint64_t gap = seq - next_chunk_;
+    stats.droppedChunks += gap;
+    stats.droppedRecords += gap * file_chunk_records_;
+    next_chunk_ = seq;
 }
 
 bool
@@ -627,9 +623,9 @@ TraceReader::resyncScan(std::uint64_t from, std::uint64_t &found_seq,
     }
 }
 
-bool
+void
 TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
-                               Error &err, ReadStats &stats)
+                               ReadStats &stats)
 {
     out.clear();
     while (next_chunk_ < num_chunks_) {
@@ -671,9 +667,7 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
 
         if (damage == ErrorCode::None && seq > next_chunk_) {
             // A later chunk where an earlier one should be: bytes were
-            // lost. Strict refuses; Skip/Resync account the gap (every
-            // missing chunk is a full one — only the last chunk of the
-            // file may be partial, and it cannot be inside a gap).
+            // lost. Strict refuses; Skip/Resync account the gap.
             if (opts_.policy == ReadPolicy::Strict) {
                 damage = ErrorCode::BadChunkHeader;
                 what = "chunk sequence jumped from "
@@ -681,10 +675,7 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
                        + std::to_string(seq);
                 seq = next_chunk_;
             } else {
-                const std::uint64_t gap = seq - next_chunk_;
-                stats.droppedChunks += gap;
-                stats.droppedRecords += gap * file_chunk_records_;
-                next_chunk_ = seq;
+                dropChunksBefore(seq, stats);
             }
         }
 
@@ -713,54 +704,38 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
                 damage = ErrorCode::ChecksumMismatch;
                 what = "chunk payload checksum mismatch";
             } else {
-                out.resize(count);
-                std::size_t kept = 0;
-                const std::uint8_t *in = raw_.data();
-                for (std::uint32_t i = 0; i < count;
-                     ++i, in += sizeof(PackedRecord)) {
-                    PackedRecord p;
-                    std::memcpy(&p, in, sizeof(PackedRecord));
-                    if (p.op > kMaxOp) {
-                        // CRC-valid but semantically invalid: a buggy
-                        // producer, not storage damage.
-                        if (opts_.policy == ReadPolicy::Strict) {
-                            const std::uint64_t at =
-                                chunk_off + kChunkHeaderBytes
-                                + i * sizeof(PackedRecord);
-                            err = Error::make(
-                                ErrorCode::BadRecord,
-                                "'" + path_ + "': chunk "
-                                    + std::to_string(seq)
-                                    + " record " + std::to_string(i)
-                                    + " has invalid opcode "
-                                    + std::to_string(p.op)
-                                    + " (near byte "
-                                    + std::to_string(at) + ")",
-                                path_, at, seq);
-                            return false;
-                        }
-                        ++stats.droppedRecords;
-                        continue;
-                    }
-                    out[kept++] = unpack(p);
-                }
-                out.resize(kept);
+                // CRC-valid but semantically invalid records come from
+                // a buggy producer, not storage damage.
+                unpackRecords(
+                    raw_.data(), count, out, opts_.policy, stats,
+                    [&](std::size_t i, unsigned op) {
+                        const std::uint64_t at =
+                            chunk_off + kChunkHeaderBytes
+                            + i * sizeof(PackedRecord);
+                        return errorAt(
+                            ErrorCode::BadRecord,
+                            "chunk " + std::to_string(seq) + " record "
+                                + std::to_string(i)
+                                + " has invalid opcode "
+                                + std::to_string(op) + " (near byte "
+                                + std::to_string(at) + ")",
+                            at, seq);
+                    });
                 next_chunk_ = seq + 1;
                 if (!out.empty())
-                    return true;
+                    return;
                 continue; // chunk fully dropped; decode the next one
             }
         }
 
         // --- Damage handling, per policy ---
         if (opts_.policy == ReadPolicy::Strict) {
-            err = Error::make(
+            throw CacError(errorAt(
                 damage,
-                "'" + path_ + "': chunk " + std::to_string(next_chunk_)
-                    + " of " + std::to_string(num_chunks_) + ": " + what
+                "chunk " + std::to_string(next_chunk_) + " of "
+                    + std::to_string(num_chunks_) + ": " + what
                     + " (near byte " + std::to_string(chunk_off) + ")",
-                path_, chunk_off, next_chunk_);
-            return false;
+                chunk_off, next_chunk_));
         }
 
         // Quarantine the chunk the cursor is on.
@@ -768,7 +743,7 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
         stats.droppedRecords += expectedCount(next_chunk_);
         ++next_chunk_;
         if (next_chunk_ >= num_chunks_)
-            return true;
+            return;
 
         if (damage == ErrorCode::ChecksumMismatch) {
             // Framing intact: the payload was fully consumed, so the
@@ -784,12 +759,7 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
         if (at_end || opts_.policy == ReadPolicy::Resync) {
             std::uint64_t found = 0;
             if (!at_end && resyncScan(chunk_off + 1, found, stats)) {
-                if (found > next_chunk_) {
-                    const std::uint64_t gap = found - next_chunk_;
-                    stats.droppedChunks += gap;
-                    stats.droppedRecords += gap * file_chunk_records_;
-                    next_chunk_ = found;
-                }
+                dropChunksBefore(found, stats);
                 continue;
             }
             // Nothing readable ahead: the rest of the file is lost.
@@ -797,31 +767,32 @@ TraceReader::decodeFileChunkV2(std::vector<TraceRecord> &out,
             stats.droppedRecords +=
                 record_count_ - next_chunk_ * file_chunk_records_;
             next_chunk_ = num_chunks_;
-            return true;
+            return;
         }
 
         // Skip: the chunk stride is fixed, so the next chunk's offset
         // is computable without trusting the damaged header.
         const std::uint64_t off = chunkOffsetV2(next_chunk_);
         if (std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0) {
-            err = Error::make(ErrorCode::SeekFailed,
-                              "'" + path_ + "': seek to chunk "
-                                  + std::to_string(next_chunk_)
-                                  + " failed",
-                              path_, off, next_chunk_);
-            return false;
+            throw CacError(errorAt(ErrorCode::SeekFailed,
+                                   "seek to chunk "
+                                       + std::to_string(next_chunk_)
+                                       + " failed",
+                                   off, next_chunk_));
         }
         byte_pos_ = off;
     }
-    return true;
 }
 
-bool
-TraceReader::decodeNextChunk(std::vector<TraceRecord> &out, Error &err,
+void
+TraceReader::decodeNextChunk(std::vector<TraceRecord> &out,
                              ReadStats &stats)
 {
-    if (format_ == TraceFormat::V1)
-        return decodeChunkV1(out, err, stats);
+    CAC_OBS_SPAN("trace", "trace.decode");
+    if (format_ == TraceFormat::V1) {
+        decodeChunkV1(out, stats);
+        return;
+    }
 
     out.clear();
     for (;;) {
@@ -829,44 +800,32 @@ TraceReader::decodeNextChunk(std::vector<TraceRecord> &out, Error &err,
             const std::size_t avail = staging_.size() - staging_pos_;
             if (staging_pos_ == 0 && avail <= chunk_records_) {
                 // Whole-chunk handoff, no copy (the default path:
-                // requested chunking == file chunking).
+                // requested chunking == file chunking). staging_ gets
+                // the cleared buffer back.
                 out.swap(staging_);
-                staging_.clear();
             } else {
                 const std::size_t take =
                     std::min(chunk_records_, avail);
-                out.assign(staging_.begin()
-                               + static_cast<std::ptrdiff_t>(
-                                   staging_pos_),
-                           staging_.begin()
-                               + static_cast<std::ptrdiff_t>(
-                                   staging_pos_ + take));
+                const auto from =
+                    staging_.begin()
+                    + static_cast<std::ptrdiff_t>(staging_pos_);
+                out.assign(from,
+                           from + static_cast<std::ptrdiff_t>(take));
                 staging_pos_ += take;
-                if (staging_pos_ < staging_.size())
-                    return true;
-                staging_.clear();
             }
-            staging_pos_ = 0;
-            return true;
+            return;
         }
 
         staging_.clear();
         staging_pos_ = 0;
-        if (!decodeFileChunkV2(staging_, err, stats))
-            return false;
+        decodeFileChunkV2(staging_, stats);
         if (staging_.empty())
-            return true; // end of trace
-        if (skip_records_ > 0) {
-            // seekTo() landed inside this chunk: discard the prefix.
-            staging_pos_ = static_cast<std::size_t>(
-                std::min<std::uint64_t>(staging_.size(),
-                                        skip_records_));
-            skip_records_ = 0;
-            if (staging_pos_ >= staging_.size()) {
-                staging_.clear();
-                staging_pos_ = 0;
-            }
-        }
+            return; // end of trace
+        // seekTo() may have landed inside this chunk: discard the
+        // prefix (all of it means decode the next chunk).
+        staging_pos_ = static_cast<std::size_t>(
+            std::min<std::uint64_t>(staging_.size(), skip_records_));
+        skip_records_ = 0;
     }
 }
 
@@ -879,46 +838,23 @@ TraceReader::startPrefetcher()
     PrefetchState &st = *prefetch_;
     st.worker = std::thread([this, &st] {
         // Double buffering: decode into a local chunk while the
-        // consumer drains the slot, then hand it over. Every exception
-        // — expected (CacError) or foreign (injected faults, bad
-        // allocs) — is captured and surfaced as an Error on the
-        // consumer side; this thread never lets one escape, so the
-        // process can never std::terminate on a poisoned trace.
+        // consumer drains the slot, then hand it over. contain()
+        // captures every exception, so this thread never lets one
+        // escape and a poisoned trace can never std::terminate.
         std::vector<TraceRecord> local;
         local.reserve(chunk_records_);
         ReadStats totals;
         for (;;) {
-            Error err;
-            bool clean = true;
-            try {
-                CAC_OBS_SPAN("trace", "trace.decode");
-                clean = decodeNextChunk(local, err, totals);
-            } catch (const CacError &e) {
-                clean = false;
-                err = e.err();
-            } catch (const std::exception &e) {
-                clean = false;
-                err = Error::make(ErrorCode::WorkerFailed,
-                                  "'" + path_
-                                      + "': prefetch worker failed: "
-                                      + e.what(),
-                                  path_, byte_pos_);
-            } catch (...) {
-                clean = false;
-                err = Error::make(
-                    ErrorCode::WorkerFailed,
-                    "'" + path_
-                        + "': prefetch worker failed with an unknown "
-                          "exception",
-                    path_, byte_pos_);
-            }
+            Error err = contain("prefetch worker", [&] {
+                decodeNextChunk(local, totals);
+            });
             std::unique_lock<std::mutex> lock(st.m);
             st.stats = totals;
             st.canProduce.wait(
                 lock, [&] { return !st.slotFull || st.stop; });
             if (st.stop)
                 return;
-            if (!clean || local.empty()) {
+            if (err || local.empty()) {
                 st.error = std::move(err);
                 st.eof = true;
                 st.canConsume.notify_all();
@@ -948,8 +884,8 @@ TraceReader::stopPrefetcher()
     prefetch_.reset();
 }
 
-const std::vector<TraceRecord> &
-TraceReader::nextPrefetched()
+Error
+TraceReader::takePrefetched()
 {
     startPrefetcher();
     PrefetchState &st = *prefetch_;
@@ -961,36 +897,17 @@ TraceReader::nextPrefetched()
         st.canConsume.wait(lock, [&] { return st.slotFull || st.eof; });
     }
     stats_ = st.stats;
-    if (st.slotFull) {
-        buffer_.swap(st.slot);
-        st.slot.clear();
-        st.slotFull = false;
-        lock.unlock();
-        st.canProduce.notify_one();
-        delivered_ += buffer_.size();
-#if CAC_OBS
-        if (!buffer_.empty() && obs::Registry::global().enabled()) {
-            static const obs::Counter chunks =
-                obs::Registry::global().counter("trace.chunks_delivered");
-            static const obs::Counter records = obs::Registry::global()
-                                                    .counter(
-                                                        "trace.records_"
-                                                        "delivered");
-            chunks.add(1);
-            records.add(buffer_.size());
-        }
-#endif
-        return buffer_;
-    }
-    // Producer finished: surface its failure, if any, exactly once the
-    // preceding complete chunks have been delivered.
-    Error err = std::move(st.error);
-    st.error = Error{};
-    lock.unlock();
     buffer_.clear();
-    if (err)
-        fail(std::move(err));
-    return buffer_;
+    if (!st.slotFull) {
+        // Producer finished: surface its failure, if any, exactly once
+        // the preceding complete chunks have been delivered.
+        return std::exchange(st.error, Error{});
+    }
+    buffer_.swap(st.slot);
+    st.slotFull = false;
+    lock.unlock();
+    st.canProduce.notify_one();
+    return Error{};
 }
 
 const std::vector<TraceRecord> &
@@ -1000,32 +917,12 @@ TraceReader::next()
         buffer_.clear();
         return buffer_;
     }
-    if (prefetch_enabled_)
-        return nextPrefetched();
-
-    Error err;
-    bool clean = true;
-    try {
-        CAC_OBS_SPAN("trace", "trace.decode");
-        clean = decodeNextChunk(buffer_, err, stats_);
-    } catch (const CacError &e) {
-        clean = false;
-        err = e.err();
-    } catch (const std::exception &e) {
-        clean = false;
-        err = Error::make(ErrorCode::WorkerFailed,
-                          "'" + path_ + "': trace read failed: "
-                              + e.what(),
-                          path_, byte_pos_);
-    } catch (...) {
-        clean = false;
-        err = Error::make(
-            ErrorCode::WorkerFailed,
-            "'" + path_
-                + "': trace read failed with an unknown exception",
-            path_, byte_pos_);
-    }
-    if (!clean) {
+    Error err = prefetch_enabled_
+                    ? takePrefetched()
+                    : contain("trace read", [this] {
+                          decodeNextChunk(buffer_, stats_);
+                      });
+    if (err) {
         fail(std::move(err));
         return buffer_;
     }
@@ -1053,9 +950,7 @@ TraceReader::rewind()
                                   ? kHeaderBytesV2
                                   : kHeaderBytesV1;
     if (std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0) {
-        fail(Error::make(ErrorCode::SeekFailed,
-                         "'" + path_ + "': seek failed during rewind",
-                         path_));
+        fail(errorAt(ErrorCode::SeekFailed, "seek failed during rewind"));
         return;
     }
     byte_pos_ = off;
@@ -1086,11 +981,11 @@ TraceReader::seekTo(std::uint64_t record)
                        static_cast<long>(recordOffset(record)),
                        SEEK_SET)
             != 0) {
-            return fail(Error::make(
-                ErrorCode::SeekFailed,
-                "'" + path_ + "': seek to record "
-                    + std::to_string(record) + " failed",
-                path_, recordOffset(record)));
+            return fail(errorAt(ErrorCode::SeekFailed,
+                                "seek to record "
+                                    + std::to_string(record)
+                                    + " failed",
+                                recordOffset(record)));
         }
         next_record_ = record;
         byte_pos_ = recordOffset(record);
@@ -1104,11 +999,10 @@ TraceReader::seekTo(std::uint64_t record)
     const std::uint64_t seq = record / file_chunk_records_;
     const std::uint64_t off = chunkOffsetV2(seq);
     if (std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0) {
-        return fail(Error::make(ErrorCode::SeekFailed,
-                                "'" + path_ + "': seek to record "
-                                    + std::to_string(record)
-                                    + " failed",
-                                path_, off, seq));
+        return fail(errorAt(ErrorCode::SeekFailed,
+                            "seek to record " + std::to_string(record)
+                                + " failed",
+                            off, seq));
     }
     byte_pos_ = off;
     next_chunk_ = seq;
@@ -1148,27 +1042,6 @@ tryReadTrace(const std::string &path, Trace &out, Error &error,
         return false;
     }
     return true;
-}
-
-bool
-tryReadTrace(const std::string &path, Trace &out, std::string &error)
-{
-    Error err;
-    if (!tryReadTrace(path, out, err)) {
-        error = err.message();
-        return false;
-    }
-    return true;
-}
-
-Trace
-readTrace(const std::string &path)
-{
-    Trace trace;
-    std::string error;
-    if (!tryReadTrace(path, trace, error))
-        fatal("%s", error.c_str());
-    return trace;
 }
 
 Trace

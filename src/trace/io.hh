@@ -31,9 +31,15 @@
  * Two read paths share the decoder:
  *  - readTrace()/tryReadTrace() materialize the whole trace in memory;
  *  - TraceReader streams the file in bounded chunks (the engine's
- *    streaming workloads and `cac_sim --stream` run on it), optionally
- *    double-buffered by a prefetch thread whose failures are contained
- *    and re-surfaced on the consumer — never std::terminate.
+ *    streaming workloads and `cac_sim --stream` run on it).
+ *
+ * Inside TraceReader there is one producer: the chunk decoder throws
+ * CacError at the damage, and one containment step turns that — or
+ * any foreign exception — into the reader's error state, never
+ * std::terminate. Both delivery modes run that same contained
+ * producer: synchronously inside next(), or on a prefetch thread that
+ * double-buffers the next chunk and re-surfaces its error on the
+ * consumer.
  *
  * For chaos testing, TraceReaderOptions can mount a deterministic
  * FaultInjector (trace/fault_injector.hh) under the reader's I/O:
@@ -141,7 +147,7 @@ struct TraceReaderOptions
     bool verifyChecksums = true;
 
     /** Mount a deterministic fault injector under the reader's I/O. */
-    std::optional<FaultInjector::Spec> inject;
+    std::optional<FaultInjector::Spec> inject = std::nullopt;
 };
 
 /**
@@ -154,30 +160,25 @@ void writeTrace(const Trace &trace, const std::string &path,
                 TraceFormat format = TraceFormat::V2,
                 std::size_t chunk_records = kDefaultTraceChunkRecords);
 
-/** Deserialize a trace from @p path. Fatal on I/O or format failure. */
-Trace readTrace(const std::string &path);
-
 /**
- * Deserialize under @p options (policy, checksum verification, fault
- * injection). Fatal on failure; non-strict policies report drops via
- * @p stats instead of failing on recoverable damage.
+ * Deserialize a trace from @p path under @p options (policy, checksum
+ * verification, fault injection). Fatal on I/O or format failure;
+ * non-strict policies report drops via @p stats instead of failing on
+ * recoverable damage.
  */
 Trace readTrace(const std::string &path,
-                const TraceReaderOptions &options,
+                const TraceReaderOptions &options = TraceReaderOptions{},
                 ReadStats *stats = nullptr);
 
 /**
  * Deserialize a trace from @p path without exiting on failure.
  *
  * @param out receives the records (cleared first).
- * @param error receives a description on failure — malformed or
+ * @param error receives the structured failure — malformed or
  *        truncated files name the failing record and byte offsets.
+ * @param stats receives the drop totals (non-strict policies).
  * @return true on success.
  */
-bool tryReadTrace(const std::string &path, Trace &out,
-                  std::string &error);
-
-/** Structured-error overload, with optional policy and drop totals. */
 bool tryReadTrace(const std::string &path, Trace &out, Error &error,
                   const TraceReaderOptions &options = TraceReaderOptions{},
                   ReadStats *stats = nullptr);
@@ -219,22 +220,16 @@ bool tryReadTrace(const std::string &path, Trace &out, Error &error,
 class TraceReader
 {
   public:
-    /** Default records per chunk (matches the accessBatch run size). */
-    static constexpr std::size_t kDefaultChunkRecords =
-        kDefaultTraceChunkRecords;
-
-    /** Legacy alias — see cac::Prefetch. */
-    using Prefetch = cac::Prefetch;
-
     /**
      * Open @p path and validate the header. Check ok() afterwards.
      *
      * @param chunk_records records decoded per next() call (>= 1).
      * @param prefetch read-ahead mode (see Prefetch).
      */
-    explicit TraceReader(const std::string &path,
-                         std::size_t chunk_records = kDefaultChunkRecords,
-                         Prefetch prefetch = Prefetch::Auto);
+    explicit TraceReader(
+        const std::string &path,
+        std::size_t chunk_records = kDefaultTraceChunkRecords,
+        Prefetch prefetch = Prefetch::Auto);
 
     /** Open @p path with full options (policy, injection, ...). */
     TraceReader(const std::string &path,
@@ -284,8 +279,9 @@ class TraceReader
      * Decode the next chunk into the internal buffer and return it.
      * Empty at end of trace and after any error; under the strict
      * policy, damage mid-file sets error() (with byte offsets) and
-     * discards the partial chunk. Never throws — worker and injected
-     * exceptions are contained and converted to the error state.
+     * discards the partial chunk. Never throws — decoder, worker and
+     * injected exceptions are contained and converted to the error
+     * state.
      */
     const std::vector<TraceRecord> &next();
 
@@ -321,36 +317,68 @@ class TraceReader
     /** Enter the failed state; returns false. */
     bool fail(Error err);
 
-    /** Parse + validate the file header (both formats). */
+    /** An Error whose diagnostic is "'<path>': @p what". */
+    Error errorAt(ErrorCode code, const std::string &what,
+                  std::uint64_t byte_offset = kNoOffset,
+                  std::uint64_t chunk_index = kNoOffset) const;
+
+    /**
+     * Run one reader step (header parse or chunk decode) with every
+     * failure contained: a CacError comes back as its Error, any other
+     * exception as WorkerFailed naming @p what ("header read",
+     * "prefetch worker", "trace read") and the current byte offset.
+     * The one boundary between the throwing decoder and the error
+     * state. Returns a None Error when the step completed.
+     */
+    template <typename Step>
+    Error contain(const char *what, Step &&step);
+
+    /** Parse + validate the file header (both formats); throws. */
     void readHeader();
+
+    /**
+     * Read @p want header bytes. Throws ReadFailed when the retry
+     * budget runs out, and Truncated ("file ends before the
+     * @p truncated_before") on a short read; with a null
+     * @p truncated_before a short read just returns false.
+     */
+    bool readHeaderBytes(std::uint8_t *dst, std::size_t want,
+                         const char *truncated_before);
 
     /**
      * Read exactly @p want bytes (resuming short reads), retrying
      * transient failures with exponential backoff. Returns the bytes
      * obtained; sets @p failed when the retry budget was exhausted.
-     * Advances byte_pos_. Injected foreign exceptions propagate (the
-     * callers' containment layers catch them).
+     * Advances byte_pos_. Injected foreign exceptions propagate
+     * (contain() catches them).
      */
     std::size_t rawRead(void *dst, std::size_t want, bool &failed,
                         ReadStats &stats);
 
     /**
-     * Decode the next consumer chunk into @p out (empty at end of
-     * trace). False on a strict-policy failure with the diagnostic in
-     * @p err; non-strict policies account drops in @p stats instead.
-     * Touches the stream state — in prefetch mode only the helper
-     * thread calls this.
+     * The producer: decode the next consumer chunk into @p out (empty
+     * at end of trace). Throws CacError on a strict-policy failure;
+     * non-strict policies account drops in @p stats instead. Touches
+     * the stream state — in prefetch mode only the helper thread calls
+     * this.
      */
-    bool decodeNextChunk(std::vector<TraceRecord> &out, Error &err,
+    void decodeNextChunk(std::vector<TraceRecord> &out,
                          ReadStats &stats);
 
     /** V1: bare record array. */
-    bool decodeChunkV1(std::vector<TraceRecord> &out, Error &err,
-                       ReadStats &stats);
+    void decodeChunkV1(std::vector<TraceRecord> &out, ReadStats &stats);
 
     /** V2: decode the next whole file chunk (validating checksums). */
-    bool decodeFileChunkV2(std::vector<TraceRecord> &out, Error &err,
+    void decodeFileChunkV2(std::vector<TraceRecord> &out,
                            ReadStats &stats);
+
+    /**
+     * Account the chunks before @p seq that the cursor skipped as
+     * dropped, and move the cursor to @p seq. Every skipped chunk is a
+     * full one: only the file's last chunk may be partial, and it
+     * cannot lie inside a gap.
+     */
+    void dropChunksBefore(std::uint64_t seq, ReadStats &stats);
 
     /**
      * Resync scan: search forward from @p from for the next valid
@@ -373,7 +401,11 @@ class TraceReader
     /** Stop and join the helper thread; safe to call repeatedly. */
     void stopPrefetcher();
 
-    const std::vector<TraceRecord> &nextPrefetched();
+    /**
+     * Prefetch mode: move the helper's next chunk into buffer_ (empty
+     * once it finished) and return its failure, if any.
+     */
+    Error takePrefetched();
 
     std::string path_;
     TraceReaderOptions opts_;

@@ -10,7 +10,7 @@
 
 #include "common/rng.hh"
 #include "core/experiment.hh"
-#include "core/organization.hh"
+#include "core/registry.hh"
 
 namespace cac
 {

@@ -1,12 +1,16 @@
-# CLI smoke test for cac_sim, run as: cmake -DSIM=<path> -P smoke.cmake
+# CLI smoke test for cac_sim, run as:
+#   cmake -DSIM=<cac_sim> -DTRACEGEN=<cac_tracegen> -P smoke.cmake
 #
 # Guards the flag-error contract: unknown flags and missing values must
 # print the *full* usage (including the analysis-layer flags) to stderr
-# and exit non-zero, and --analyze must work without a trace. A plain
-# CMake script so the check needs no extra test dependency.
+# and exit non-zero, and --analyze must work without a trace. It also
+# holds every mode that reads --trace to the reader options on a
+# damaged read. A plain CMake script so the check needs no extra test
+# dependency.
 
-if(NOT DEFINED SIM)
-  message(FATAL_ERROR "pass -DSIM=<path-to-cac_sim>")
+if(NOT DEFINED SIM OR NOT DEFINED TRACEGEN)
+  message(FATAL_ERROR
+          "pass -DSIM=<path-to-cac_sim> -DTRACEGEN=<path-to-cac_tracegen>")
 endif()
 
 # 1. Unknown flag: non-zero exit, diagnostic, full usage text.
@@ -176,5 +180,58 @@ elseif(NOT metrics MATCHES "\"obs_compiled\": false")
   message(FATAL_ERROR "metrics.json manifest lacks obs_compiled")
 endif()
 file(REMOVE_RECURSE ${obs_dir})
+
+# 11. Damaged reads (checksum-caught bit flips from a seeded fault
+#     injector): --search and --analyze honour the reader options, a
+#     failed search is an error rather than a zero-miss ranking, and a
+#     loaded --compare --csv reports the drops exactly as --stream does.
+set(dmg_dir ${CMAKE_CURRENT_BINARY_DIR}/smoke_damage)
+file(MAKE_DIRECTORY ${dmg_dir})
+set(trc ${dmg_dir}/swim.trc)
+set(flips --inject seed=5,flip=1e-4)
+execute_process(COMMAND ${TRACEGEN} --proxy swim --instructions 20000
+                        --out ${trc}
+                RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cac_tracegen failed (${rc})")
+endif()
+execute_process(COMMAND ${SIM} --trace ${trc} --search --stream --csv
+                        ${flips}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "error: .*checksum mismatch")
+  message(FATAL_ERROR "failed --search exited ${rc}: ${err}")
+endif()
+execute_process(COMMAND ${SIM} --trace ${trc} --search --stream
+                        ${flips}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR out MATCHES "best:")
+  message(FATAL_ERROR "failed --search named a best candidate: ${out}")
+endif()
+foreach(mode "--search;--csv" "--analyze;a2")
+  execute_process(COMMAND ${SIM} --trace ${trc} ${mode} --policy skip
+                          ${flips}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT err MATCHES "degraded read")
+    message(FATAL_ERROR "${mode} --policy skip exited ${rc}: ${err}")
+  endif()
+endforeach()
+execute_process(COMMAND ${SIM} --trace ${trc} --compare --csv
+                        --policy skip ${flips}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE loaded
+                ERROR_VARIABLE err)
+execute_process(COMMAND ${SIM} --trace ${trc} --compare --csv --stream
+                        --policy skip ${flips}
+                RESULT_VARIABLE rc_stream OUTPUT_VARIABLE streamed
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT rc_stream EQUAL 0
+   OR NOT loaded MATCHES ",dropped_records,status"
+   OR NOT loaded STREQUAL streamed)
+  message(FATAL_ERROR "degraded loaded and streamed CSVs differ:\n"
+                      "${loaded}\n--- streamed ---\n${streamed}")
+endif()
+file(REMOVE_RECURSE ${dmg_dir})
 
 message(STATUS "cac_sim CLI smoke: all checks passed")

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
-#include "core/organization.hh"
+#include "core/registry.hh"
 #include "trace/builder.hh"
 #include "workloads/stride.hh"
 

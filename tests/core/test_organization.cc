@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/organization.hh"
+#include "core/registry.hh"
 
 namespace cac
 {

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -426,6 +427,156 @@ TEST(FaultInjection, TruncationMatrixEveryByteOffsetBothFormats)
                 << name << ": " << error.message();
             EXPECT_TRUE(out.empty()) << name;
             EXPECT_EQ(stats.droppedRecords, kLie) << name;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+// ---- delivery-mode parity --------------------------------------------
+
+/**
+ * Drain @p path under @p opts once synchronously and once through the
+ * prefetch thread. Both modes run the same contained producer, so
+ * they must agree on everything a caller can observe: ok(), every
+ * delivered record, the Error (code, message, byte offset, chunk
+ * index) and every ReadStats field.
+ */
+::testing::AssertionResult
+deliveryModesAgree(const std::string &path, TraceReaderOptions opts)
+{
+    opts.prefetch = Prefetch::Off;
+    TraceReader sync(path, opts);
+    const Trace sync_records = drain(sync);
+    opts.prefetch = Prefetch::On;
+    TraceReader prefetch(path, opts);
+    const Trace prefetch_records = drain(prefetch);
+
+    const Error &a = sync.errorInfo();
+    const Error &b = prefetch.errorInfo();
+    const ReadStats &s = sync.readStats();
+    const ReadStats &t = prefetch.readStats();
+    if (sync.ok() != prefetch.ok() || a.code != b.code
+        || a.message() != b.message() || a.byteOffset != b.byteOffset
+        || a.chunkIndex != b.chunkIndex)
+        return ::testing::AssertionFailure()
+               << "errors differ: sync '" << a.message() << "' at byte "
+               << a.byteOffset << " chunk " << a.chunkIndex
+               << ", prefetch '" << b.message() << "' at byte "
+               << b.byteOffset << " chunk " << b.chunkIndex;
+    if (s.droppedRecords != t.droppedRecords
+        || s.droppedChunks != t.droppedChunks
+        || s.crcErrors != t.crcErrors || s.resyncs != t.resyncs
+        || s.retries != t.retries)
+        return ::testing::AssertionFailure()
+               << "read stats differ: dropped " << s.droppedRecords
+               << "/" << t.droppedRecords << ", chunks "
+               << s.droppedChunks << "/" << t.droppedChunks;
+    if (sync.recordsRead() != prefetch.recordsRead()
+        || sync_records.size() != prefetch_records.size())
+        return ::testing::AssertionFailure()
+               << "delivered " << sync_records.size() << " vs "
+               << prefetch_records.size() << " records";
+    for (std::size_t i = 0; i < sync_records.size(); ++i) {
+        const TraceRecord &x = sync_records[i];
+        const TraceRecord &y = prefetch_records[i];
+        if (x.op != y.op || x.addr != y.addr || x.pc != y.pc
+            || x.taken != y.taken || x.dst != y.dst || x.src1 != y.src1
+            || x.src2 != y.src2)
+            return ::testing::AssertionFailure()
+                   << "record " << i << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The truncation matrix again, with every cut × policy × container
+ * (two CACTRC02 file chunkings, two reader chunkings) drained in both
+ * delivery modes. On a multi-core host Prefetch::Auto only ever runs
+ * the prefetch thread, so this is what covers the synchronous path's
+ * damage handling.
+ */
+TEST(FaultInjection, TruncationMatrixPrefetchParity)
+{
+    const Trace original = randomTrace(40, 24);
+    struct Variant
+    {
+        TraceFormat format;
+        std::size_t fileChunk;
+    };
+    const std::string full = tmpPath("cac_fi_parity_full.trc");
+    const std::string path = tmpPath("cac_fi_parity_cut.trc");
+    for (const Variant &v : {Variant{TraceFormat::V1, 16},
+                             Variant{TraceFormat::V2, 16},
+                             Variant{TraceFormat::V2, 7}}) {
+        writeTrace(original, full, v.format, v.fileChunk);
+        const std::uintmax_t size = std::filesystem::file_size(full);
+        for (std::uintmax_t cut = 0; cut < size; ++cut) {
+            std::filesystem::copy_file(
+                full, path,
+                std::filesystem::copy_options::overwrite_existing);
+            std::filesystem::resize_file(path, cut);
+            for (ReadPolicy policy :
+                 {ReadPolicy::Strict, ReadPolicy::Skip,
+                  ReadPolicy::Resync}) {
+                for (std::size_t read_chunk : {16, 5}) {
+                    ASSERT_TRUE(deliveryModesAgree(
+                        path, withPolicy(policy, read_chunk)))
+                        << (v.format == TraceFormat::V1 ? "V1" : "V2")
+                        << " file chunk " << v.fileChunk << " cut "
+                        << cut << " policy "
+                        << static_cast<int>(policy) << " read chunk "
+                        << read_chunk;
+                }
+            }
+        }
+    }
+    std::remove(full.c_str());
+    std::remove(path.c_str());
+}
+
+/**
+ * Delivery-mode parity on the BadRecord, corrupt-chunk-header and
+ * flipped-payload files of the cases above, under every policy and two
+ * reader chunkings (matching the file's and re-chunking it).
+ */
+TEST(FaultInjection, DamagedFilePrefetchParity)
+{
+    const std::string path = tmpPath("cac_fi_parity_damage.trc");
+    const std::vector<std::function<void()>> damages = {
+        [&] {
+            writeTrace(withBadOpcode(randomTrace(1000, 31), 437), path,
+                       TraceFormat::V2, 100);
+        },
+        [&] {
+            writeTrace(withBadOpcode(randomTrace(1000, 33), 523), path,
+                       TraceFormat::V1);
+        },
+        [&] {
+            const Trace original = randomTrace(1000, 35);
+            writeTrace(original, path, TraceFormat::V1);
+            flipBit(path, 16 + 311 * 24,
+                    static_cast<int>(original[311].op) ^ 0xEE);
+        },
+        [&] {
+            writeTrace(randomTrace(1000, 22), path, TraceFormat::V2, 100);
+            flipBit(path, chunkOffset(5, 100) + 8, 0x01);
+        },
+        [&] {
+            writeTrace(randomTrace(1000, 21), path, TraceFormat::V2, 100);
+            flipBit(path, chunkOffset(3, 100) + 20 + 57, 0x04);
+        },
+    };
+    for (std::size_t d = 0; d < damages.size(); ++d) {
+        damages[d]();
+        for (ReadPolicy policy : {ReadPolicy::Strict, ReadPolicy::Skip,
+                                  ReadPolicy::Resync}) {
+            for (std::size_t read_chunk : {100, 37}) {
+                ASSERT_TRUE(deliveryModesAgree(
+                    path, withPolicy(policy, read_chunk)))
+                    << "damage " << d << " policy "
+                    << static_cast<int>(policy) << " read chunk "
+                    << read_chunk;
+            }
         }
     }
     std::remove(path.c_str());

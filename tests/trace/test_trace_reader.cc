@@ -161,16 +161,18 @@ TEST(TraceReader, TruncationReportsByteOffsets)
 TEST(TraceReader, TryReadTraceReportsErrorsWithoutExiting)
 {
     Trace out;
-    std::string error;
+    Error error;
     EXPECT_FALSE(tryReadTrace("/nonexistent/path/x.trc", out, error));
-    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+    EXPECT_NE(error.message().find("cannot open"), std::string::npos)
+        << error.message();
 
     const std::string path = tmpPath("cac_reader_badmagic.trc");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     std::fwrite("NOTATRACE_______", 16, 1, f);
     std::fclose(f);
     EXPECT_FALSE(tryReadTrace(path, out, error));
-    EXPECT_NE(error.find("not a CACTRC01"), std::string::npos) << error;
+    EXPECT_NE(error.message().find("not a CACTRC01"), std::string::npos)
+        << error.message();
     std::remove(path.c_str());
 }
 
@@ -220,7 +222,7 @@ TEST(TraceReader, PrefetchOnMatchesPrefetchOff)
 
     // Force the helper thread on even on a single-core machine, with a
     // chunk size that exercises many producer/consumer handoffs.
-    TraceReader on(path, 100, TraceReader::Prefetch::On);
+    TraceReader on(path, 100, Prefetch::On);
     ASSERT_TRUE(on.ok()) << on.error();
     expectTracesEqual(drain(on), original);
     EXPECT_EQ(on.recordsRead(), 3000u);
@@ -246,7 +248,7 @@ TEST(TraceReader, PrefetchOnReportsTruncation)
     writeTrace(randomTrace(100, 10), path, TraceFormat::V1);
     std::filesystem::resize_file(path, 16 + 24 * 50 + 7);
 
-    TraceReader reader(path, 32, TraceReader::Prefetch::On);
+    TraceReader reader(path, 32, Prefetch::On);
     ASSERT_TRUE(reader.ok()) << reader.error();
     const Trace partial = drain(reader);
     EXPECT_FALSE(reader.ok());

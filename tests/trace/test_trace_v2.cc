@@ -238,7 +238,7 @@ TEST(TraceV2, PrefetchDeliversTheSameStream)
     const Trace original = randomTrace(3000, 16);
     writeTrace(original, path, TraceFormat::V2, 100);
 
-    TraceReader on(path, 100, TraceReader::Prefetch::On);
+    TraceReader on(path, 100, Prefetch::On);
     ASSERT_TRUE(on.ok()) << on.error();
     expectTracesEqual(drain(on), original);
     on.rewind();

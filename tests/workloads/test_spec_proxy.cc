@@ -8,7 +8,7 @@
 
 #include "cache/set_assoc.hh"
 #include "core/experiment.hh"
-#include "core/organization.hh"
+#include "core/registry.hh"
 #include "workloads/spec_proxy.hh"
 
 namespace cac

@@ -49,7 +49,8 @@
  * trace on the sweep thread pool and ranks them by measured conflict
  * misses, predicted conflict score and XOR fan-in.
  *
- * Reader resilience (docs/RESILIENCE.md): --policy picks how damage
+ * Reader resilience (docs/RESILIENCE.md), in every mode that reads
+ * --trace (--analyze and --search included): --policy picks how damage
  * found mid-trace is handled (strict fail-fast with byte offsets, skip
  * to quarantine bad chunks, resync to scan for the next chunk header),
  * --no-verify disables CACTRC02 payload checksums, and --inject mounts
@@ -193,6 +194,21 @@ optionalCell(bool valid, double value, int precision)
     return buf;
 }
 
+/** Warn with exact totals when a read of @p what dropped records. */
+void
+warnDegraded(const std::string &what, const ReadStats &stats)
+{
+    if (!stats.degraded())
+        return;
+    warn("%s: degraded read — %llu record(s) dropped (%llu chunk(s), "
+         "%llu checksum error(s), %llu resync(s))",
+         what.c_str(),
+         static_cast<unsigned long long>(stats.droppedRecords),
+         static_cast<unsigned long long>(stats.droppedChunks),
+         static_cast<unsigned long long>(stats.crcErrors),
+         static_cast<unsigned long long>(stats.resyncs));
+}
+
 /**
  * Surface per-cell resilience outcomes: failed cells print their
  * structured error and flip the exit code to 1; degraded cells (drops
@@ -208,36 +224,26 @@ reportResilience(const std::vector<SweepCell> &cells)
             std::fprintf(stderr, "error: %s\n",
                          cell.error.message().c_str());
             rc = 1;
-        } else if (cell.read.degraded()) {
-            warn("%s x %s: degraded read — %llu record(s) dropped "
-                 "(%llu chunk(s), %llu checksum error(s), %llu "
-                 "resync(s))",
-                 cell.workload.c_str(), cell.org.c_str(),
-                 static_cast<unsigned long long>(
-                     cell.read.droppedRecords),
-                 static_cast<unsigned long long>(
-                     cell.read.droppedChunks),
-                 static_cast<unsigned long long>(cell.read.crcErrors),
-                 static_cast<unsigned long long>(cell.read.resyncs));
+        } else {
+            warnDegraded(cell.workload + " x " + cell.org, cell.read);
         }
     }
     return rc;
 }
 
-/** Whole-file load under the requested policy, warning about drops. */
+/**
+ * Whole-file load under the requested policy. Drops land in @p stats
+ * when given (the caller attributes them to its cells), and are
+ * warned about here otherwise.
+ */
 Trace
-loadTrace(const std::string &path, const TraceReaderOptions &options)
+loadTrace(const std::string &path, const TraceReaderOptions &options,
+          ReadStats *stats = nullptr)
 {
-    ReadStats stats;
-    Trace trace = readTrace(path, options, &stats);
-    if (stats.degraded()) {
-        warn("'%s': degraded read — %llu record(s) dropped (%llu "
-             "chunk(s), %llu checksum error(s))",
-             path.c_str(),
-             static_cast<unsigned long long>(stats.droppedRecords),
-             static_cast<unsigned long long>(stats.droppedChunks),
-             static_cast<unsigned long long>(stats.crcErrors));
-    }
+    ReadStats own;
+    Trace trace = readTrace(path, options, stats ? stats : &own);
+    if (!stats)
+        warnDegraded("'" + path + "'", own);
     return trace;
 }
 
@@ -333,7 +339,8 @@ emitObsArtifacts()
  */
 int
 runAnalyze(const std::string &label, const std::string &trace_path,
-           const TargetSpec &spec, bool stream)
+           const TargetSpec &spec, bool stream,
+           const TraceReaderOptions &read_opts)
 {
     auto model = makeOrganization(label, spec.org);
     auto *cache = dynamic_cast<SetAssocCache *>(model.get());
@@ -364,7 +371,7 @@ runAnalyze(const std::string &label, const std::string &trace_path,
     if (stream) {
         // Chunked replay: the profiler is chunk-invisible, so memory
         // stays bounded however long the trace is.
-        TraceReader reader(trace_path);
+        TraceReader reader(trace_path, read_opts);
         if (!reader.ok())
             fatal("%s", reader.error().c_str());
         std::printf("\ntrace: %s (%llu instructions, streamed)\n",
@@ -372,8 +379,9 @@ runAnalyze(const std::string &label, const std::string &trace_path,
                     static_cast<unsigned long long>(
                         reader.recordCount()));
         replayAll(reader, profiler);
+        warnDegraded("'" + trace_path + "'", reader.readStats());
     } else {
-        Trace trace = readTrace(trace_path);
+        Trace trace = loadTrace(trace_path, read_opts);
         std::printf("\ntrace: %s (%zu instructions)\n",
                     trace_path.c_str(), trace.size());
         profiler.replay(trace.data(), trace.size());
@@ -390,7 +398,8 @@ runAnalyze(const std::string &label, const std::string &trace_path,
 int
 runSearch(const std::string &trace_path, const TargetSpec &spec,
           std::size_t search_polys, std::size_t search_random,
-          std::uint64_t seed, unsigned threads, bool csv, bool stream)
+          std::uint64_t seed, unsigned threads, bool csv, bool stream,
+          const TraceReaderOptions &read_opts)
 {
     SearchConfig config;
     config.geometry = CacheGeometry(
@@ -417,9 +426,9 @@ runSearch(const std::string &trace_path, const TargetSpec &spec,
                             probe.recordCount()),
                         engine.candidates().size(), config.threads);
         }
-        results = engine.runTraceFile(trace_path);
+        results = engine.runTraceFile(trace_path, read_opts);
     } else {
-        Trace trace = readTrace(trace_path);
+        Trace trace = loadTrace(trace_path, read_opts);
         if (!csv) {
             std::printf("trace: %s (%zu instructions), %zu candidates, "
                         "%u thread(s)\n",
@@ -429,9 +438,19 @@ runSearch(const std::string &trace_path, const TargetSpec &spec,
         results = engine.run(std::make_shared<const Trace>(std::move(trace)));
     }
 
+    // A failed measurement (damaged trace, blown deadline) is an
+    // error, not a zero-miss result.
+    int rc = 0;
+    for (const SearchResult &r : results) {
+        if (r.failed) {
+            std::fprintf(stderr, "error: %s\n", r.error.message().c_str());
+            rc = 1;
+        }
+    }
+
     if (csv) {
         std::printf("%s", searchCsv(results).c_str());
-        return 0;
+        return rc;
     }
 
     TextTable table;
@@ -444,19 +463,26 @@ runSearch(const std::string &trace_path, const TargetSpec &spec,
         table.cell(r.indexName);
         table.cell(static_cast<long long>(r.maxFanIn));
         table.cell(static_cast<long long>(r.predictedScore));
-        table.cell(100.0 * r.stats.missRatio(), 2);
-        table.cell(static_cast<long long>(r.conflictMisses));
-        table.cell(r.conflictMissPct, 2);
-        table.cell(static_cast<long long>(r.way0OccupiedSets));
+        table.cell(optionalCell(!r.failed, 100.0 * r.stats.missRatio(),
+                                2));
+        table.cell(optionalCell(
+            !r.failed, static_cast<double>(r.conflictMisses), 0));
+        table.cell(optionalCell(!r.failed, r.conflictMissPct, 2));
+        table.cell(optionalCell(
+            !r.failed, static_cast<double>(r.way0OccupiedSets), 0));
     }
     std::printf("%s", table.render().c_str());
+    // Failed rows rank last, so a failed front row means nothing was
+    // measured (the shared reference cell failed).
     const SearchResult &best = results.front();
+    if (best.failed)
+        return rc;
     std::printf("best: %s (%s), %llu conflict misses, fan-in %u%s\n",
                 best.label.c_str(), best.indexName.c_str(),
                 static_cast<unsigned long long>(best.conflictMisses),
                 best.maxFanIn,
                 best.strideFree ? ", stride-free certificate" : "");
-    return 0;
+    return rc;
 }
 
 /**
@@ -549,7 +575,7 @@ runScenarioCmd(const std::string &mix_label, const std::string &org,
     }
     sweep.addScenarioWorkload(
         scenario->name(), scenario,
-        stream ? TraceReader::kDefaultChunkRecords : 0);
+        stream ? kDefaultTraceChunkRecords : 0);
 
     // Harvest each cell's aggregate conflict misses before the
     // profiler is destroyed (cells finish on worker threads).
@@ -646,6 +672,7 @@ runSharded(const std::string &trace_path,
            bool stream, bool csv)
 {
     std::shared_ptr<const Trace> trace;
+    ReadStats load_stats;
     std::uint64_t records = 0;
     if (stream) {
         TraceReader probe(trace_path);
@@ -654,7 +681,7 @@ runSharded(const std::string &trace_path,
         records = probe.recordCount();
     } else {
         trace = std::make_shared<const Trace>(
-            loadTrace(trace_path, opts.read));
+            loadTrace(trace_path, opts.read, &load_stats));
         records = trace->size();
     }
     if (!csv) {
@@ -714,6 +741,8 @@ runSharded(const std::string &trace_path,
                 cell.error = result.error;
             }
         }
+        if (!stream)
+            cell.read = load_stats; // the load's drops, as in a sweep
         cell.stats = cell.target.l1;
         cells.push_back(std::move(cell));
     }
@@ -884,14 +913,14 @@ runMain(int argc, char **argv)
                               csv, stream, cores);
     }
     if (!analyze.empty())
-        return runAnalyze(analyze, trace_path, spec, stream);
+        return runAnalyze(analyze, trace_path, spec, stream, read_opts);
     if (search) {
         if (trace_path.empty()) {
             std::fprintf(stderr, "--search requires --trace\n");
             usage();
         }
         return runSearch(trace_path, spec, search_polys, search_random,
-                         seed, threads, csv, stream);
+                         seed, threads, csv, stream, read_opts);
     }
 
     if (trace_path.empty() || (org.empty() && cpu.empty() && !compare))
@@ -908,12 +937,7 @@ runMain(int argc, char **argv)
                 fatal("%s", reader.error().c_str());
             instructions = reader.recordCount();
             replayAll(reader, target);
-            if (reader.readStats().degraded()) {
-                warn("'%s': degraded read — %llu record(s) dropped",
-                     trace_path.c_str(),
-                     static_cast<unsigned long long>(
-                         reader.readStats().droppedRecords));
-            }
+            warnDegraded("'" + trace_path + "'", reader.readStats());
         } else {
             Trace trace = loadTrace(trace_path, read_opts);
             instructions = trace.size();
@@ -1025,6 +1049,7 @@ runMain(int argc, char **argv)
     for (const std::string &label : labels)
         sweep.addTarget(label);
 
+    ReadStats load_stats;
     if (stream) {
         // Chunked replay from disk: only the header is read up front.
         TraceReader probe(trace_path);
@@ -1038,7 +1063,7 @@ runMain(int argc, char **argv)
         }
         sweep.addTraceFileWorkload(trace_path, trace_path);
     } else {
-        Trace trace = loadTrace(trace_path, read_opts);
+        Trace trace = loadTrace(trace_path, read_opts, &load_stats);
         if (!csv) {
             std::printf("trace: %s (%zu instructions)\n",
                         trace_path.c_str(), trace.size());
@@ -1047,7 +1072,14 @@ runMain(int argc, char **argv)
             trace_path, std::make_shared<const Trace>(std::move(trace)));
     }
 
-    const std::vector<SweepCell> cells = sweep.run();
+    std::vector<SweepCell> cells = sweep.run();
+    // Loaded cells replay an already-decoded trace: give each the
+    // load's drop totals, exactly as a streamed cell carries its
+    // reader's, so degraded results never pass as exact.
+    if (!stream) {
+        for (SweepCell &cell : cells)
+            cell.read = load_stats;
+    }
     harvestObsWindows(cells);
     const int rc = reportResilience(cells);
 
