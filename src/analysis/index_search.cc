@@ -208,6 +208,7 @@ IndexSearch::runGrid(
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
         SearchResult &r = results[i];
         const SweepCell &cell = cells[i + 1];
+        r.read = cell.read;
         if (reference_failed || cell.failed) {
             r.failed = true;
             r.error = reference_failed ? cells[0].error : cell.error;

@@ -99,6 +99,12 @@ struct SearchResult
      */
     bool failed = false;
     Error error; ///< why, when failed (ErrorCode::Timeout, ...)
+    /**
+     * Degradation totals from this candidate's sweep cell: what a
+     * streamed read under Skip/Resync dropped (all-zero for healthy
+     * reads and for in-memory workloads, whose loader reports drops).
+     */
+    ReadStats read;
 };
 
 /** Parallel placement-function search over one workload. */

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
+#include <span>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
@@ -208,27 +211,179 @@ parseInto(const std::string &label, ScenarioSpec &spec,
     return true;
 }
 
-/** Build one program's (un-relocated) trace. */
-Trace
-buildProgramTrace(const std::string &atom, const ScenarioConfig &config)
+/** The Figure-1 sweep a "strideN" atom runs. */
+StrideWorkloadConfig
+strideConfig(std::uint64_t stride, const ScenarioConfig &config)
+{
+    StrideWorkloadConfig wc;
+    wc.stride = stride;
+    wc.sweeps = std::max<std::size_t>(
+        1, config.programRecords / wc.numElements);
+    return wc;
+}
+
+/**
+ * Records to reserve for one program: exact for stride and trace atoms
+ * (@p file holds a trace atom's records, read beforehand), and for a
+ * proxy the n + n/8 overshoot room buildSpecProxy() reserves.
+ */
+std::size_t
+reserveFor(const std::string &atom, const ScenarioConfig &config,
+           const Trace &file)
+{
+    if (isTraceAtom(atom))
+        return file.size();
+    std::uint64_t stride = 0;
+    if (parseStrideAtom(atom, stride)) {
+        const StrideWorkloadConfig wc = strideConfig(stride, config);
+        return wc.sweeps * wc.numElements;
+    }
+    return config.programRecords + config.programRecords / 8;
+}
+
+/**
+ * Append one program's (un-relocated) trace to @p out. A trace atom's
+ * records are copied from @p file, which is then freed.
+ */
+void
+appendProgram(Trace &out, const std::string &atom,
+              const ScenarioConfig &config, Trace &file)
 {
     if (isTraceAtom(atom)) {
-        return readTrace(atom.substr(
-            std::char_traits<char>::length(kTracePrefix)));
+        out.insert(out.end(), file.begin(), file.end());
+        Trace().swap(file);
+        return;
     }
     std::uint64_t stride = 0;
     if (parseStrideAtom(atom, stride)) {
-        StrideWorkloadConfig wc;
-        wc.stride = stride;
-        wc.sweeps = std::max<std::size_t>(
-            1, config.programRecords / wc.numElements);
-        Trace trace;
-        TraceBuilder builder(trace);
-        for (std::uint64_t addr : makeStrideAddressTrace(wc))
+        TraceBuilder builder(out);
+        for (std::uint64_t addr :
+             makeStrideAddressTrace(strideConfig(stride, config)))
             builder.load(addr, reg::r(1), reg::r(30));
-        return trace;
+        return;
     }
-    return buildSpecProxy(atom, config.programRecords, config.seed);
+    appendSpecProxy(out, atom, config.programRecords, config.seed);
+}
+
+/** Block-size bounds for the in-place interleave. */
+constexpr std::size_t kMinBlock = 256;
+constexpr std::size_t kMaxBlock = 8192;
+
+/**
+ * The unit interleaveInPlace() moves: the largest divisor of
+ * @p quantum in [kMinBlock, kMaxBlock], else the quantum itself. A
+ * divisor keeps every full slice a whole number of blocks; the floor
+ * keeps the moves few and long (one-record blocks turn the permutation
+ * into a random walk over the whole mix, several times slower).
+ */
+std::size_t
+compositionBlock(std::size_t quantum)
+{
+    for (std::size_t b = std::min(quantum, kMaxBlock); b >= kMinBlock;
+         --b) {
+        if (quantum % b == 0)
+            return b;
+    }
+    return quantum;
+}
+
+std::size_t
+roundUp(std::size_t n, std::size_t block)
+{
+    return (n + block - 1) / block * block;
+}
+
+/**
+ * Reorder @p buffer — programs stored back to back, program p holding
+ * @p length[p] records — into @p schedule's order, in place. Each
+ * program is padded to whole blocks (compositionBlock()), so every
+ * segment of the schedule is a run of whole blocks in both layouts;
+ * the blocks are moved into place by following the permutation's
+ * cycles with one block of scratch, and one left-to-right pass then
+ * closes the padding. Extra memory: under (k+1) blocks of records for
+ * k programs, plus one table entry per block.
+ */
+void
+interleaveInPlace(Trace &buffer, const std::vector<std::size_t> &length,
+                  const std::vector<Scenario::Segment> &schedule,
+                  std::size_t quantum)
+{
+    static_assert(std::is_trivially_copyable_v<TraceRecord>);
+    // One segment per program means nothing was split: the schedule
+    // is the programs in order, which is how they already lie.
+    if (schedule.size() == length.size())
+        return;
+    // Some program was split, so the quantum, and with it the block,
+    // is shorter than the longest program.
+    const std::size_t block = compositionBlock(quantum);
+    const std::size_t total = buffer.size();
+
+    // Pad: shift the programs right, last first, onto block
+    // boundaries. The gaps' contents are never read back.
+    std::vector<std::size_t> from_start(length.size());
+    std::size_t padded_total = 0;
+    for (std::size_t p = 0; p < length.size(); ++p) {
+        from_start[p] = padded_total;
+        padded_total += roundUp(length[p], block);
+    }
+    buffer.resize(padded_total);
+    TraceRecord *data = buffer.data();
+    std::size_t packed_start = total;
+    for (std::size_t p = length.size(); p-- > 0;) {
+        packed_start -= length[p];
+        if (from_start[p] != packed_start) {
+            std::memmove(data + from_start[p], data + packed_start,
+                         length[p] * sizeof(TraceRecord));
+        }
+    }
+
+    // from[d]: the source block destination block d takes.
+    std::vector<std::size_t> from;
+    from.reserve(padded_total / block);
+    std::vector<std::size_t> pos(length.size(), 0);
+    for (const Scenario::Segment &segment : schedule) {
+        const std::size_t first =
+            (from_start[segment.program] + pos[segment.program]) / block;
+        const std::size_t blocks = roundUp(segment.count, block) / block;
+        for (std::size_t j = 0; j < blocks; ++j)
+            from.push_back(first + j);
+        pos[segment.program] += segment.count;
+    }
+    CAC_ASSERT(from.size() * block == padded_total);
+
+    // Follow each cycle once: lift its head into scratch, pull every
+    // block of the cycle into place, drop the head into the last hole.
+    const std::size_t bytes = block * sizeof(TraceRecord);
+    Trace scratch(block);
+    for (std::size_t head = 0; head < from.size(); ++head) {
+        if (from[head] == head)
+            continue;
+        std::memcpy(scratch.data(), data + head * block, bytes);
+        std::size_t d = head;
+        while (from[d] != head) {
+            const std::size_t s = from[d];
+            std::memcpy(data + d * block, data + s * block, bytes);
+            from[d] = d;
+            d = s;
+        }
+        std::memcpy(data + d * block, scratch.data(), bytes);
+        from[d] = d;
+    }
+
+    // Close the padding behind each program's last (partial) segment.
+    std::size_t read = 0;
+    std::size_t write = 0;
+    for (const Scenario::Segment &segment : schedule) {
+        CAC_ASSERT(segment.offset == write);
+        if (read != write) {
+            std::memmove(data + write, data + read,
+                         segment.count * sizeof(TraceRecord));
+        }
+        write += segment.count;
+        read += roundUp(segment.count, block);
+    }
+    CAC_ASSERT(write == total);
+    buffer.resize(total);
 }
 
 } // anonymous namespace
@@ -265,20 +420,43 @@ Scenario::Scenario(const ScenarioSpec &spec)
     if (config_.quantumRecords == 0)
         fatal("scenario '%s': quantum must be > 0", label_.c_str());
 
-    // Build, relocate and phase-shift every program's private stream.
-    std::vector<Trace> programs;
-    programs.reserve(names_.size());
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-        Trace trace = buildProgramTrace(names_[i], config_);
-        if (trace.empty())
+    // Trace files are read first: their lengths size the buffer, so
+    // appending never reallocates it (and never copies the mix).
+    const std::size_t k = names_.size();
+    std::vector<Trace> files(k);
+    std::size_t reserve = 0;
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+        if (isTraceAtom(names_[i])) {
+            files[i] = readTrace(names_[i].substr(
+                std::char_traits<char>::length(kTracePrefix)));
+        }
+        const std::size_t records = reserveFor(names_[i], config_, files[i]);
+        reserve += records;
+        longest = std::max(longest, records);
+    }
+    const std::size_t quantum =
+        static_cast<std::size_t>(config_.quantumRecords);
+    // Room for interleaveInPlace()'s padding: under one block per
+    // program, and a block is shorter than the longest program
+    // whenever padding happens at all.
+    composed_.reserve(reserve
+                      + k * std::min(compositionBlock(quantum), longest));
+
+    // Append, relocate and phase-shift every program where it lies.
+    std::vector<std::size_t> length(k);
+    for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t start = composed_.size();
+        appendProgram(composed_, names_[i], config_, files[i]);
+        length[i] = composed_.size() - start;
+        if (length[i] == 0)
             fatal("scenario '%s': program '%s' produced no records",
                   label_.c_str(), names_[i].c_str());
-        relocateTrace(trace, i * config_.asidStrideBytes,
+        const std::span<TraceRecord> program(composed_.data() + start,
+                                             length[i]);
+        relocateTrace(program, i * config_.asidStrideBytes,
                       static_cast<std::uint32_t>(i) * kPcStridePerAsid);
-        rotateTrace(trace, (i * config_.phaseRecords) % trace.size());
-        total += trace.size();
-        programs.push_back(std::move(trace));
+        rotateTrace(program, (i * config_.phaseRecords) % length[i]);
     }
 
     // Round-robin interleave in quantum-sized slices until every
@@ -286,36 +464,26 @@ Scenario::Scenario(const ScenarioSpec &spec)
     // its consecutive slices merge into one segment (no switch
     // happens), so the schedule's transitions are exactly the context
     // switches.
-    composed_.reserve(total);
-    std::vector<std::size_t> pos(programs.size(), 0);
-    const std::size_t quantum =
-        static_cast<std::size_t>(config_.quantumRecords);
+    std::vector<std::size_t> pos(k, 0);
+    std::size_t offset = 0;
     bool progressed = true;
     while (progressed) {
         progressed = false;
-        for (unsigned i = 0; i < programs.size(); ++i) {
-            const Trace &trace = programs[i];
-            if (pos[i] >= trace.size())
+        for (unsigned i = 0; i < k; ++i) {
+            if (pos[i] >= length[i])
                 continue;
-            const std::size_t take =
-                std::min(quantum, trace.size() - pos[i]);
-            if (!schedule_.empty() && schedule_.back().program == i) {
+            const std::size_t take = std::min(quantum, length[i] - pos[i]);
+            if (!schedule_.empty() && schedule_.back().program == i)
                 schedule_.back().count += take;
-            } else {
-                schedule_.push_back(
-                    Segment{i, composed_.size(), take});
-            }
-            composed_.insert(composed_.end(),
-                             trace.begin()
-                                 + static_cast<std::ptrdiff_t>(pos[i]),
-                             trace.begin()
-                                 + static_cast<std::ptrdiff_t>(pos[i]
-                                                               + take));
+            else
+                schedule_.push_back(Segment{i, offset, take});
+            offset += take;
             pos[i] += take;
             progressed = true;
         }
     }
-    CAC_ASSERT(composed_.size() == total);
+    CAC_ASSERT(offset == composed_.size());
+    interleaveInPlace(composed_, length, schedule_, quantum);
 }
 
 std::uint64_t

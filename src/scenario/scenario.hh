@@ -5,7 +5,7 @@
  * The paper's conflict phenomena were measured one program at a time;
  * this layer composes the existing workloads — Spec95 proxies
  * (workloads/spec_proxy.hh), the Figure-1 strided-vector generator
- * (workloads/stride.hh) and CACTRC01 trace files — into one
+ * (workloads/stride.hh) and trace files — into one
  * *multiprogrammed* reference stream, so the sweep engine can ask
  * whether a placement scheme keeps its edge when programs share the
  * cache across context switches.
@@ -15,8 +15,8 @@
  *   mix:PROG[+PROG...][@OPT[,OPT...]]
  *
  *   PROG := a Spec95 proxy name ("swim"), "strideN" (the Figure-1
- *           sweep with stride N elements), or "trace:PATH" (a CACTRC01
- *           file)
+ *           sweep with stride N elements), or "trace:PATH" (a
+ *           CACTRC01 or CACTRC02 file, read under the strict policy)
  *   OPT  := q=N      context-switch quantum in records (default 50k)
  *         | n=N      records built per program (default 120k;
  *                    "trace:" programs keep their file's length)
@@ -40,6 +40,18 @@
  * built once, relocated into its ASID window, rotated by its phase
  * shift, and interleaved round-robin in quantum-sized segments until
  * every program is exhausted (shorter programs simply finish early).
+ *
+ * Composition happens in place, so a mix is resident once: every
+ * program is appended straight into the composed buffer (reserved up
+ * front, so it never reallocates), relocated and rotated where it
+ * lies, and the buffer is then permuted into schedule order block by
+ * block. A block is the largest divisor of the quantum in [256, 8192]
+ * records, or the quantum itself when it has none. Beyond composed(),
+ * composing holds under (k+1) blocks of records for k programs (each
+ * program's padding to whole blocks, plus one block of scratch), one
+ * table entry per block, and, for a "trace:" or "strideN" atom, the
+ * file's records or the stride's addresses until they are appended.
+ *
  * The composed trace plus its segment schedule make scenarios a
  * first-class sweep axis: SweepRunner::addScenarioWorkload() grids
  * (target x scenario) with per-program miss attribution in every cell,

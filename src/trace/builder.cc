@@ -27,7 +27,7 @@ TraceBuilder::pcFor(const std::source_location &loc, unsigned salt)
 }
 
 void
-relocateTrace(Trace &trace, std::uint64_t addr_offset,
+relocateTrace(std::span<TraceRecord> trace, std::uint64_t addr_offset,
               std::uint32_t pc_offset)
 {
     for (TraceRecord &rec : trace) {
@@ -38,7 +38,7 @@ relocateTrace(Trace &trace, std::uint64_t addr_offset,
 }
 
 void
-rotateTrace(Trace &trace, std::size_t records)
+rotateTrace(std::span<TraceRecord> trace, std::size_t records)
 {
     if (trace.empty())
         return;

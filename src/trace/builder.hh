@@ -14,6 +14,7 @@
 #define CAC_TRACE_BUILDER_HH
 
 #include <source_location>
+#include <span>
 #include <unordered_map>
 
 #include "trace/record.hh"
@@ -49,8 +50,15 @@ constexpr std::int8_t none = -1;
 class TraceBuilder
 {
   public:
-    /** @param trace destination stream (owned by the caller). */
-    explicit TraceBuilder(Trace &trace) : trace_(trace) {}
+    /**
+     * @param trace destination stream (owned by the caller); records
+     *        already in it are kept, and new ones are appended after
+     *        them.
+     */
+    explicit TraceBuilder(Trace &trace)
+        : trace_(trace), start_(trace.size())
+    {
+    }
 
     /**
      * Emit a load of @p addr into @p dst, addressing off @p base.
@@ -119,13 +127,18 @@ class TraceBuilder
     /** Number of distinct static instructions emitted so far. */
     std::size_t staticInstructions() const { return pc_map_.size(); }
 
-    /** Number of dynamic instructions emitted so far. */
-    std::size_t size() const { return trace_.size(); }
+    /**
+     * Number of dynamic instructions this builder has emitted so far
+     * (records the trace held before the builder was made are not
+     * counted).
+     */
+    std::size_t size() const { return trace_.size() - start_; }
 
   private:
     std::uint32_t pcFor(const std::source_location &loc, unsigned salt);
 
     Trace &trace_;
+    std::size_t start_; ///< trace_.size() when the builder was made
     /** (file-hash, line, column) -> dense synthetic PC. */
     std::unordered_map<std::uint64_t, std::uint32_t> pc_map_;
 };
@@ -135,17 +148,19 @@ class TraceBuilder
  * operation's address shifts by @p addr_offset and every record's
  * synthetic PC by @p pc_offset. The scenario engine uses this to give
  * each co-scheduled program a disjoint ASID region (and disjoint
- * static instructions, so the predictors see separate code).
+ * static instructions, so the predictors see separate code). Takes a
+ * span so one program can be relocated where it lies inside a larger
+ * buffer; a Trace converts implicitly.
  */
-void relocateTrace(Trace &trace, std::uint64_t addr_offset,
+void relocateTrace(std::span<TraceRecord> trace, std::uint64_t addr_offset,
                    std::uint32_t pc_offset);
 
 /**
  * Rotate @p trace left by @p records (modulo its length): the stream
  * starts that many records into its cyclic reference pattern. The
- * scenario engine's phase-shift knob.
+ * scenario engine's phase-shift knob. In place, like relocateTrace().
  */
-void rotateTrace(Trace &trace, std::size_t records);
+void rotateTrace(std::span<TraceRecord> trace, std::size_t records);
 
 } // namespace cac
 

@@ -514,14 +514,21 @@ Trace
 buildSpecProxy(const std::string &name, std::size_t target_instructions,
                std::uint64_t seed)
 {
-    const ProxyDef &def = findDef(name);
     Trace trace;
     trace.reserve(target_instructions + target_instructions / 8);
+    appendSpecProxy(trace, name, target_instructions, seed);
+    return trace;
+}
+
+void
+appendSpecProxy(Trace &trace, const std::string &name,
+                std::size_t target_instructions, std::uint64_t seed)
+{
+    const ProxyDef &def = findDef(name);
     TraceBuilder builder(trace);
     Rng rng(seed * 0x9E3779B97F4A7C15ull
             + std::hash<std::string>{}(name));
     def.build(builder, rng, target_instructions);
-    return trace;
 }
 
 } // namespace cac

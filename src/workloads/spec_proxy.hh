@@ -65,6 +65,19 @@ Trace buildSpecProxy(const std::string &name,
                      std::size_t target_instructions,
                      std::uint64_t seed = 1);
 
+/**
+ * Append a proxy's dynamic trace to @p trace, after the records it
+ * already holds (which are left untouched): exactly the records
+ * buildSpecProxy() returns for the same arguments. The scenario engine
+ * builds every program straight into its composed buffer this way.
+ * Reserves nothing: the caller sizes @p trace (buildSpecProxy()
+ * reserves target_instructions + target_instructions / 8 records, room
+ * for a proxy's overshoot past its target at scenario-sized targets).
+ */
+void appendSpecProxy(Trace &trace, const std::string &name,
+                     std::size_t target_instructions,
+                     std::uint64_t seed = 1);
+
 } // namespace cac
 
 #endif // CAC_WORKLOADS_SPEC_PROXY_HH

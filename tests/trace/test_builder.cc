@@ -85,6 +85,23 @@ TEST(TraceBuilder, PcsAreFourByteSpaced)
         EXPECT_EQ(pc % 4, 0u);
 }
 
+TEST(TraceBuilder, SizeCountsOnlyItsOwnRecords)
+{
+    // A builder appending to a non-empty trace counts what it emitted,
+    // so loops of the form `while (b.size() < target)` build the same
+    // stream wherever it lands.
+    Trace t(5);
+    TraceBuilder b(t);
+    EXPECT_EQ(b.size(), 0u);
+    b.load(0x1000, reg::r(1));
+    b.store(0x2000, reg::r(1));
+    EXPECT_EQ(b.size(), 2u);
+    ASSERT_EQ(t.size(), 7u);
+    EXPECT_EQ(t[5].op, OpClass::Load);
+    EXPECT_EQ(t[6].op, OpClass::Store);
+    EXPECT_EQ(t[5].pc, 0u); // a fresh builder numbers PCs from zero
+}
+
 TEST(TraceBuilder, RegisterHelpers)
 {
     EXPECT_EQ(reg::r(0), 0);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cache/set_assoc.hh"
 #include "core/experiment.hh"
 #include "core/registry.hh"
@@ -66,6 +68,30 @@ TEST(SpecProxy, DeterministicPerSeed)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].addr, b[i].addr);
         EXPECT_EQ(a[i].op, b[i].op);
+    }
+}
+
+TEST(SpecProxy, AppendKeepsPrefixAndMatchesBuild)
+{
+    for (const char *name : {"swim", "gcc", "li"}) {
+        SCOPED_TRACE(name);
+        Trace prefix;
+        for (std::uint32_t i = 0; i < 777; ++i) {
+            TraceRecord rec;
+            rec.op = OpClass::Store;
+            rec.addr = 0xABC000 + 8 * i;
+            rec.pc = i;
+            prefix.push_back(rec);
+        }
+        Trace trace = prefix;
+        appendSpecProxy(trace, name, 12000, 5);
+        const Trace built = buildSpecProxy(name, 12000, 5);
+        ASSERT_EQ(trace.size(), prefix.size() + built.size());
+        EXPECT_EQ(0, std::memcmp(trace.data(), prefix.data(),
+                                 prefix.size() * sizeof(TraceRecord)));
+        EXPECT_EQ(0, std::memcmp(trace.data() + prefix.size(),
+                                 built.data(),
+                                 built.size() * sizeof(TraceRecord)));
     }
 }
 

@@ -438,6 +438,11 @@ runSearch(const std::string &trace_path, const TargetSpec &spec,
         results = engine.run(std::make_shared<const Trace>(std::move(trace)));
     }
 
+    // Every cell of a streamed search reads the same file, so the
+    // front row's totals stand for the whole grid: warn once, not once
+    // per candidate. (A loaded search warned in loadTrace().)
+    warnDegraded("'" + trace_path + "'", results.front().read);
+
     // A failed measurement (damaged trace, blown deadline) is an
     // error, not a zero-miss result.
     int rc = 0;
