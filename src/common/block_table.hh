@@ -12,7 +12,8 @@
  * first insert and doubles at 3/4 load.
  *
  * Key ~0 is reserved as the empty-slot marker. Block and page numbers
- * are shifted addresses and never reach it.
+ * are shifted addresses and never reach it; TraceBuilder's call-site
+ * keys can, so it keeps that one key beside its table.
  */
 
 #ifndef CAC_COMMON_BLOCK_TABLE_HH

@@ -192,6 +192,11 @@ parseInto(const std::string &label, ScenarioSpec &spec,
         } else if (key == "n") {
             if (value == 0)
                 return fail(error, diag + "n must be > 0");
+            if (value > kMaxProgramRecords) {
+                return fail(error, diag + "n exceeds the "
+                                       + std::to_string(kMaxProgramRecords)
+                                       + "-record maximum per program");
+            }
             spec.config.programRecords =
                 static_cast<std::size_t>(value);
         } else if (key == "phase") {
@@ -419,6 +424,9 @@ Scenario::Scenario(const ScenarioSpec &spec)
     // interleaving loop forever without ever advancing a program.
     if (config_.quantumRecords == 0)
         fatal("scenario '%s': quantum must be > 0", label_.c_str());
+    if (config_.programRecords > kMaxProgramRecords)
+        fatal("scenario '%s': n exceeds the %zu-record maximum per "
+              "program", label_.c_str(), kMaxProgramRecords);
 
     // Trace files are read first: their lengths size the buffer, so
     // appending never reallocates it (and never copies the mix).

@@ -18,8 +18,9 @@
  *           sweep with stride N elements), or "trace:PATH" (a
  *           CACTRC01 or CACTRC02 file, read under the strict policy)
  *   OPT  := q=N      context-switch quantum in records (default 50k)
- *         | n=N      records built per program (default 120k;
- *                    "trace:" programs keep their file's length)
+ *         | n=N      records built per program (default 120k, at
+ *                    most kMaxProgramRecords = 2^28; "trace:"
+ *                    programs keep their file's length)
  *         | keep     warm-keep: cache contents survive a switch
  *                    (default)
  *         | flush    cold-flush: the primary level is invalidated at

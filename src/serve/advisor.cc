@@ -138,6 +138,11 @@ parseAdvisorRequest(MsgType kind,
                                 "use proxy or stride atoms");
         }
     }
+    if (spec->config.programRecords > kMaxWorkloadRecords) {
+        return badRequest("workload n exceeds the "
+                          + std::to_string(kMaxWorkloadRecords)
+                          + "-record cap per program");
+    }
     request.workload = std::move(*spec);
 
     if (Error err = fetchU64(kv, "size", request.sizeBytes))

@@ -49,6 +49,12 @@ constexpr std::size_t kMaxPolyStarts = 64;
 constexpr std::size_t kMaxRandomSeeds = 64;
 constexpr unsigned kMaxTopN = 64;
 constexpr unsigned kMaxDeadlineMs = 10 * 60 * 1000;
+/**
+ * Records built per workload program (the label's n=): four times the
+ * largest n any documented run uses, so one request cannot make the
+ * server allocate gigabytes.
+ */
+constexpr std::size_t kMaxWorkloadRecords = 4 * 1000 * 1000;
 
 /** One validated ANALYZE or RECOMMEND request. */
 struct AdvisorRequest
@@ -81,7 +87,8 @@ struct AdvisorRequest
  * Parse and validate a request payload. @p kind must be Analyze or
  * Recommend. Returns ErrorCode::Protocol (with a diagnostic naming the
  * offending key) on unknown workloads, invalid geometry, "trace:"
- * atoms, or out-of-range knobs; on success fills @p request.
+ * atoms, workloads over kMaxWorkloadRecords per program, or
+ * out-of-range knobs; on success fills @p request.
  */
 Error parseAdvisorRequest(MsgType kind,
                           const std::map<std::string, std::string> &kv,

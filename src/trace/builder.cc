@@ -7,22 +7,24 @@
 namespace cac
 {
 
-std::uint32_t
-TraceBuilder::pcFor(const std::source_location &loc, unsigned salt)
+void
+TraceBuilder::rehashFile(const char *file)
 {
-    // Hash the call site; column included so two emits on one line get
-    // distinct PCs, salt so loops over arrays get one PC per array.
-    const std::uint64_t key =
-        std::hash<std::string_view>{}(loc.file_name())
-        ^ (static_cast<std::uint64_t>(loc.line()) << 20)
-        ^ (static_cast<std::uint64_t>(loc.column()) << 8)
-        ^ (static_cast<std::uint64_t>(salt) << 40);
-    auto it = pc_map_.find(key);
-    if (it != pc_map_.end())
-        return it->second;
+    file_ = file;
+    file_hash_ = std::hash<std::string_view>{}(file);
+}
+
+std::uint32_t
+TraceBuilder::firstSighting(std::uint64_t key)
+{
     // Dense PCs spaced 4 bytes apart, like real instruction addresses.
-    const auto pc = static_cast<std::uint32_t>(pc_map_.size() * 4);
-    pc_map_.emplace(key, pc);
+    const auto pc = static_cast<std::uint32_t>(staticInstructions() * 4);
+    if (key == BlockTable<std::uint32_t>::kEmptyKey) {
+        if (!reserved_key_pc_)
+            reserved_key_pc_ = pc;
+        return *reserved_key_pc_;
+    }
+    pcs_.insert(key).first = pc;
     return pc;
 }
 

@@ -8,15 +8,28 @@
  * same source line shares a PC. That property is what makes the
  * branch-history table and the memory-address predictor behave as they
  * would on real code (loads in a loop exhibit a stable stride per PC).
+ *
+ * A call site's key is hash(file name contents) ^ line<<20 ^ column<<8
+ * ^ salt<<40, and PCs are handed out densely in first-seen order. The
+ * builder remembers the last file-name pointer and its hash, so a run
+ * of emits from one file hashes its name once, and looks the key up
+ * in a flat BlockTable, so an emit from a known site costs one pointer
+ * compare and one probe. The key hashes the name's contents, not its
+ * pointer: one header call site reached from two translation units
+ * may arrive through two pointers to equal strings, and must keep one
+ * PC. Which sites share a key decides every PC, so the key's layout
+ * is part of every synthesized trace; tests/golden/proxy_digests.txt
+ * pins the result.
  */
 
 #ifndef CAC_TRACE_BUILDER_HH
 #define CAC_TRACE_BUILDER_HH
 
+#include <optional>
 #include <source_location>
 #include <span>
-#include <unordered_map>
 
+#include "common/block_table.hh"
 #include "trace/record.hh"
 
 namespace cac
@@ -125,7 +138,11 @@ class TraceBuilder
     }
 
     /** Number of distinct static instructions emitted so far. */
-    std::size_t staticInstructions() const { return pc_map_.size(); }
+    std::size_t
+    staticInstructions() const
+    {
+        return pcs_.size() + (reserved_key_pc_ ? 1 : 0);
+    }
 
     /**
      * Number of dynamic instructions this builder has emitted so far
@@ -135,12 +152,39 @@ class TraceBuilder
     std::size_t size() const { return trace_.size() - start_; }
 
   private:
-    std::uint32_t pcFor(const std::source_location &loc, unsigned salt);
+    /**
+     * The synthetic PC of call site @p loc with @p salt. Column is in
+     * the key so two emits on one line get distinct PCs, salt so loops
+     * over arrays get one PC per array; the layout must not change, or
+     * every synthesized trace changes with it. A known site in the
+     * last file seen costs a pointer compare and one table probe; only
+     * a new file or a site's first sighting leaves this inline path.
+     */
+    std::uint32_t
+    pcFor(const std::source_location &loc, unsigned salt)
+    {
+        if (loc.file_name() != file_) [[unlikely]]
+            rehashFile(loc.file_name());
+        const std::uint64_t key =
+            file_hash_ ^ (static_cast<std::uint64_t>(loc.line()) << 20)
+            ^ (static_cast<std::uint64_t>(loc.column()) << 8)
+            ^ (static_cast<std::uint64_t>(salt) << 40);
+        if (const std::uint32_t *pc = pcs_.find(key)) [[likely]]
+            return *pc;
+        return firstSighting(key);
+    }
+
+    void rehashFile(const char *file);
+    std::uint32_t firstSighting(std::uint64_t key);
 
     Trace &trace_;
     std::size_t start_; ///< trace_.size() when the builder was made
-    /** (file-hash, line, column) -> dense synthetic PC. */
-    std::unordered_map<std::uint64_t, std::uint32_t> pc_map_;
+    const char *file_ = nullptr; ///< file name file_hash_ was taken of
+    std::uint64_t file_hash_ = 0;
+    /** Call-site key -> dense synthetic PC. */
+    BlockTable<std::uint32_t> pcs_;
+    /** The PC of key BlockTable::kEmptyKey, which pcs_ cannot hold. */
+    std::optional<std::uint32_t> reserved_key_pc_;
 };
 
 /**

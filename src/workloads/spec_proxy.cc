@@ -514,6 +514,7 @@ Trace
 buildSpecProxy(const std::string &name, std::size_t target_instructions,
                std::uint64_t seed)
 {
+    CAC_ASSERT(target_instructions <= kMaxProgramRecords);
     Trace trace;
     trace.reserve(target_instructions + target_instructions / 8);
     appendSpecProxy(trace, name, target_instructions, seed);

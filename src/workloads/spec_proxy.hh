@@ -54,11 +54,20 @@ const SpecProxyInfo &specProxyInfo(const std::string &name);
 bool knownSpecProxy(const std::string &name);
 
 /**
+ * The most records one synthesized program may be asked for: 2^28
+ * records, 4 GiB in memory. Front ends (the mix grammar's n=,
+ * cac_tracegen) reject larger counts with a diagnostic; below it the
+ * target + target / 8 reserve cannot wrap.
+ */
+constexpr std::size_t kMaxProgramRecords = std::size_t{1} << 28;
+
+/**
  * Build the dynamic trace of a proxy.
  *
  * @param name proxy name (e.g. "tomcatv").
  * @param target_instructions approximate trace length (the builder
- *        stops at the first loop boundary past the target).
+ *        stops at the first loop boundary past the target); at most
+ *        kMaxProgramRecords.
  * @param seed determinism knob for the randomized patterns.
  */
 Trace buildSpecProxy(const std::string &name,

@@ -240,4 +240,53 @@ if(NOT rc EQUAL 0 OR NOT rc_stream EQUAL 0
 endif()
 file(REMOVE_RECURSE ${dmg_dir})
 
+# 12. Counts are parsed strictly: cac_tracegen rejects a value that is
+#     negative, partly numeric, out of range or empty with exit 1 and
+#     a message (never an abort or a silently empty trace), and a mix
+#     label whose n= exceeds the per-program maximum is a diagnostic
+#     rather than an uncaught allocation failure.
+set(cnt_dir ${CMAKE_CURRENT_BINARY_DIR}/smoke_counts)
+file(MAKE_DIRECTORY ${cnt_dir})
+foreach(bad "--instructions;-1" "--instructions;abc" "--instructions;12x"
+        "--instructions;1000000000000"
+        "--instructions;99999999999999999999" "--seed;-3" "--seed; 7"
+        "--chunk;0" "--chunk;1.5")
+  execute_process(COMMAND ${TRACEGEN} --proxy swim ${bad}
+                          --out ${cnt_dir}/bad.trc
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "bad value")
+    message(FATAL_ERROR "cac_tracegen ${bad} exited ${rc}: ${err}")
+  endif()
+endforeach()
+foreach(bad "--stride;-512" "--stride;0" "--elements;0" "--sweeps;x"
+        "--elements;100000;--sweeps;100000")
+  execute_process(COMMAND ${TRACEGEN} --stride 512 ${bad}
+                          --out ${cnt_dir}/bad.trc
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR err STREQUAL "")
+    message(FATAL_ERROR "cac_tracegen ${bad} exited ${rc}: ${err}")
+  endif()
+endforeach()
+if(EXISTS ${cnt_dir}/bad.trc)
+  message(FATAL_ERROR "a rejected cac_tracegen count wrote a trace")
+endif()
+execute_process(COMMAND ${TRACEGEN} --proxy swim --instructions 0x400
+                        --seed 0 --chunk 64 --out ${cnt_dir}/ok.trc
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "wrote [1-9][0-9]* instructions")
+  message(FATAL_ERROR "cac_tracegen with valid counts exited ${rc}: "
+                      "${out}${err}")
+endif()
+execute_process(COMMAND ${SIM} --scenario "mix:swim@n=1000000000000m"
+                        --org a2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "n exceeds the .*maximum")
+  message(FATAL_ERROR "oversized n= exited ${rc}: ${err}")
+endif()
+file(REMOVE_RECURSE ${cnt_dir})
+
 message(STATUS "cac_sim CLI smoke: all checks passed")

@@ -12,6 +12,7 @@
 
 #include "scenario/scenario.hh"
 #include "trace/builder.hh"
+#include "workloads/spec_proxy.hh"
 
 namespace cac
 {
@@ -97,6 +98,19 @@ TEST(ScenarioGrammar, MalformedLabels)
     // "stride" with no digits is not a stride atom.
     EXPECT_NE(parseError("mix:stride").find("unknown workload"),
               std::string::npos);
+}
+
+TEST(ScenarioGrammar, NAboveThePerProgramMaximumIsADiagnostic)
+{
+    // 10^18 records: far past what a vector can reserve. Rejecting it
+    // while parsing keeps composition from ever trying.
+    EXPECT_NE(parseError("mix:swim@n=1000000000000m")
+                  .find("n exceeds the 268435456-record maximum"),
+              std::string::npos);
+    EXPECT_NE(parseError("mix:stride512@n=268435457").find("n exceeds"),
+              std::string::npos);
+    EXPECT_EQ(parseOk("mix:swim@n=268435456").config.programRecords,
+              kMaxProgramRecords);
 }
 
 /** Addresses of every memory op attributed to @p program's segments. */

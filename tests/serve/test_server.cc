@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hh"
+#include "serve/advisor.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 
@@ -247,6 +248,31 @@ TEST_F(ServerFixture, TraceAtomsAreRefused)
     ASSERT_FALSE(reply.transport);
     EXPECT_EQ(reply.type, MsgType::ErrorMsg);
     EXPECT_EQ(reply.kv()["code"], "protocol");
+}
+
+TEST_F(ServerFixture, OversizedWorkloadIsATypedBadRequest)
+{
+    // n= is capped per program before anything is built; the cap
+    // itself still parses.
+    AdvisorRequest request;
+    EXPECT_FALSE(parseAdvisorRequest(
+        MsgType::Recommend, {{"workload", "mix:swim@n=4m"}}, request));
+    EXPECT_EQ(request.workload.config.programRecords, kMaxWorkloadRecords);
+
+    startServer(testConfig());
+    Client client = connectedClient();
+    for (const char *workload :
+         {"mix:swim@n=4000001", "mix:gcc+stride512@n=5m"}) {
+        const Reply reply = client.request(
+            MsgType::Recommend, std::string("workload=") + workload + "\n");
+        ASSERT_FALSE(reply.transport);
+        EXPECT_EQ(reply.type, MsgType::ErrorMsg) << workload;
+        EXPECT_EQ(reply.kv()["code"], "protocol") << workload;
+        EXPECT_NE(reply.kv()["message"].find("record cap"),
+                  std::string::npos)
+            << workload;
+    }
+    EXPECT_EQ(client.ping().type, MsgType::Pong);
 }
 
 TEST_F(ServerFixture, AnalyzeReportsPerProgramAttribution)

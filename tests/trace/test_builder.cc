@@ -3,10 +3,13 @@
  * Tests for the trace builder and its synthetic-PC assignment.
  */
 
+#include <functional>
 #include <set>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "builder_sites.hh"
 #include "trace/builder.hh"
 
 namespace cac
@@ -100,6 +103,70 @@ TEST(TraceBuilder, SizeCountsOnlyItsOwnRecords)
     EXPECT_EQ(t[5].op, OpClass::Load);
     EXPECT_EQ(t[6].op, OpClass::Store);
     EXPECT_EQ(t[5].pc, 0u); // a fresh builder numbers PCs from zero
+}
+
+TEST(TraceBuilder, NumbersSitesAcrossTranslationUnitsInFirstSeenOrder)
+{
+    // Site A lives in this file, site B in builder_sites.cc: every
+    // switch between them changes the file-name pointer the builder
+    // sees, and the numbering must still be first-seen.
+    Trace t;
+    TraceBuilder b(t);
+    for (int i = 0; i < 3; ++i) {
+        b.load(0x1000, reg::r(1)); // site A
+        test::emitSecondTuSite(b); // site B
+    }
+    ASSERT_EQ(t.size(), 6u);
+    for (std::size_t i = 0; i < t.size(); i += 2) {
+        EXPECT_EQ(t[i].pc, 0u) << i;
+        EXPECT_EQ(t[i + 1].pc, 4u) << i;
+    }
+    EXPECT_EQ(b.staticInstructions(), 2u);
+}
+
+TEST(TraceBuilder, HeaderSiteFromTwoTranslationUnitsSharesOnePc)
+{
+    // Each TU has its own copy of the header's site. Their file names
+    // are two pointers to equal strings in an unoptimized build and
+    // usually one merged pointer in an optimized one; either way the
+    // site keeps one PC.
+    Trace t;
+    TraceBuilder b(t);
+    const char *here = test::emitHeaderSite(b);
+    test::emitSecondTuSite(b);
+    const char *there = test::emitHeaderSiteFromSecondTu(b);
+    EXPECT_STREQ(here, there);
+    ASSERT_EQ(t.size(), 3u);
+    EXPECT_EQ(t[0].pc, 0u);
+    EXPECT_EQ(t[1].pc, 4u);
+    EXPECT_EQ(t[2].pc, 0u);
+    EXPECT_EQ(b.staticInstructions(), 2u);
+}
+
+TEST(TraceBuilder, ReservedTableKeyGetsItsOwnPc)
+{
+    // The PC table cannot store key ~0, so that one key lives in a
+    // side slot: it must neither assert nor break first-seen numbering.
+    const std::source_location site = test::reservedKeySite();
+    const std::uint64_t unsalted =
+        std::hash<std::string_view>{}(site.file_name())
+        ^ (std::uint64_t{site.line()} << 20)
+        ^ (std::uint64_t{site.column()} << 8);
+    if ((~unsalted & ((std::uint64_t{1} << 40) - 1)) != 0)
+        GTEST_SKIP() << "site not pinned for this toolchain";
+    const auto salt = static_cast<unsigned>(~unsalted >> 40);
+    Trace t;
+    TraceBuilder b(t);
+    b.load(0x10, reg::r(1));
+    b.load(0x20, reg::r(2), reg::none, salt, site);
+    b.load(0x30, reg::r(3));
+    b.load(0x40, reg::r(2), reg::none, salt, site);
+    ASSERT_EQ(t.size(), 4u);
+    EXPECT_EQ(t[0].pc, 0u);
+    EXPECT_EQ(t[1].pc, 4u);
+    EXPECT_EQ(t[2].pc, 8u);
+    EXPECT_EQ(t[3].pc, 4u);
+    EXPECT_EQ(b.staticInstructions(), 3u);
 }
 
 TEST(TraceBuilder, RegisterHelpers)

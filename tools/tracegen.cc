@@ -13,6 +13,9 @@
  *   cac_tracegen --proxy swim --out swim.trc --format v1
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,11 +56,37 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
+/**
+ * The value of the count flag at argv[i], as a whole decimal (or 0x
+ * hex) number in [@p lo, @p hi]; anything else exits 1 with a message.
+ */
+std::uint64_t
+countValue(int argc, char **argv, int &i, std::uint64_t lo,
+           std::uint64_t hi)
+{
+    const char *flag = argv[i];
+    const char *text = argValue(argc, argv, i);
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 0);
+    // strtoull skips blanks and negates a leading '-': demand a digit.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0'
+        || errno == ERANGE || value < lo || value > hi) {
+        std::fprintf(stderr,
+                     "bad value '%s' for %s (want an integer in "
+                     "[%" PRIu64 ", %" PRIu64 "])\n",
+                     text, flag, lo, hi);
+        std::exit(1);
+    }
+    return value;
+}
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    constexpr std::uint64_t kAny = ~std::uint64_t{0};
     std::string proxy;
     std::string out;
     std::size_t instructions = 1000000;
@@ -81,18 +110,17 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--proxy")) {
             proxy = argValue(argc, argv, i);
         } else if (!std::strcmp(arg, "--instructions")) {
-            instructions = std::strtoull(argValue(argc, argv, i),
-                                         nullptr, 0);
+            instructions = countValue(argc, argv, i, 1, kMaxProgramRecords);
         } else if (!std::strcmp(arg, "--seed")) {
-            seed = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            seed = countValue(argc, argv, i, 0, kAny);
         } else if (!std::strcmp(arg, "--stride")) {
-            stride = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            stride = countValue(argc, argv, i, 1, kAny);
         } else if (!std::strcmp(arg, "--elements")) {
-            stride_cfg.numElements = std::strtoull(
-                argValue(argc, argv, i), nullptr, 0);
+            stride_cfg.numElements =
+                countValue(argc, argv, i, 1, kMaxProgramRecords);
         } else if (!std::strcmp(arg, "--sweeps")) {
-            stride_cfg.sweeps = std::strtoull(argValue(argc, argv, i),
-                                              nullptr, 0);
+            stride_cfg.sweeps =
+                countValue(argc, argv, i, 1, kMaxProgramRecords);
         } else if (!std::strcmp(arg, "--out")) {
             out = argValue(argc, argv, i);
         } else if (!std::strcmp(arg, "--format")) {
@@ -109,12 +137,7 @@ main(int argc, char **argv)
                 usage();
             }
         } else if (!std::strcmp(arg, "--chunk")) {
-            chunk_records = std::strtoull(argValue(argc, argv, i),
-                                          nullptr, 0);
-            if (chunk_records == 0) {
-                std::fprintf(stderr, "--chunk must be >= 1\n");
-                usage();
-            }
+            chunk_records = countValue(argc, argv, i, 1, kAny);
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n", arg);
             usage();
@@ -123,6 +146,12 @@ main(int argc, char **argv)
 
     if (out.empty() || (proxy.empty() && stride == 0))
         usage();
+    if (stride_cfg.numElements > kMaxProgramRecords / stride_cfg.sweeps) {
+        std::fprintf(stderr,
+                     "--elements x --sweeps exceeds %zu records\n",
+                     kMaxProgramRecords);
+        return 1;
+    }
 
     Trace trace;
     if (!proxy.empty()) {
