@@ -70,6 +70,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -79,6 +80,7 @@
 #include "serve/server.hh"
 
 #include "common/bits.hh"
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "core/cac.hh"
 
@@ -383,8 +385,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            max_threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            const char *flag = argv[i++];
+            max_threads = countFlag<unsigned>(flag, argv[i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--smoke] [--out FILE] [--threads N]\n",
@@ -746,10 +748,12 @@ main(int argc, char **argv)
                     CacheTarget target(
                         makeOrganization("a2-Hp-Sk", spec));
                     std::optional<obs::WindowSampler> sampler;
-                    if (metrics)
+                    std::function<void(std::size_t)> sample;
+                    if (metrics) {
                         sampler.emplace(target, 4096);
-                    scenario->replayInto(target, 8192,
-                                         sampler ? &*sampler : nullptr);
+                        sample = [&](std::size_t) { sampler->sample(); };
+                    }
+                    scenario->replayInto(target, 8192, sample);
                     target.finish();
                     if (sampler)
                         sampler->finish();

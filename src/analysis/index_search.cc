@@ -114,6 +114,15 @@ IndexSearch::run(std::shared_ptr<const Trace> trace) const
 }
 
 std::vector<SearchResult>
+IndexSearch::run(std::shared_ptr<const Scenario> scenario) const
+{
+    CAC_ASSERT(scenario != nullptr);
+    return runGrid([scenario = std::move(scenario)](SweepRunner &sweep) {
+        sweep.addScenarioWorkload("search", scenario);
+    });
+}
+
+std::vector<SearchResult>
 IndexSearch::runTraceFile(const std::string &path,
                           const TraceReaderOptions &options) const
 {

@@ -41,6 +41,8 @@
 namespace cac
 {
 
+class Scenario;
+
 /** One candidate placement function in the search grid. */
 struct IndexCandidate
 {
@@ -133,6 +135,14 @@ class IndexSearch
     /** Evaluate every candidate on an instruction trace. */
     std::vector<SearchResult>
     run(std::shared_ptr<const Trace> trace) const;
+
+    /**
+     * Evaluate every candidate on a multiprogrammed scenario, replayed
+     * segment by segment under its switch policy (a "flush" mix
+     * invalidates every candidate and the reference at each switch).
+     */
+    std::vector<SearchResult>
+    run(std::shared_ptr<const Scenario> scenario) const;
 
     /**
      * Evaluate every candidate on a CACTRC01/02 trace *file*,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -387,16 +388,36 @@ SweepRunner::feedCell(const Workload &workload, CellRun &run,
     const bool sliced = cell_deadline_ms_ > 0 || run.sampler.has_value();
     if (workload.scenario) {
         // Multiprogrammed replay: segments + switch policy, with the
-        // per-program attribution landing in the cell. The deadline is
-        // checked once the whole replay returns.
-        ScenarioResult scenario_result;
-        run.deadline.timed([&] {
-            scenario_result = workload.scenario->replayInto(
-                target, workload.scenarioChunkRecords,
-                run.sampler ? &*run.sampler : nullptr);
-        });
-        run.cell->programs = std::move(scenario_result.programs);
-        run.deadline.check(run.where);
+        // per-program attribution landing in the cell. Sliced, the
+        // sampler is poked at every chunk and segment boundary, and the
+        // deadline is charged and checked once per kDeadlineBatch
+        // records (segments can be a single record long) and at the end.
+        const bool clocked = cell_deadline_ms_ > 0;
+        std::size_t unchecked = 0;
+        Clock::time_point mark = Clock::now();
+        const auto charge = [&] {
+            const Clock::time_point now = Clock::now();
+            run.deadline.charge(now - mark);
+            run.deadline.check(run.where);
+            mark = now;
+            unchecked = 0;
+        };
+        std::size_t chunk = workload.scenarioChunkRecords;
+        std::function<void(std::size_t)> at_boundary;
+        if (sliced) {
+            chunk = chunk > 0 ? chunk : kDeadlineBatch;
+            at_boundary = [&](std::size_t records) {
+                if (run.sampler)
+                    run.sampler->sample();
+                if ((unchecked += records) >= kDeadlineBatch && clocked)
+                    charge();
+            };
+        }
+        run.cell->programs =
+            workload.scenario->replayInto(target, chunk, at_boundary)
+                .programs;
+        if (clocked)
+            charge();
     } else if (workload.trace) {
         const Trace &trace = *workload.trace;
         const std::size_t batch = sliced ? kDeadlineBatch : trace.size();

@@ -162,8 +162,7 @@ class SweepRunner
      * siblings spend. Checked cooperatively between replay
      * chunks/batches, so a cell overruns by at most one chunk before
      * it is cancelled with a Timeout error — the rest of the grid,
-     * its row siblings included, still completes. Scenario cells are
-     * checked only at the end of their replay.
+     * its row siblings included, still completes.
      */
     void setCellDeadline(unsigned deadline_ms)
     {

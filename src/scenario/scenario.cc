@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <span>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
@@ -270,127 +268,6 @@ appendProgram(Trace &out, const std::string &atom,
     appendSpecProxy(out, atom, config.programRecords, config.seed);
 }
 
-/** Block-size bounds for the in-place interleave. */
-constexpr std::size_t kMinBlock = 256;
-constexpr std::size_t kMaxBlock = 8192;
-
-/**
- * The unit interleaveInPlace() moves: the largest divisor of
- * @p quantum in [kMinBlock, kMaxBlock], else the quantum itself. A
- * divisor keeps every full slice a whole number of blocks; the floor
- * keeps the moves few and long (one-record blocks turn the permutation
- * into a random walk over the whole mix, several times slower).
- */
-std::size_t
-compositionBlock(std::size_t quantum)
-{
-    for (std::size_t b = std::min(quantum, kMaxBlock); b >= kMinBlock;
-         --b) {
-        if (quantum % b == 0)
-            return b;
-    }
-    return quantum;
-}
-
-std::size_t
-roundUp(std::size_t n, std::size_t block)
-{
-    return (n + block - 1) / block * block;
-}
-
-/**
- * Reorder @p buffer — programs stored back to back, program p holding
- * @p length[p] records — into @p schedule's order, in place. Each
- * program is padded to whole blocks (compositionBlock()), so every
- * segment of the schedule is a run of whole blocks in both layouts;
- * the blocks are moved into place by following the permutation's
- * cycles with one block of scratch, and one left-to-right pass then
- * closes the padding. Extra memory: under (k+1) blocks of records for
- * k programs, plus one table entry per block.
- */
-void
-interleaveInPlace(Trace &buffer, const std::vector<std::size_t> &length,
-                  const std::vector<Scenario::Segment> &schedule,
-                  std::size_t quantum)
-{
-    static_assert(std::is_trivially_copyable_v<TraceRecord>);
-    // One segment per program means nothing was split: the schedule
-    // is the programs in order, which is how they already lie.
-    if (schedule.size() == length.size())
-        return;
-    // Some program was split, so the quantum, and with it the block,
-    // is shorter than the longest program.
-    const std::size_t block = compositionBlock(quantum);
-    const std::size_t total = buffer.size();
-
-    // Pad: shift the programs right, last first, onto block
-    // boundaries. The gaps' contents are never read back.
-    std::vector<std::size_t> from_start(length.size());
-    std::size_t padded_total = 0;
-    for (std::size_t p = 0; p < length.size(); ++p) {
-        from_start[p] = padded_total;
-        padded_total += roundUp(length[p], block);
-    }
-    buffer.resize(padded_total);
-    TraceRecord *data = buffer.data();
-    std::size_t packed_start = total;
-    for (std::size_t p = length.size(); p-- > 0;) {
-        packed_start -= length[p];
-        if (from_start[p] != packed_start) {
-            std::memmove(data + from_start[p], data + packed_start,
-                         length[p] * sizeof(TraceRecord));
-        }
-    }
-
-    // from[d]: the source block destination block d takes.
-    std::vector<std::size_t> from;
-    from.reserve(padded_total / block);
-    std::vector<std::size_t> pos(length.size(), 0);
-    for (const Scenario::Segment &segment : schedule) {
-        const std::size_t first =
-            (from_start[segment.program] + pos[segment.program]) / block;
-        const std::size_t blocks = roundUp(segment.count, block) / block;
-        for (std::size_t j = 0; j < blocks; ++j)
-            from.push_back(first + j);
-        pos[segment.program] += segment.count;
-    }
-    CAC_ASSERT(from.size() * block == padded_total);
-
-    // Follow each cycle once: lift its head into scratch, pull every
-    // block of the cycle into place, drop the head into the last hole.
-    const std::size_t bytes = block * sizeof(TraceRecord);
-    Trace scratch(block);
-    for (std::size_t head = 0; head < from.size(); ++head) {
-        if (from[head] == head)
-            continue;
-        std::memcpy(scratch.data(), data + head * block, bytes);
-        std::size_t d = head;
-        while (from[d] != head) {
-            const std::size_t s = from[d];
-            std::memcpy(data + d * block, data + s * block, bytes);
-            from[d] = d;
-            d = s;
-        }
-        std::memcpy(data + d * block, scratch.data(), bytes);
-        from[d] = d;
-    }
-
-    // Close the padding behind each program's last (partial) segment.
-    std::size_t read = 0;
-    std::size_t write = 0;
-    for (const Scenario::Segment &segment : schedule) {
-        CAC_ASSERT(segment.offset == write);
-        if (read != write) {
-            std::memmove(data + write, data + read,
-                         segment.count * sizeof(TraceRecord));
-        }
-        write += segment.count;
-        read += roundUp(segment.count, block);
-    }
-    CAC_ASSERT(write == total);
-    buffer.resize(total);
-}
-
 } // anonymous namespace
 
 std::string
@@ -421,7 +298,7 @@ Scenario::Scenario(const ScenarioSpec &spec)
     CAC_ASSERT(!names_.empty());
     // parseScenarioLabel() rejects q=0, but a hand-built spec reaches
     // this constructor directly — and a zero quantum would spin the
-    // interleaving loop forever without ever advancing a program.
+    // scheduling loop forever without ever advancing a program.
     if (config_.quantumRecords == 0)
         fatal("scenario '%s': quantum must be > 0", label_.c_str());
     if (config_.programRecords > kMaxProgramRecords)
@@ -433,47 +310,40 @@ Scenario::Scenario(const ScenarioSpec &spec)
     const std::size_t k = names_.size();
     std::vector<Trace> files(k);
     std::size_t reserve = 0;
-    std::size_t longest = 0;
     for (std::size_t i = 0; i < k; ++i) {
         if (isTraceAtom(names_[i])) {
             files[i] = readTrace(names_[i].substr(
                 std::char_traits<char>::length(kTracePrefix)));
         }
-        const std::size_t records = reserveFor(names_[i], config_, files[i]);
-        reserve += records;
-        longest = std::max(longest, records);
+        reserve += reserveFor(names_[i], config_, files[i]);
     }
-    const std::size_t quantum =
-        static_cast<std::size_t>(config_.quantumRecords);
-    // Room for interleaveInPlace()'s padding: under one block per
-    // program, and a block is shorter than the longest program
-    // whenever padding happens at all.
-    composed_.reserve(reserve
-                      + k * std::min(compositionBlock(quantum), longest));
+    composed_.reserve(reserve);
 
     // Append, relocate and phase-shift every program where it lies.
+    std::vector<std::size_t> start(k);
     std::vector<std::size_t> length(k);
     for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t start = composed_.size();
+        start[i] = composed_.size();
         appendProgram(composed_, names_[i], config_, files[i]);
-        length[i] = composed_.size() - start;
+        length[i] = composed_.size() - start[i];
         if (length[i] == 0)
             fatal("scenario '%s': program '%s' produced no records",
                   label_.c_str(), names_[i].c_str());
-        const std::span<TraceRecord> program(composed_.data() + start,
+        const std::span<TraceRecord> program(composed_.data() + start[i],
                                              length[i]);
         relocateTrace(program, i * config_.asidStrideBytes,
                       static_cast<std::uint32_t>(i) * kPcStridePerAsid);
         rotateTrace(program, (i * config_.phaseRecords) % length[i]);
     }
 
-    // Round-robin interleave in quantum-sized slices until every
-    // program is exhausted. When only one program still has records,
-    // its consecutive slices merge into one segment (no switch
-    // happens), so the schedule's transitions are exactly the context
-    // switches.
+    // Round-robin in quantum-sized slices until every program is
+    // exhausted; each slice points at its program's next records where
+    // they lie. When only one program still has records, its
+    // consecutive slices merge into one segment (no switch happens),
+    // so the schedule's transitions are exactly the context switches.
+    const std::size_t quantum =
+        static_cast<std::size_t>(config_.quantumRecords);
     std::vector<std::size_t> pos(k, 0);
-    std::size_t offset = 0;
     bool progressed = true;
     while (progressed) {
         progressed = false;
@@ -484,14 +354,11 @@ Scenario::Scenario(const ScenarioSpec &spec)
             if (!schedule_.empty() && schedule_.back().program == i)
                 schedule_.back().count += take;
             else
-                schedule_.push_back(Segment{i, offset, take});
-            offset += take;
+                schedule_.push_back(Segment{i, start[i] + pos[i], take});
             pos[i] += take;
             progressed = true;
         }
     }
-    CAC_ASSERT(offset == composed_.size());
-    interleaveInPlace(composed_, length, schedule_, quantum);
 }
 
 std::uint64_t
@@ -504,7 +371,8 @@ Scenario::numSwitches() const
 
 ScenarioResult
 Scenario::replayInto(SimTarget &target, std::size_t chunk_records,
-                     obs::WindowSampler *sampler) const
+                     const std::function<void(std::size_t)> &at_boundary)
+    const
 {
     ScenarioResult result;
     result.programs.resize(names_.size());
@@ -530,15 +398,15 @@ Scenario::replayInto(SimTarget &target, std::size_t chunk_records,
         first = false;
 
         std::size_t done = 0;
+        std::size_t n = 0;
         const std::size_t chunk =
             chunk_records > 0 ? chunk_records : segment.count;
         while (done < segment.count) {
-            const std::size_t n =
-                std::min(chunk, segment.count - done);
+            n = std::min(chunk, segment.count - done);
             target.replay(base + segment.offset + done, n);
             done += n;
-            if (sampler && done < segment.count)
-                sampler->sample();
+            if (at_boundary && done < segment.count)
+                at_boundary(n);
         }
 
         // Checkpoint so stats() is exact at the slice boundary, then
@@ -551,8 +419,8 @@ Scenario::replayInto(SimTarget &target, std::size_t chunk_records,
         cacheStatsAccumulate(program.l1, cacheStatsDelta(now, prev));
         program.records += segment.count;
         prev = now;
-        if (sampler)
-            sampler->sample();
+        if (at_boundary)
+            at_boundary(n);
     }
 #if CAC_OBS
     if (obs::Registry::global().enabled()) {

@@ -38,20 +38,15 @@
  *   Numbers accept k (x1000) and m (x1000000) suffixes.
  *
  * Composition is eager and deterministic: each program's trace is
- * built once, relocated into its ASID window, rotated by its phase
- * shift, and interleaved round-robin in quantum-sized segments until
- * every program is exhausted (shorter programs simply finish early).
- *
- * Composition happens in place, so a mix is resident once: every
- * program is appended straight into the composed buffer (reserved up
- * front, so it never reallocates), relocated and rotated where it
- * lies, and the buffer is then permuted into schedule order block by
- * block. A block is the largest divisor of the quantum in [256, 8192]
- * records, or the quantum itself when it has none. Beyond composed(),
- * composing holds under (k+1) blocks of records for k programs (each
- * program's padding to whole blocks, plus one block of scratch), one
- * table entry per block, and, for a "trace:" or "strideN" atom, the
- * file's records or the stride's addresses until they are appended.
+ * built once, straight into the composed buffer (reserved up front, so
+ * it never reallocates and a mix is resident once), relocated into its
+ * ASID window and rotated by its phase shift where it lies. The
+ * programs stay back to back in program order; the schedule
+ * interleaves them round-robin in quantum-sized segments, each
+ * pointing at its program's next records, until every program is
+ * exhausted (shorter programs simply finish early). Beyond composed(),
+ * composing holds only a "trace:" or "strideN" atom's file records or
+ * stride addresses until they are appended.
  *
  * The composed trace plus its segment schedule make scenarios a
  * first-class sweep axis: SweepRunner::addScenarioWorkload() grids
@@ -63,6 +58,7 @@
 #define CAC_SCENARIO_SCENARIO_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,11 +67,6 @@
 #include "cache/cache_model.hh"
 #include "core/sim_target.hh"
 #include "trace/record.hh"
-
-namespace cac::obs
-{
-class WindowSampler;
-} // namespace cac::obs
 
 namespace cac
 {
@@ -156,9 +147,10 @@ struct ScenarioResult
 };
 
 /**
- * A composed multiprogrammed workload: the interleaved trace plus the
- * context-switch schedule. Immutable after construction, so one
- * instance is shared (by shared_ptr) across all cells of a sweep.
+ * A composed multiprogrammed workload: every program's records plus
+ * the context-switch schedule that interleaves them. Immutable after
+ * construction, so one instance is shared (by shared_ptr) across all
+ * cells of a sweep.
  */
 class Scenario
 {
@@ -166,16 +158,21 @@ class Scenario
     /** One scheduled time slice of the composed trace. */
     struct Segment
     {
-        unsigned program = 0;   ///< index into programNames()
-        std::size_t offset = 0; ///< first record in composed()
-        std::size_t count = 0;  ///< records in this slice
+        unsigned program = 0; ///< index into programNames()
+        /**
+         * First record in composed(): the program's start plus the
+         * records its earlier slices replayed, so a program's segments
+         * are ascending and contiguous inside its own range.
+         */
+        std::size_t offset = 0;
+        std::size_t count = 0; ///< records in this slice
     };
 
     /**
      * Compose @p spec: builds every program's trace, relocates and
-     * phase-shifts it, and interleaves. Fatal on an unbuildable
-     * program atom (parseScenarioLabel() validates atoms first, so
-     * label-driven callers get the soft diagnostic instead).
+     * phase-shifts it, and schedules its slices. Fatal on an
+     * unbuildable program atom (parseScenarioLabel() validates atoms
+     * first, so label-driven callers get the soft diagnostic instead).
      */
     explicit Scenario(const ScenarioSpec &spec);
 
@@ -185,6 +182,10 @@ class Scenario
     {
         return names_;
     }
+    /**
+     * Every program's records, back to back; schedule() gives the
+     * order replay visits them.
+     */
     const Trace &composed() const { return composed_; }
     const std::vector<Segment> &schedule() const { return schedule_; }
 
@@ -201,13 +202,15 @@ class Scenario
      * any chunk size. Does not call target.finish(); the caller ends
      * the stream.
      *
-     * @p sampler, when given, is poked at every chunk and segment
-     * boundary so windowed telemetry (obs/window.hh) tracks the replay
-     * without touching the per-record path.
+     * @p at_boundary, when given, runs at every chunk and segment
+     * boundary with the number of records replayed since its previous
+     * call, so windowed telemetry (obs/window.hh) and a sweep cell's
+     * deadline track the replay without touching the per-record path.
+     * An exception it throws ends the replay.
      */
-    ScenarioResult replayInto(SimTarget &target,
-                              std::size_t chunk_records = 0,
-                              obs::WindowSampler *sampler = nullptr) const;
+    ScenarioResult replayInto(
+        SimTarget &target, std::size_t chunk_records = 0,
+        const std::function<void(std::size_t)> &at_boundary = {}) const;
 
   private:
     std::string label_;

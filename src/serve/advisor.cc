@@ -99,13 +99,6 @@ appendStats(Kv &out, const std::string &prefix, const CacheStats &stats)
                      fmtPct(100.0 * stats.missRatio()));
 }
 
-/** Shared Trace view of a scenario's composed stream. */
-std::shared_ptr<const Trace>
-composedTrace(const std::shared_ptr<const Scenario> &scenario)
-{
-    return {scenario, &scenario->composed()};
-}
-
 } // anonymous namespace
 
 Error
@@ -375,10 +368,9 @@ computeRecommend(const AdvisorRequest &request, unsigned threads)
     config.threads = threads;
     config.cellDeadlineMs = request.deadlineMs;
 
-    auto scenario = std::make_shared<const Scenario>(request.workload);
     IndexSearch search(config);
     const std::vector<SearchResult> results =
-        search.run(composedTrace(scenario));
+        search.run(std::make_shared<const Scenario>(request.workload));
 
     // Failed rows sort last, so a failed best row means nothing
     // finished in time — surface the deadline as a typed error.

@@ -289,4 +289,27 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "n exceeds the .*maximum")
 endif()
 file(REMOVE_RECURSE ${cnt_dir})
 
+# 13. cac_sim's numeric flags are just as strict: junk, a size suffix
+#     or a sign exits 1 naming the value and the flag, before any work
+#     starts (no output), where strtoull used to read a prefix and run
+#     on it. A whole-token hex value still parses.
+foreach(bad "--warmup;abc" "--size;8k" "--threads;-1")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  execute_process(COMMAND ${SIM} --scenario mix:swim@n=2k --org a2 ${bad}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT out STREQUAL ""
+     OR NOT err MATCHES "bad value '${value}' for ${flag}")
+    message(FATAL_ERROR "cac_sim ${bad} exited ${rc}: ${out}${err}")
+  endif()
+endforeach()
+execute_process(COMMAND ${SIM} --scenario mix:swim@n=2k --org a2
+                        --size 0x2000 --warmup 0 --threads 1
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cac_sim with valid counts exited ${rc}: ${err}")
+endif()
+
 message(STATUS "cac_sim CLI smoke: all checks passed")

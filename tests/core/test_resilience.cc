@@ -3,14 +3,18 @@
  * Graceful-degradation tests for the parallel engine: a poisoned sweep
  * cell is quarantined while the rest of the grid completes, degraded
  * reads surface in the CSV, blown per-cell deadlines cancel with a
- * Timeout error, sharded replay falls back to a monolithic pass when a
- * shard dies, and parallelFor contains worker exceptions.
+ * Timeout error (mid-replay, scenario cells included), sharded replay
+ * falls back to a monolithic pass when a shard dies, and parallelFor
+ * contains worker exceptions.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +23,7 @@
 #include "core/shard_replay.hh"
 #include "core/sim_target.hh"
 #include "core/sweep.hh"
+#include "scenario/scenario.hh"
 #include "trace/io.hh"
 #include "workloads/spec_proxy.hh"
 
@@ -181,18 +186,75 @@ TEST(Resilience, BlownCellDeadlineCancelsWithTimeout)
     std::remove(path.c_str());
 }
 
+/** Counts the records it is fed; each call costs 2 ms of wall time. */
+class SlowCountingTarget : public SimTarget
+{
+  public:
+    explicit SlowCountingTarget(std::shared_ptr<std::atomic<std::size_t>> fed)
+        : fed_(std::move(fed))
+    {
+    }
+
+    std::string name() const override { return "slow-counter"; }
+    TargetKind kind() const override { return TargetKind::Cache; }
+    void accessBatch(const std::uint64_t *, std::size_t, bool) override {}
+
+    void
+    replay(const TraceRecord *, std::size_t n) override
+    {
+        *fed_ += n;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+
+    TargetStats
+    stats() const override
+    {
+        TargetStats s;
+        s.kind = TargetKind::Cache;
+        return s;
+    }
+
+  private:
+    std::shared_ptr<std::atomic<std::size_t>> fed_;
+};
+
+TEST(Resilience, BlownDeadlineCancelsAScenarioCellMidReplay)
+{
+    // One 400k-record program: a single segment, so only a check
+    // inside the replay, at a chunk boundary, can stop it early.
+    const auto scenario = buildScenario("mix:swim@n=400k");
+    auto fed = std::make_shared<std::atomic<std::size_t>>(0);
+    SweepRunner sweep(1);
+    sweep.addTarget("slow", [fed] {
+        return std::make_unique<SlowCountingTarget>(fed);
+    });
+    sweep.setCellDeadline(1);
+    sweep.addScenarioWorkload(scenario->name(), scenario);
+
+    const std::vector<SweepCell> cells = sweep.run();
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_TRUE(cells[0].failed);
+    EXPECT_EQ(cells[0].error.code, ErrorCode::Timeout);
+    EXPECT_GT(fed->load(), 0u);
+    EXPECT_LT(fed->load(), scenario->composed().size());
+}
+
 TEST(Resilience, DeadlineDoesNotPerturbHealthyCells)
 {
     // The same grid with and without a generous deadline produces
-    // identical stats (deadline slicing must not change replay).
+    // identical stats (deadline slicing must not change replay). The
+    // scenario's 100k-record quanta are longer than a deadline slice.
+    const char *const mix = "mix:swim+tomcatv@q=100k,n=150k";
     SweepRunner plain(1);
     plain.addOrgs({"a2", "a2-Hp-Sk"});
     plain.addTraceWorkload("t", buildSpecProxy("swim", 5000));
+    plain.addScenarioWorkload(mix);
     const std::vector<SweepCell> want = plain.run();
 
     SweepRunner guarded(1);
     guarded.addOrgs({"a2", "a2-Hp-Sk"});
     guarded.addTraceWorkload("t", buildSpecProxy("swim", 5000));
+    guarded.addScenarioWorkload(mix);
     guarded.setCellDeadline(60000);
     const std::vector<SweepCell> got = guarded.run();
 
@@ -204,6 +266,13 @@ TEST(Resilience, DeadlineDoesNotPerturbHealthyCells)
             << i;
         EXPECT_EQ(got[i].stats.evictions, want[i].stats.evictions)
             << i;
+        ASSERT_EQ(got[i].programs.size(), want[i].programs.size()) << i;
+        for (std::size_t p = 0; p < want[i].programs.size(); ++p) {
+            EXPECT_EQ(got[i].programs[p].records,
+                      want[i].programs[p].records);
+            EXPECT_EQ(got[i].programs[p].l1.loadMisses,
+                      want[i].programs[p].l1.loadMisses);
+        }
     }
 }
 

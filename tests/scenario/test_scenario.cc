@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "scenario/scenario.hh"
 #include "trace/builder.hh"
@@ -150,13 +153,32 @@ TEST(ScenarioComposition, AsidWindowsAreDisjoint)
 TEST(ScenarioComposition, ScheduleCoversComposedTraceExactly)
 {
     const auto scenario = buildScenario("mix:li+compress@q=3k,n=10k");
-    std::size_t covered = 0;
-    std::size_t expect_offset = 0;
+    // Each program's segments are ascending and contiguous inside its
+    // own range: a segment starts where its program's last one ended.
+    const std::size_t programs = scenario->programNames().size();
+    std::vector<std::size_t> start(programs, SIZE_MAX);
+    std::vector<std::size_t> next(programs, 0);
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
     for (const Scenario::Segment &seg : scenario->schedule()) {
-        EXPECT_EQ(seg.offset, expect_offset);
         EXPECT_GT(seg.count, 0u);
-        expect_offset += seg.count;
-        covered += seg.count;
+        if (start[seg.program] == SIZE_MAX)
+            start[seg.program] = next[seg.program] = seg.offset;
+        EXPECT_EQ(seg.offset, next[seg.program]);
+        next[seg.program] = seg.offset + seg.count;
+        spans.emplace_back(seg.offset, seg.count);
+    }
+    // The programs lie back to back in program order...
+    std::size_t end = 0;
+    for (std::size_t p = 0; p < programs; ++p) {
+        EXPECT_EQ(start[p], end) << "program " << p;
+        end = next[p];
+    }
+    // ...and the segments tile composed() exactly once.
+    std::sort(spans.begin(), spans.end());
+    std::size_t covered = 0;
+    for (const auto &[offset, count] : spans) {
+        EXPECT_EQ(offset, covered);
+        covered += count;
     }
     EXPECT_EQ(covered, scenario->composed().size());
     // Adjacent segments always switch programs (same-program slices

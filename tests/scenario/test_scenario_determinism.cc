@@ -99,6 +99,29 @@ TEST(ScenarioDeterminism, ChunkSizeInvariantReplay)
     EXPECT_EQ(a.switches, b.switches);
 }
 
+TEST(ScenarioDeterminism, BoundaryHookCountsEveryRecordOnce)
+{
+    // 5k-record quanta in 313-record chunks: the hook runs at every
+    // chunk and segment boundary, and the counts it is handed add up
+    // to the composed trace, none larger than a chunk.
+    const auto scenario = buildScenario(kMix);
+    OrgSpec spec;
+    CacheTarget target(makeOrganization("a2", spec));
+    std::size_t calls = 0;
+    std::size_t records = 0;
+    scenario->replayInto(target, 313, [&](std::size_t n) {
+        EXPECT_GT(n, 0u);
+        EXPECT_LE(n, 313u);
+        ++calls;
+        records += n;
+    });
+    EXPECT_EQ(records, scenario->composed().size());
+    std::size_t boundaries = 0;
+    for (const Scenario::Segment &segment : scenario->schedule())
+        boundaries += (segment.count + 312) / 313;
+    EXPECT_EQ(calls, boundaries);
+}
+
 TEST(ScenarioAttribution, ProgramsSumToAggregate)
 {
     const auto scenario = buildScenario(kMix);

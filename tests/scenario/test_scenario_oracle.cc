@@ -2,13 +2,16 @@
  * @file
  * Randomized composition oracle for the scenario layer: seeded mix
  * labels (proxies, strideN and trace-file atoms; quanta of 1 and 13
- * records, primes above the composition block ceiling, multiples of
- * 4096 and quanta longer than any program; with and without phase
- * shifts and cold flushes) are composed by Scenario and checked
- * against every program rebuilt on its own through the public API.
- * Each segment must hold exactly its program's next records, and the
- * schedule must follow the round-robin merge rule. A failure prints
- * the label, so it can be replayed with `cac_sim --scenario`.
+ * records, large primes, multiples of 4096 and quanta longer than any
+ * program; with and without phase shifts and cold flushes) are
+ * composed by Scenario and checked against every program rebuilt on
+ * its own through the public API. Each segment must point at exactly
+ * its program's next records, where the program lies in composed(),
+ * and the schedule must follow the round-robin merge rule. Each label
+ * is then replayed through a functional cache whole, at a random chunk
+ * size, and flat over the rebuilt schedule-order stream; all three
+ * must agree. A failure prints the label, so it can be replayed with
+ * `cac_sim --scenario`.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "core/registry.hh"
+#include "core/sim_target.hh"
 #include "scenario/scenario.hh"
 #include "trace/builder.hh"
 #include "trace/io.hh"
@@ -60,14 +65,18 @@ rebuildProgram(const std::string &atom, const ScenarioConfig &config)
     return buildSpecProxy(atom, config.programRecords, config.seed);
 }
 
-/** The round-robin schedule, written out the obvious way. */
+/**
+ * The round-robin schedule, written out the obvious way: programs lie
+ * back to back from @p start, and each segment points at its
+ * program's next records.
+ */
 std::vector<Scenario::Segment>
-referenceSchedule(const std::vector<std::size_t> &length,
+referenceSchedule(const std::vector<std::size_t> &start,
+                  const std::vector<std::size_t> &length,
                   std::size_t quantum)
 {
     std::vector<Scenario::Segment> out;
     std::vector<std::size_t> pos(length.size(), 0);
-    std::size_t offset = 0;
     for (bool progressed = true; progressed;) {
         progressed = false;
         for (unsigned p = 0; p < length.size(); ++p) {
@@ -77,13 +86,96 @@ referenceSchedule(const std::vector<std::size_t> &length,
             if (!out.empty() && out.back().program == p)
                 out.back().count += take;
             else
-                out.push_back({p, offset, take});
-            offset += take;
+                out.push_back({p, start[p] + pos[p], take});
             pos[p] += take;
             progressed = true;
         }
     }
     return out;
+}
+
+void
+expectStatsEq(const CacheStats &a, const CacheStats &b,
+              const std::string &what)
+{
+    EXPECT_EQ(a.loads, b.loads) << what;
+    EXPECT_EQ(a.stores, b.stores) << what;
+    EXPECT_EQ(a.loadMisses, b.loadMisses) << what;
+    EXPECT_EQ(a.storeMisses, b.storeMisses) << what;
+    EXPECT_EQ(a.fills, b.fills) << what;
+    EXPECT_EQ(a.evictions, b.evictions) << what;
+}
+
+/** Aggregate stats plus the per-program rows of one replay. */
+struct Replayed
+{
+    CacheStats total;
+    std::vector<ScenarioProgramStats> programs;
+};
+
+/** A fresh functional cache, the replay oracle's target. */
+CacheTarget
+oracleTarget()
+{
+    return CacheTarget(makeOrganization("a2-Hp-Sk", OrgSpec{}));
+}
+
+/** Replay @p scenario through replayInto() in @p chunk-record chunks. */
+Replayed
+replayScenario(const Scenario &scenario, std::size_t chunk)
+{
+    CacheTarget target = oracleTarget();
+    Replayed out;
+    out.programs = scenario.replayInto(target, chunk).programs;
+    target.finish();
+    out.total = target.stats().l1;
+    return out;
+}
+
+/**
+ * Replay @p stream — the rebuilt programs concatenated in schedule
+ * order — flat, switching and attributing at @p schedule's boundaries
+ * by hand, without Scenario.
+ */
+Replayed
+replayFlat(const Trace &stream,
+           const std::vector<Scenario::Segment> &schedule,
+           std::size_t programs, SwitchPolicy policy)
+{
+    CacheTarget target = oracleTarget();
+    Replayed out;
+    out.programs.resize(programs);
+    CacheStats prev = target.stats().l1;
+    std::size_t at = 0;
+    for (std::size_t s = 0; s < schedule.size(); ++s) {
+        const Scenario::Segment &seg = schedule[s];
+        if (s > 0 && policy == SwitchPolicy::ColdFlush)
+            target.flushPrimary();
+        target.replay(stream.data() + at, seg.count);
+        target.checkpoint();
+        const CacheStats now = target.stats().l1;
+        ScenarioProgramStats &row = out.programs[seg.program];
+        cacheStatsAccumulate(row.l1, cacheStatsDelta(now, prev));
+        row.records += seg.count;
+        prev = now;
+        at += seg.count;
+    }
+    target.finish();
+    out.total = target.stats().l1;
+    return out;
+}
+
+void
+expectReplayedEq(const Replayed &a, const Replayed &b,
+                 const std::string &what)
+{
+    expectStatsEq(a.total, b.total, what + " total");
+    ASSERT_EQ(a.programs.size(), b.programs.size()) << what;
+    for (std::size_t p = 0; p < a.programs.size(); ++p) {
+        const std::string row = what + " program " + std::to_string(p);
+        EXPECT_EQ(a.programs[p].records, b.programs[p].records) << row;
+        expectStatsEq(a.programs[p].l1, b.programs[p].l1, row);
+    }
 }
 
 /** Draw one mix label over @p files (trace atoms to choose from). */
@@ -111,8 +203,8 @@ drawLabel(std::mt19937_64 &rng, const std::vector<std::string> &files)
             break;
         }
     }
-    // q: a handful of records, a prime above the 8192-record block
-    // ceiling, a multiple of 4096, or longer than any program.
+    // q: a handful of records, a prime in the thousands, a multiple of
+    // 4096, or longer than any program.
     static const std::uint64_t kPrimes[] = {8209, 12289, 50021};
     std::uint64_t q = 0;
     switch (pick(5)) {
@@ -132,8 +224,9 @@ drawLabel(std::mt19937_64 &rng, const std::vector<std::string> &files)
     return label;
 }
 
+/** Check @p label's composition and replay; @p rng draws the chunk. */
 void
-checkComposition(const std::string &label)
+checkComposition(const std::string &label, std::mt19937_64 &rng)
 {
     SCOPED_TRACE("label: " + label);
     std::string error;
@@ -143,14 +236,18 @@ checkComposition(const std::string &label)
     const ScenarioConfig &config = spec->config;
 
     std::vector<Trace> programs;
+    std::vector<std::size_t> start;
     std::vector<std::size_t> length;
+    std::size_t total = 0;
     for (std::size_t i = 0; i < spec->programs.size(); ++i) {
         Trace trace = rebuildProgram(spec->programs[i], config);
         ASSERT_FALSE(trace.empty());
         relocateTrace(trace, i * config.asidStrideBytes,
                       static_cast<std::uint32_t>(i) * kPcStride);
         rotateTrace(trace, (i * config.phaseRecords) % trace.size());
+        start.push_back(total);
         length.push_back(trace.size());
+        total += trace.size();
         programs.push_back(std::move(trace));
     }
 
@@ -158,15 +255,19 @@ checkComposition(const std::string &label)
     const Trace &composed = scenario.composed();
     const std::vector<Scenario::Segment> &schedule = scenario.schedule();
     const std::vector<Scenario::Segment> expected =
-        referenceSchedule(length, config.quantumRecords);
+        referenceSchedule(start, length, config.quantumRecords);
 
     ASSERT_EQ(schedule.size(), expected.size());
+    ASSERT_EQ(composed.size(), total);
     std::vector<std::size_t> pos(programs.size(), 0);
-    std::size_t offset = 0;
+    Trace stream; // the rebuilt programs, in schedule order
+    stream.reserve(total);
     for (std::size_t s = 0; s < schedule.size(); ++s) {
         const Scenario::Segment &seg = schedule[s];
         ASSERT_EQ(seg.program, expected[s].program) << "segment " << s;
-        ASSERT_EQ(seg.offset, offset) << "segment " << s;
+        ASSERT_EQ(seg.offset, start[seg.program] + pos[seg.program])
+            << "segment " << s;
+        ASSERT_EQ(seg.offset, expected[s].offset) << "segment " << s;
         ASSERT_EQ(seg.count, expected[s].count) << "segment " << s;
         // Merge rule: a switch separates every pair of segments, and
         // a segment longer than the quantum is a lone program's tail.
@@ -175,8 +276,9 @@ checkComposition(const std::string &label)
         }
         if (seg.count > config.quantumRecords) {
             for (std::size_t p = 0; p < programs.size(); ++p) {
-                if (p != seg.program)
+                if (p != seg.program) {
                     ASSERT_EQ(pos[p], length[p]) << "segment " << s;
+                }
             }
         }
         const Trace &program = programs[seg.program];
@@ -186,11 +288,27 @@ checkComposition(const std::string &label)
                                  seg.count * sizeof(TraceRecord)))
             << "segment " << s << " (program " << seg.program
             << ", records " << pos[seg.program] << "..)";
+        const auto first = program.begin()
+                           + static_cast<std::ptrdiff_t>(pos[seg.program]);
+        stream.insert(stream.end(), first,
+                      first + static_cast<std::ptrdiff_t>(seg.count));
         pos[seg.program] += seg.count;
-        offset += seg.count;
     }
-    EXPECT_EQ(offset, composed.size());
     EXPECT_EQ(pos, length);
+
+    // Replay: whole segments, a random chunk size in [1, q], and the
+    // flat schedule-order stream must all give the same statistics.
+    const std::size_t quantum =
+        static_cast<std::size_t>(std::min<std::uint64_t>(
+            config.quantumRecords, total));
+    const std::size_t chunk = 1 + static_cast<std::size_t>(rng() % quantum);
+    const Replayed whole = replayScenario(scenario, 0);
+    expectReplayedEq(whole, replayScenario(scenario, chunk),
+                     "chunk " + std::to_string(chunk));
+    expectReplayedEq(whole,
+                     replayFlat(stream, schedule, programs.size(),
+                                config.policy),
+                     "flat");
 }
 
 TEST(ScenarioOracle, RandomMixesMatchIndependentlyBuiltPrograms)
@@ -203,8 +321,9 @@ TEST(ScenarioOracle, RandomMixesMatchIndependentlyBuiltPrograms)
                1000);
 
     std::mt19937_64 rng(20261018);
+    std::mt19937_64 chunk_rng(7);
     for (int i = 0; i < 40; ++i) {
-        checkComposition(drawLabel(rng, files));
+        checkComposition(drawLabel(rng, files), chunk_rng);
         if (HasFatalFailure())
             break;
     }
@@ -214,16 +333,17 @@ TEST(ScenarioOracle, RandomMixesMatchIndependentlyBuiltPrograms)
 
 TEST(ScenarioOracle, EdgeQuanta)
 {
+    std::mt19937_64 rng(7);
     // A quantum equal to the stride program's length (n=400 gives six
     // 64-element sweeps: 384 records) and one record short of it, then
-    // quanta with a small factor but no divisor in [256, 8192]
+    // quanta with a small factor and a large prime one
     // (3 x 8209 and 2 x 8209).
     for (const char *label :
          {"mix:swim+stride7@q=384,n=400,phase=3",
           "mix:swim+stride7@q=383,n=400",
           "mix:tomcatv+gcc+wave5@q=24627,n=40k,phase=9k,flush",
           "mix:gcc+li@q=16418,n=50k"}) {
-        checkComposition(label);
+        checkComposition(label, rng);
     }
 }
 

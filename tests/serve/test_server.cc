@@ -3,16 +3,21 @@
  * End-to-end advisor-service tests over real loopback sockets: every
  * message type, memoized repeats (flagged and counted), single-flight
  * deduplication under concurrency, deterministic saturation
- * rejection, typed deadline and protocol errors, and clean shutdown.
+ * rejection, typed deadline and protocol errors, and clean shutdown;
+ * plus in-process RECOMMEND checks that a mix is searched under its
+ * switch policy.
  */
 
 #include <atomic>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/index_search.hh"
 #include "obs/metrics.hh"
 #include "serve/advisor.hh"
 #include "serve/client.hh"
@@ -290,6 +295,76 @@ TEST_F(ServerFixture, AnalyzeReportsPerProgramAttribution)
     EXPECT_EQ(kv["program.1.name"], "tomcatv");
     EXPECT_FALSE(kv["miss_pct"].empty());
     EXPECT_EQ(kv["manifest.tool"], "cac_serve");
+}
+
+/** RECOMMEND on @p workload, computed in-process; the parsed payload. */
+std::map<std::string, std::string>
+recommend(const std::string &workload, AdvisorRequest &request)
+{
+    const Error err = parseAdvisorRequest(
+        MsgType::Recommend,
+        {{"workload", workload}, {"polys", "2"}, {"random", "1"},
+         {"top", "3"}},
+        request);
+    EXPECT_FALSE(err) << err.message();
+    std::map<std::string, std::string> kv;
+    EXPECT_FALSE(kvParse(computeAdvice(request, 2), kv));
+    return kv;
+}
+
+constexpr const char *kTwoProgramMix = "mix:swim+tomcatv@n=30k,q=10k";
+
+TEST(AdvisorRecommend, KeepMixRanksAsBefore)
+{
+    // Pinned from the flat-trace search this replaces: a keep mix
+    // replays the same stream, so the ranking cannot move.
+    AdvisorRequest request;
+    auto kv = recommend(kTwoProgramMix, request);
+    EXPECT_EQ(kv["best"], "hx-sk");
+    EXPECT_EQ(kv["result.0.conflict_misses"], "75");
+    EXPECT_EQ(kv["result.0.misses"], "2898");
+    EXPECT_EQ(kv["result.1.label"], "hp[1]");
+    EXPECT_EQ(kv["result.1.conflict_misses"], "106");
+    EXPECT_EQ(kv["result.2.label"], "hp[0]");
+    EXPECT_EQ(kv["result.2.conflict_misses"], "121");
+}
+
+TEST(AdvisorRecommend, FlushMixIsFlushedAtEverySwitch)
+{
+    AdvisorRequest keep_request;
+    const auto keep = recommend(kTwoProgramMix, keep_request);
+    AdvisorRequest request;
+    auto kv = recommend(std::string(kTwoProgramMix) + ",flush", request);
+
+    // The served ranking is the scenario search's, switch policy and
+    // all...
+    SearchConfig config;
+    config.geometry = CacheGeometry(request.sizeBytes,
+                                    request.blockBytes, request.ways);
+    config.inputBits = request.inputBits;
+    config.polyStarts = request.polyStarts;
+    config.randomSeeds = request.randomSeeds;
+    config.seed = request.seed;
+    config.includeBaselines = request.includeBaselines;
+    const std::vector<SearchResult> want = IndexSearch(config).run(
+        std::make_shared<const Scenario>(request.workload));
+    ASSERT_GE(want.size(), 3u);
+    EXPECT_EQ(kv["best"], want[0].label);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const std::string prefix = "result." + std::to_string(i) + ".";
+        EXPECT_EQ(kv[prefix + "label"], want[i].label) << i;
+        EXPECT_EQ(kv[prefix + "conflict_misses"],
+                  std::to_string(want[i].conflictMisses))
+            << i;
+        EXPECT_EQ(kv[prefix + "misses"],
+                  std::to_string(want[i].stats.misses()))
+            << i;
+    }
+    // ...and the flushes show: the same records, replayed cold after
+    // every switch, rank differently than the warm-keep replay.
+    EXPECT_NE(kv["result.0.conflict_misses"],
+              keep.at("result.0.conflict_misses"));
+    EXPECT_NE(kv["result.1.label"], keep.at("result.1.label"));
 }
 
 TEST_F(ServerFixture, StatsExposeAdmissionAndMemoState)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Pins every synthesized stream: each Spec95 proxy, a strideN program,
- * a composed mix and a call-site coverage stream are rendered as one
- * "name records digest" line each (FNV-1a over every field of every
- * record) and diffed against tests/golden/proxy_digests.txt. A change
+ * a composed mix (in schedule order, the stream its replay sees) and a
+ * call-site coverage stream are rendered as one "name records digest"
+ * line each (FNV-1a over every field of every record) and diffed against tests/golden/proxy_digests.txt. A change
  * to how records, addresses or synthetic PCs are produced fails here,
  * whether or not any simulated statistic moves.
  */
@@ -62,6 +62,20 @@ line(const std::string &name, const Trace &trace)
     return buf;
 }
 
+/** The stream a mix's replay sees: its segments, in schedule order. */
+Trace
+scheduleOrder(const Scenario &scenario)
+{
+    Trace out;
+    for (const Scenario::Segment &seg : scenario.schedule()) {
+        const auto first = scenario.composed().begin()
+                           + static_cast<std::ptrdiff_t>(seg.offset);
+        out.insert(out.end(), first,
+                   first + static_cast<std::ptrdiff_t>(seg.count));
+    }
+    return out;
+}
+
 std::string
 renderDigests()
 {
@@ -72,7 +86,7 @@ renderDigests()
     }
     for (const char *label :
          {"mix:stride512@n=60k", "mix:swim+gcc+stride512@q=7919,n=60k,phase=5k"})
-        out += line(label, buildScenario(label)->composed());
+        out += line(label, scheduleOrder(*buildScenario(label)));
     Trace sites;
     TraceBuilder builder(sites);
     test::emitKeyCoverage(builder);

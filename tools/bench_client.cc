@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "serve/client.hh"
 
@@ -125,40 +126,38 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            port = static_cast<unsigned short>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            port = countFlag<unsigned short>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--port-file") {
             port_file = argValue(argc, argv, i);
         } else if (arg == "--mode") {
             mode = argValue(argc, argv, i);
         } else if (arg == "--connections") {
-            connections = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            connections = countFlag<unsigned>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--requests") {
-            requests = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            requests = countFlag<unsigned>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--workload") {
             workload = argValue(argc, argv, i);
         } else if (arg == "--org") {
             org = argValue(argc, argv, i);
         } else if (arg == "--size") {
-            size = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            size = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--block") {
-            block = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            block = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--ways") {
-            ways = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            ways = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--polys") {
-            polys = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            polys = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--random") {
-            randoms =
-                std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            randoms = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--top") {
-            top = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            top = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--seed") {
-            seed = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            seed = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--deadline-ms") {
-            deadline_ms =
-                std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            deadline_ms = countFlag(arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--distinct") {
             distinct = true;
         } else if (arg == "--expect-memo-hit") {

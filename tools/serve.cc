@@ -19,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "obs/json_util.hh"
 #include "obs/manifest.hh"
@@ -89,25 +90,25 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            config.port = static_cast<unsigned short>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            config.port = countFlag<unsigned short>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--port-file") {
             port_file = argValue(argc, argv, i);
         } else if (arg == "--workers") {
-            config.workers = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            config.workers = countFlag<unsigned>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--queue-depth") {
-            config.queueDepth = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            config.queueDepth = countFlag<unsigned>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--job-threads") {
-            config.jobThreads = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            config.jobThreads = countFlag<unsigned>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--memo-bytes") {
-            config.memoBytes = static_cast<std::size_t>(
-                std::strtoull(argValue(argc, argv, i), nullptr, 0));
+            config.memoBytes = countFlag<std::size_t>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--deadline-ms") {
-            config.defaultDeadlineMs = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            config.defaultDeadlineMs = countFlag<unsigned>(
+                arg.c_str(), argValue(argc, argv, i));
         } else if (arg == "--metrics-out") {
             metrics_out = argValue(argc, argv, i);
         } else if (arg == "--version") {

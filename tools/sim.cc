@@ -86,6 +86,7 @@
 #include <string>
 #include <thread>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "core/cac.hh"
 #include "obs/json_util.hh"
@@ -798,39 +799,33 @@ runMain(int argc, char **argv)
         else if (!std::strcmp(arg, "--search"))
             search = true;
         else if (!std::strcmp(arg, "--search-polys"))
-            search_polys = std::strtoull(argValue(argc, argv, i),
-                                         nullptr, 0);
+            search_polys =
+                countFlag<std::size_t>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--search-random"))
-            search_random = std::strtoull(argValue(argc, argv, i),
-                                          nullptr, 0);
+            search_random =
+                countFlag<std::size_t>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--seed"))
-            seed = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            seed = countFlag(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--threads"))
-            threads = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            threads = countFlag<unsigned>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--shards"))
-            shards = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            shards = countFlag<unsigned>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--cores"))
-            cores = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            cores = countFlag<unsigned>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--warmup"))
-            warmup = std::strtoull(argValue(argc, argv, i), nullptr, 0);
+            warmup = countFlag(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--size"))
-            spec.org.sizeBytes = std::strtoull(argValue(argc, argv, i),
-                                               nullptr, 0);
+            spec.org.sizeBytes = countFlag(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--ways"))
-            spec.org.ways = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            spec.org.ways =
+                countFlag<unsigned>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--block"))
-            spec.org.blockBytes = std::strtoull(argValue(argc, argv, i),
-                                                nullptr, 0);
+            spec.org.blockBytes = countFlag(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--l2-size"))
-            spec.l2SizeBytes = std::strtoull(argValue(argc, argv, i),
-                                             nullptr, 0);
+            spec.l2SizeBytes = countFlag(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--l2-ways"))
-            spec.l2Ways = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr, 0));
+            spec.l2Ways =
+                countFlag<unsigned>(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--policy")) {
             const char *value = argValue(argc, argv, i);
             if (!std::strcmp(value, "strict"))
@@ -862,8 +857,7 @@ runMain(int argc, char **argv)
         else if (!std::strcmp(arg, "--trace-out"))
             g_obs.tracePath = argValue(argc, argv, i);
         else if (!std::strcmp(arg, "--obs-window"))
-            g_obs.window = std::strtoull(argValue(argc, argv, i),
-                                         nullptr, 0);
+            g_obs.window = countFlag(arg, argValue(argc, argv, i));
         else if (!std::strcmp(arg, "--version"))
             version = true;
         else {

@@ -13,14 +13,12 @@
  *   cac_tracegen --proxy swim --out swim.trc --format v1
  */
 
-#include <cctype>
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "core/cac.hh"
 
 namespace
@@ -56,37 +54,11 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-/**
- * The value of the count flag at argv[i], as a whole decimal (or 0x
- * hex) number in [@p lo, @p hi]; anything else exits 1 with a message.
- */
-std::uint64_t
-countValue(int argc, char **argv, int &i, std::uint64_t lo,
-           std::uint64_t hi)
-{
-    const char *flag = argv[i];
-    const char *text = argValue(argc, argv, i);
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    // strtoull skips blanks and negates a leading '-': demand a digit.
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0'
-        || errno == ERANGE || value < lo || value > hi) {
-        std::fprintf(stderr,
-                     "bad value '%s' for %s (want an integer in "
-                     "[%" PRIu64 ", %" PRIu64 "])\n",
-                     text, flag, lo, hi);
-        std::exit(1);
-    }
-    return value;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    constexpr std::uint64_t kAny = ~std::uint64_t{0};
     std::string proxy;
     std::string out;
     std::size_t instructions = 1000000;
@@ -110,17 +82,20 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--proxy")) {
             proxy = argValue(argc, argv, i);
         } else if (!std::strcmp(arg, "--instructions")) {
-            instructions = countValue(argc, argv, i, 1, kMaxProgramRecords);
+            instructions = countFlag<std::size_t>(
+                arg, argValue(argc, argv, i), 1, kMaxProgramRecords);
         } else if (!std::strcmp(arg, "--seed")) {
-            seed = countValue(argc, argv, i, 0, kAny);
+            seed = countFlag(arg, argValue(argc, argv, i));
         } else if (!std::strcmp(arg, "--stride")) {
-            stride = countValue(argc, argv, i, 1, kAny);
+            stride = countFlag(arg, argValue(argc, argv, i), 1);
         } else if (!std::strcmp(arg, "--elements")) {
             stride_cfg.numElements =
-                countValue(argc, argv, i, 1, kMaxProgramRecords);
+                countFlag<std::size_t>(arg, argValue(argc, argv, i), 1,
+                                       kMaxProgramRecords);
         } else if (!std::strcmp(arg, "--sweeps")) {
             stride_cfg.sweeps =
-                countValue(argc, argv, i, 1, kMaxProgramRecords);
+                countFlag<std::size_t>(arg, argValue(argc, argv, i), 1,
+                                       kMaxProgramRecords);
         } else if (!std::strcmp(arg, "--out")) {
             out = argValue(argc, argv, i);
         } else if (!std::strcmp(arg, "--format")) {
@@ -137,7 +112,8 @@ main(int argc, char **argv)
                 usage();
             }
         } else if (!std::strcmp(arg, "--chunk")) {
-            chunk_records = countValue(argc, argv, i, 1, kAny);
+            chunk_records =
+                countFlag<std::size_t>(arg, argValue(argc, argv, i), 1);
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n", arg);
             usage();
