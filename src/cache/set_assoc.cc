@@ -1,9 +1,5 @@
 #include "cache/set_assoc.hh"
 
-#include <limits>
-
-#include "common/logging.hh"
-
 namespace cac
 {
 
@@ -30,18 +26,6 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geometry,
     plan_epoch_ = index_fn_->planEpoch();
     way_sets_.resize(geometry.ways());
     fill_candidates_.resize(geometry.ways());
-}
-
-SetAssocCache::Line &
-SetAssocCache::lineAt(unsigned way, std::uint64_t set)
-{
-    return lines_[(std::uint64_t{way} << geometry_.setBits()) + set];
-}
-
-const SetAssocCache::Line &
-SetAssocCache::lineAt(unsigned way, std::uint64_t set) const
-{
-    return lines_[(std::uint64_t{way} << geometry_.setBits()) + set];
 }
 
 template <typename Fn>
@@ -86,8 +70,9 @@ SetAssocCache::lookup(std::uint64_t addr) const
     });
 }
 
-// Inlined into every caller: accessPacked() runs it once per L1 access
-// of the coherent targets, where an out-of-line call measurably costs.
+// Inlined into every caller: accessPacked() runs it once per shared-L2
+// access of the coherent targets, where an out-of-line call
+// measurably costs.
 template <typename Sets>
 [[gnu::always_inline]] inline bool
 SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
@@ -131,148 +116,18 @@ SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
     return true;
 }
 
-template <typename Sets>
-AccessResult
-SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
-                        bool dirty)
-{
-    const unsigned ways = geometry_.ways();
-    unsigned victim = 0;
-    if (repl_plain_lru_) {
-        // Inlined LRU victim scan, identical to LruPolicy: the first
-        // invalid candidate in way order, else the first line with the
-        // smallest lastTouch.
-        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-        for (unsigned w = 0; w < ways; ++w) {
-            const Line &line = lineAt(w, sets[w]);
-            if (!line.valid) {
-                victim = w;
-                break;
-            }
-            if (line.repl.lastTouch < oldest) {
-                oldest = line.repl.lastTouch;
-                victim = w;
-            }
-        }
-    } else {
-        for (unsigned w = 0; w < ways; ++w) {
-            const std::uint64_t set = sets[w];
-            const Line &line = lineAt(w, set);
-            fill_candidates_[w] =
-                ReplCandidate{line.valid, &line.repl, set, w};
-        }
-        victim = static_cast<unsigned>(repl_->chooseVictim(fill_candidates_));
-        CAC_ASSERT(victim < ways);
-    }
-
-    const std::uint64_t set = sets[victim];
-    Line &line = lineAt(victim, set);
-    AccessResult r;
-    r.filled = true;
-    ++stats_.fills;
-    if (line.valid) {
-        ++stats_.evictions;
-        r.evictedAddr = geometry_.byteAddr(line.block);
-        r.evictedDirty = line.dirty;
-        if (line.dirty)
-            ++stats_.writebacks;
-    }
-    line.valid = true;
-    line.dirty = dirty;
-    line.block = block_addr;
-    if (repl_plain_lru_) {
-        line.repl.lastTouch = tick_;
-        line.repl.insertTick = tick_;
-        line.repl.referenced = false;
-    } else {
-        repl_->onInsert(line.repl, set, victim, tick_);
-    }
-    return r;
-}
-
-template <typename Kind>
-void
-SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
-                           Kind kind)
-{
-    ensurePlan();
-    if (!plan_.packedCapable()) {
-        for (std::size_t i = 0; i < n; ++i)
-            access(addrs[i], kind.isWrite(i));
-        return;
-    }
-    // Tile the stream: one SIMD/SWAR index pass per tile, then the
-    // per-address state machine consumes the precomputed words.
-    constexpr std::size_t kTile = 256;
-    std::uint64_t blocks[kTile];
-    std::uint64_t packed[kTile];
-    const unsigned ways = geometry_.ways();
-    for (std::size_t base = 0; base < n; base += kTile) {
-        const std::size_t m = n - base < kTile ? n - base : kTile;
-        for (std::size_t i = 0; i < m; ++i)
-            blocks[i] = geometry_.blockAddr(addrs[base + i]);
-        plan_.indexPackedBatch(blocks, m, packed);
-        if (!repl_plain_lru_) {
-            for (std::size_t i = 0; i < m; ++i)
-                accessPacked(blocks[i], packed[i], kind.isWrite(base + i));
-            continue;
-        }
-        // Plain-LRU hit fast path with the access counters hoisted
-        // into registers (the compiler cannot do it: every line store
-        // may alias the members). Misses sync tick_ and drop to
-        // fillWith(); the counter totals are order-independent, so
-        // bulk-adding loads/stores up front is stats-identical to
-        // step()'s per-access increments.
-        const std::size_t stores = kind.writesIn(base, m);
-        stats_.stores += stores;
-        stats_.loads += m - stores;
-        std::uint64_t tick = tick_;
-        for (std::size_t i = 0; i < m; ++i) {
-            ++tick;
-            const bool is_write = kind.isWrite(base + i);
-            const std::uint64_t block = blocks[i];
-            Line *hit = nullptr;
-            for (unsigned w = 0; w < ways; ++w) {
-                Line &line =
-                    lineAt(w, plan_.wayFromPacked(packed[i], w));
-                if (line.valid && line.block == block) {
-                    hit = &line;
-                    break;
-                }
-            }
-            if (hit) {
-                hit->repl.lastTouch = tick;
-                if (is_write && write_back_)
-                    hit->dirty = true;
-                continue;
-            }
-            tick_ = tick; // fillWith stamps new lines from tick_
-            if (is_write) {
-                ++stats_.storeMisses;
-                if (write_allocate_ == WriteAllocate::No)
-                    continue;
-            } else {
-                ++stats_.loadMisses;
-            }
-            fillWith(block, PackedSets{plan_, packed[i]},
-                     is_write && write_back_);
-        }
-        tick_ = tick;
-    }
-}
-
 void
 SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
                            bool is_write)
 {
-    batchKernel(addrs, n, UniformKind{is_write});
+    batchKernel(addrs, n, UniformKind{is_write}, NoEvents{});
 }
 
 void
 SetAssocCache::accessMixed(const std::uint64_t *addrs, const bool *writes,
                            std::size_t n)
 {
-    batchKernel(addrs, n, MixedKind{writes});
+    batchKernel(addrs, n, MixedKind{writes}, NoEvents{});
 }
 
 AccessResult

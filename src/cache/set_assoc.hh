@@ -24,23 +24,33 @@
  * registry organization), and ArraySets, which reads indexAll() output
  * from a stack buffer (RowMask and Callback plans).
  *
- * The batch kernel keeps its own plain-LRU hit loop, with the tick and
- * the load/store counters hoisted into registers (the compiler cannot
- * hoist them: every line store may alias the members). Together with
- * the batched index pass it makes batch replay about twice the scalar
- * rate (docs/PERF_LOG.md). It is chosen by the policy's isPlainLru(),
- * not by an option; every miss, and every access under another policy,
- * goes through fillWith()/step().
+ * One batch kernel, batchKernel(), replays a run of addresses over
+ * index words precomputed a tile at a time. Under plain LRU (the
+ * policy's isPlainLru(), not an option) it runs the class's only
+ * plain-LRU hit loop, with the tick and the load/store counters
+ * hoisted into registers (the compiler cannot hoist them: every line
+ * store may alias the members); every miss fills inside the loop
+ * through fillWith(), and every access under another policy goes
+ * through step(). Together with the batched index pass this makes
+ * batch replay about twice the scalar rate (docs/PERF_LOG.md). The
+ * kernel reports each miss (after its fill) and, on request, each
+ * store hit to a caller-supplied event handler, a template parameter:
+ * accessBatch() and accessMixed() pass NoEvents, which inlines away,
+ * and CoherentSystem passes one that runs its miss path and S -> M
+ * upgrades, so the coherent targets replay their L1 hits at cache
+ * speed.
  */
 
 #ifndef CAC_CACHE_SET_ASSOC_HH
 #define CAC_CACHE_SET_ASSOC_HH
 
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "cache/cache_model.hh"
 #include "cache/replacement.hh"
+#include "common/logging.hh"
 #include "index/index_fn.hh"
 #include "index/index_plan.hh"
 
@@ -130,6 +140,35 @@ class SetAssocCache final : public CacheModel
     bool tryAccess(std::uint64_t addr, bool is_write, bool allow_fill,
                    AccessResult &out);
 
+    /** The batchKernel() event handler that reports nothing. */
+    struct NoEvents
+    {
+        /** Does the kernel report store hits (storeHit())? */
+        static constexpr bool kStoreHits = false;
+        /**
+         * Access @p i (a store when @p is_write) missed: @p r is its
+         * outcome, fill and eviction included.
+         */
+        void miss(std::size_t, bool, const AccessResult &) {}
+        /** Access @p i was a store that hit. */
+        void storeHit(std::size_t) {}
+    };
+
+    /**
+     * The one batch kernel behind accessBatch() and accessMixed():
+     * replays @p n accesses exactly as n access() calls would, taking
+     * each one's kind from @p kind (UniformKind / MixedKind), and
+     * reports them to @p events (see NoEvents) with indices into
+     * [0, n): every miss right after its fill, and every store hit
+     * when Events::kStoreHits. A handler may invalidate lines of this
+     * cache, and access or fill any other, but must not access or fill
+     * this one: the kernel holds its tick and access counters in
+     * registers.
+     */
+    template <typename Kind, typename Events>
+    void batchKernel(const std::uint64_t *addrs, std::size_t n, Kind kind,
+                     Events events);
+
   private:
     struct Line
     {
@@ -159,8 +198,15 @@ class SetAssocCache final : public CacheModel
         std::uint64_t operator[](unsigned way) const { return sets[way]; }
     };
 
-    Line &lineAt(unsigned way, std::uint64_t set);
-    const Line &lineAt(unsigned way, std::uint64_t set) const;
+    Line &lineAt(unsigned way, std::uint64_t set)
+    {
+        return lines_[(std::uint64_t{way} << geometry_.setBits()) + set];
+    }
+
+    const Line &lineAt(unsigned way, std::uint64_t set) const
+    {
+        return lines_[(std::uint64_t{way} << geometry_.setBits()) + set];
+    }
 
     /**
      * Evaluate the plan for @p block_addr once and call @p fn with the
@@ -190,14 +236,6 @@ class SetAssocCache final : public CacheModel
     template <typename Sets>
     AccessResult fillWith(std::uint64_t block_addr, const Sets &sets,
                           bool dirty);
-
-    /**
-     * The one batch kernel behind accessBatch() and accessMixed(),
-     * templated on the kind source (UniformKind / MixedKind).
-     */
-    template <typename Kind>
-    void batchKernel(const std::uint64_t *addrs, std::size_t n,
-                     Kind kind);
 
     /**
      * Recompile the plan if the index function was reprogrammed since
@@ -237,6 +275,156 @@ class SetAssocCache final : public CacheModel
     /** Per-fill scratch candidates, sized ways() once (no allocation). */
     std::vector<ReplCandidate> fill_candidates_;
 };
+
+// fillWith() and batchKernel() are defined here, not in set_assoc.cc,
+// so that CoherentSystem's instantiation of the kernel inlines its
+// hit loop and fills like the plain replay's does.
+
+template <typename Sets>
+AccessResult
+SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
+                        bool dirty)
+{
+    const unsigned ways = geometry_.ways();
+    unsigned victim = 0;
+    if (repl_plain_lru_) {
+        // Inlined LRU victim scan, identical to LruPolicy: the first
+        // invalid candidate in way order, else the first line with the
+        // smallest lastTouch.
+        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+        for (unsigned w = 0; w < ways; ++w) {
+            const Line &line = lineAt(w, sets[w]);
+            if (!line.valid) {
+                victim = w;
+                break;
+            }
+            if (line.repl.lastTouch < oldest) {
+                oldest = line.repl.lastTouch;
+                victim = w;
+            }
+        }
+    } else {
+        for (unsigned w = 0; w < ways; ++w) {
+            const std::uint64_t set = sets[w];
+            const Line &line = lineAt(w, set);
+            fill_candidates_[w] =
+                ReplCandidate{line.valid, &line.repl, set, w};
+        }
+        victim = static_cast<unsigned>(repl_->chooseVictim(fill_candidates_));
+        CAC_ASSERT(victim < ways);
+    }
+
+    const std::uint64_t set = sets[victim];
+    Line &line = lineAt(victim, set);
+    AccessResult r;
+    r.filled = true;
+    ++stats_.fills;
+    if (line.valid) {
+        ++stats_.evictions;
+        r.evictedAddr = geometry_.byteAddr(line.block);
+        r.evictedDirty = line.dirty;
+        if (line.dirty)
+            ++stats_.writebacks;
+    }
+    line.valid = true;
+    line.dirty = dirty;
+    line.block = block_addr;
+    if (repl_plain_lru_) {
+        line.repl.lastTouch = tick_;
+        line.repl.insertTick = tick_;
+        line.repl.referenced = false;
+    } else {
+        repl_->onInsert(line.repl, set, victim, tick_);
+    }
+    return r;
+}
+
+template <typename Kind, typename Events>
+void
+SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
+                           Kind kind, Events events)
+{
+    const auto report = [&](std::size_t i, bool is_write,
+                            const AccessResult &r) {
+        if (!r.hit)
+            events.miss(i, is_write, r);
+        else if (Events::kStoreHits && is_write)
+            events.storeHit(i);
+    };
+    ensurePlan();
+    if (!plan_.packedCapable()) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool is_write = kind.isWrite(i);
+            report(i, is_write, access(addrs[i], is_write));
+        }
+        return;
+    }
+    // Tile the stream: one SIMD/SWAR index pass per tile, then the
+    // per-address state machine consumes the precomputed words.
+    constexpr std::size_t kTile = 256;
+    std::uint64_t blocks[kTile];
+    std::uint64_t packed[kTile];
+    const unsigned ways = geometry_.ways();
+    for (std::size_t base = 0; base < n; base += kTile) {
+        const std::size_t m = n - base < kTile ? n - base : kTile;
+        for (std::size_t i = 0; i < m; ++i)
+            blocks[i] = geometry_.blockAddr(addrs[base + i]);
+        plan_.indexPackedBatch(blocks, m, packed);
+        if (!repl_plain_lru_) {
+            for (std::size_t i = 0; i < m; ++i) {
+                const bool is_write = kind.isWrite(base + i);
+                report(base + i, is_write,
+                       accessPacked(blocks[i], packed[i], is_write));
+            }
+            continue;
+        }
+        // The plain-LRU hit loop, with the access counters hoisted
+        // into registers. Misses sync tick_ and fill in place; the
+        // counter totals are order-independent, so bulk-adding
+        // loads/stores up front is stats-identical to step()'s
+        // per-access increments.
+        const std::size_t stores = kind.writesIn(base, m);
+        stats_.stores += stores;
+        stats_.loads += m - stores;
+        std::uint64_t tick = tick_;
+        for (std::size_t i = 0; i < m; ++i) {
+            ++tick;
+            const bool is_write = kind.isWrite(base + i);
+            const std::uint64_t block = blocks[i];
+            Line *hit = nullptr;
+            for (unsigned w = 0; w < ways; ++w) {
+                Line &line =
+                    lineAt(w, plan_.wayFromPacked(packed[i], w));
+                if (line.valid && line.block == block) {
+                    hit = &line;
+                    break;
+                }
+            }
+            if (hit) {
+                hit->repl.lastTouch = tick;
+                if (is_write && write_back_)
+                    hit->dirty = true;
+                if (Events::kStoreHits && is_write)
+                    events.storeHit(base + i);
+                continue;
+            }
+            tick_ = tick; // fillWith stamps new lines from tick_
+            if (is_write) {
+                ++stats_.storeMisses;
+                if (write_allocate_ == WriteAllocate::No) {
+                    events.miss(base + i, true, AccessResult{});
+                    continue;
+                }
+            } else {
+                ++stats_.loadMisses;
+            }
+            events.miss(base + i, is_write,
+                        fillWith(block, PackedSets{plan_, packed[i]},
+                                 is_write && write_back_));
+        }
+        tick_ = tick;
+    }
+}
 
 } // namespace cac
 

@@ -11,6 +11,9 @@ PageMap::PageMap(std::uint64_t page_bytes, std::uint64_t phys_pages,
     : page_bytes_(page_bytes), phys_pages_(phys_pages), rng_(seed)
 {
     CAC_ASSERT(isPowerOf2(page_bytes));
+    // A one-byte page would let a page number reach the memo's (and
+    // the table's) reserved empty key.
+    CAC_ASSERT(page_bytes > 1);
     CAC_ASSERT(phys_pages >= 1);
     page_shift_ = floorLog2(page_bytes);
 }
@@ -33,21 +36,16 @@ PageMap::frameFor(std::uint64_t vpage)
     return frame;
 }
 
-std::uint64_t
-PageMap::translate(std::uint64_t vaddr)
-{
-    const std::uint64_t vpage = vaddr >> page_shift_;
-    const std::uint64_t offset = vaddr & mask(
-        static_cast<unsigned>(page_shift_));
-    return (frameFor(vpage) << page_shift_) | offset;
-}
-
 void
 PageMap::aliasTo(std::uint64_t alias_vaddr, std::uint64_t target_vaddr)
 {
     const std::uint64_t target_frame =
         frameFor(target_vaddr >> page_shift_);
-    table_.insert(alias_vaddr >> page_shift_).first = target_frame;
+    const std::uint64_t alias_vpage = alias_vaddr >> page_shift_;
+    table_.insert(alias_vpage).first = target_frame;
+    MemoSlot &slot = memo_[memoSlot(alias_vpage)];
+    if (slot.vpage == alias_vpage)
+        slot = MemoSlot{};
 }
 
 } // namespace cac

@@ -7,11 +7,19 @@
  * hole analysis of section 3.3 is that the two index streams are
  * *uncorrelated*; a deterministic pseudo-random page assignment provides
  * that reproducibly, standing in for a real O/S page allocator.
+ *
+ * translate() runs on every miss of the virtual-real hierarchy, often
+ * twice (the missing block and the L1 victim), so it first consults a
+ * small direct-mapped memo of recent translations, a software TLB,
+ * kept inline in the object. A translation never changes once drawn,
+ * so the memo is exact; aliasTo(), the one call that remaps a page,
+ * drops the page's slot.
  */
 
 #ifndef CAC_HIERARCHY_PAGE_MAP_HH
 #define CAC_HIERARCHY_PAGE_MAP_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/block_table.hh"
@@ -39,7 +47,16 @@ class PageMap
                      std::uint64_t seed = 12345);
 
     /** Translate a virtual byte address to a physical byte address. */
-    std::uint64_t translate(std::uint64_t vaddr);
+    std::uint64_t translate(std::uint64_t vaddr)
+    {
+        const std::uint64_t vpage = vaddr >> page_shift_;
+        MemoSlot &slot = memo_[memoSlot(vpage)];
+        if (slot.vpage != vpage) {
+            slot.frame = frameFor(vpage);
+            slot.vpage = vpage;
+        }
+        return (slot.frame << page_shift_) | (vaddr & (page_bytes_ - 1));
+    }
 
     /**
      * Map virtual page of @p alias_vaddr to the same frame as the page
@@ -53,10 +70,34 @@ class PageMap
     std::size_t mappedPages() const { return table_.size(); }
 
   private:
+    /**
+     * One memoized translation; the table's reserved empty key as
+     * vpage marks an empty slot.
+     */
+    struct MemoSlot
+    {
+        std::uint64_t vpage = BlockTable<std::uint64_t>::kEmptyKey;
+        std::uint64_t frame = 0;
+    };
+
+    static constexpr unsigned kMemoBits = 8;
+
+    /**
+     * Memo slot of @p vpage: a Fibonacci hash, so pages a power of two
+     * apart (the same offset in two ASID windows) do not share a slot.
+     */
+    static std::size_t memoSlot(std::uint64_t vpage)
+    {
+        return static_cast<std::size_t>(
+            (vpage * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits));
+    }
+
     std::uint64_t frameFor(std::uint64_t vpage);
 
     std::uint64_t page_bytes_;
     std::uint64_t page_shift_;
+    /** Recent translations, a cache of table_ (see the file comment). */
+    std::array<MemoSlot, std::size_t{1} << kMemoBits> memo_{};
     std::uint64_t phys_pages_;
     Rng rng_;
     BlockTable<std::uint64_t> table_; ///< virtual page -> frame

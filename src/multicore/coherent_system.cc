@@ -146,9 +146,12 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
     }
     if (page_map_.pageBytes() < l1s_.front()->geometry().blockBytes())
         fatal("page size smaller than the cache block size");
+    // Block numbers then stay below kModifiedBit.
+    CAC_ASSERT(l1s_.front()->geometry().blockBytes() > 1);
     l1_sa_.reserve(l1s_.size());
     for (auto &l1 : l1s_)
         l1_sa_.push_back(dynamic_cast<SetAssocCache *>(l1.get()));
+    l2_sa_ = dynamic_cast<SetAssocCache *>(l2_.get());
     mc_.cores.resize(l1s_.size());
     l1_contents_.resize(l1s_.size());
     holes_.resize(l1s_.size());
@@ -185,6 +188,29 @@ CoherentSystem::enterWindow(std::uint64_t vaddr)
     window_core_ = coreFor(vaddr);
 }
 
+/**
+ * What one core's L1 kernel reports back: every miss enters the
+ * virtual-real miss path, and with several cores every store hit
+ * checks for an S -> M upgrade (one core has nobody to upgrade
+ * against, so its store hits are not reported at all).
+ */
+template <bool Multi>
+struct CoherentSystem::CoreEvents
+{
+    static constexpr bool kStoreHits = Multi;
+
+    CoherentSystem &sys;
+    unsigned core;
+    const std::uint64_t *vaddrs;
+
+    void miss(std::size_t i, bool is_write, const AccessResult &r)
+    {
+        sys.missPath(core, vaddrs[i], is_write, r);
+    }
+
+    void storeHit(std::size_t i) { sys.writeHitUpgrade(core, vaddrs[i]); }
+};
+
 // Inlined into batchKernel(): short batches (a demultiplexed run,
 // the tail of a stream) must cost no second call.
 template <typename Kind>
@@ -193,36 +219,19 @@ CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
                           std::size_t n, Kind kind)
 {
     SetAssocCache *sa = l1_sa_[core];
-    if (sa == nullptr || !sa->indexPlan().packedCapable()) {
+    if (sa == nullptr) {
         for (std::size_t i = 0; i < n; ++i)
             access(core, vaddrs[i], kind.isWrite(i));
         return;
     }
-    // L1 hits — the overwhelming majority — cost one precomputed-index
-    // lookup; only misses (and write hits needing an S -> M upgrade)
-    // enter the translation + coherence path.
-    const IndexPlan &plan = sa->indexPlan();
-    constexpr std::size_t kTile = 256;
-    std::uint64_t blocks[kTile];
-    std::uint64_t packed[kTile];
-    const bool multi = l1s_.size() > 1;
-    for (std::size_t base = 0; base < n; base += kTile) {
-        const std::size_t m = n - base < kTile ? n - base : kTile;
-        for (std::size_t i = 0; i < m; ++i)
-            blocks[i] = sa->geometry().blockAddr(vaddrs[base + i]);
-        plan.indexPackedBatch(blocks, m, packed);
-        for (std::size_t i = 0; i < m; ++i) {
-            const bool is_write = kind.isWrite(base + i);
-            const AccessResult r =
-                sa->accessPacked(blocks[i], packed[i], is_write);
-            if (r.hit) {
-                if (is_write && multi)
-                    writeHitUpgrade(core, vaddrs[base + i]);
-            } else {
-                missPath(core, vaddrs[base + i], is_write, r);
-            }
-        }
-    }
+    // L1 hits — the overwhelming majority — stay inside the cache's
+    // own batch kernel; only misses (and, with several cores, store
+    // hits) come back out into the translation + coherence path.
+    if (l1s_.size() > 1)
+        sa->batchKernel(vaddrs, n, kind, CoreEvents<true>{*this, core, vaddrs});
+    else
+        sa->batchKernel(vaddrs, n, kind,
+                        CoreEvents<false>{*this, core, vaddrs});
 }
 
 template <typename Kind>
@@ -279,15 +288,38 @@ void
 CoherentSystem::writeHitUpgrade(unsigned core, std::uint64_t vaddr)
 {
     // Translation is memoized per page, so the extra lookup here
-    // consumes no randomness and perturbs nothing.
+    // consumes no randomness and perturbs nothing. A line this core
+    // already holds Modified is settled by its reverse-map entry
+    // alone, without a directory probe.
     const std::uint64_t pblock =
         l2_->geometry().blockAddr(page_map_.translate(vaddr));
+    // The entry can be missing: a victim or column-poly L1 can hit a
+    // line its own hit path moved without reporting it (the known
+    // hit-path eviction bug); the directory then decides, as it
+    // always did.
+    std::uint64_t *resident = l1_contents_[core].find(pblock);
+    if (resident != nullptr && (*resident & kModifiedBit) != 0)
+        return;
     DirEntry &entry = dir_.insert(pblock).first;
     if (entry.owner == core)
-        return; // already Modified here
+        return;
     ++mc_.cores[core].upgrades;
     invalidateOtherCopies(core, pblock, entry);
     entry.owner = static_cast<std::uint8_t>(core);
+    if (resident != nullptr)
+        *resident |= kModifiedBit;
+}
+
+AccessResult
+CoherentSystem::l2Access(std::uint64_t pblock, bool is_write)
+{
+    if (l2_sa_ != nullptr) {
+        const IndexPlan &plan = l2_sa_->indexPlan();
+        if (plan.packedCapable())
+            return l2_sa_->accessPacked(pblock, plan.packedOne(pblock),
+                                        is_write);
+    }
+    return l2_->access(l2_->geometry().byteAddr(pblock), is_write);
 }
 
 void
@@ -300,7 +332,8 @@ CoherentSystem::invalidateOtherCopies(unsigned core, std::uint64_t pblock,
         const unsigned j = static_cast<unsigned>(std::countr_zero(others));
         const std::uint64_t *resident = l1_contents_[j].find(pblock);
         CAC_ASSERT(resident);
-        l1s_[j]->invalidate(l1s_[j]->geometry().byteAddr(*resident));
+        l1s_[j]->invalidate(
+            l1s_[j]->geometry().byteAddr(vblockOf(*resident)));
         l1_contents_[j].erase(pblock);
         ++mc_.cores[j].invalidationsReceived;
         ++mc_.invalidationMessages;
@@ -327,9 +360,10 @@ CoherentSystem::unlinkL1(unsigned core, std::uint64_t pblock)
 
 bool
 CoherentSystem::joinOnMiss(unsigned core, std::uint64_t pblock,
-                           bool is_write, bool filled, DirEntry &entry)
+                           bool is_write, std::uint64_t *resident,
+                           DirEntry &entry)
 {
-    if (filled)
+    if (resident != nullptr)
         entry.sharers |= std::uint64_t{1} << core;
     bool served = false;
     const unsigned peer = entry.owner;
@@ -340,12 +374,16 @@ CoherentSystem::joinOnMiss(unsigned core, std::uint64_t pblock,
         // Read: the peer keeps a Shared copy (M -> S); a store
         // invalidates it below. Either way the old ownership ends.
         entry.owner = kNoCore;
+        if (std::uint64_t *held = l1_contents_[peer].find(pblock))
+            *held &= ~kModifiedBit;
         served = true;
     }
     if (is_write) {
         invalidateOtherCopies(core, pblock, entry);
-        if (filled)
+        if (resident != nullptr) {
             entry.owner = static_cast<std::uint8_t>(core);
+            *resident |= kModifiedBit;
+        }
     }
     return served;
 }
@@ -394,32 +432,39 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
 
     // Translation after the L1 access mirrors the virtual-real
     // pipeline: L1 is probed before (or in parallel with) the TLB.
-    const std::uint64_t paddr = page_map_.translate(vaddr);
-    const std::uint64_t pblock = l2_->geometry().blockAddr(paddr);
+    const std::uint64_t pblock =
+        l2_->geometry().blockAddr(page_map_.translate(vaddr));
 
     std::uint64_t l1_evicted_vblock = 0;
     bool l1_evicted = false;
     if (l1_result.evictedAddr) {
         l1_evicted = true;
         l1_evicted_vblock = l1.geometry().blockAddr(*l1_result.evictedAddr);
-        const std::uint64_t evicted_paddr =
-            page_map_.translate(*l1_result.evictedAddr);
-        unlinkL1(core, l2_->geometry().blockAddr(evicted_paddr));
+        const std::uint64_t evicted_pblock = l2_->geometry().blockAddr(
+            page_map_.translate(*l1_result.evictedAddr));
+        unlinkL1(core, evicted_pblock);
         // A dirty write-back from L1 updates L2 (hit expected under
         // Inclusion).
         if (l1_result.evictedDirty)
-            l2_->access(evicted_paddr, true);
+            l2Access(evicted_pblock, true);
     }
+    // The filled line's reverse-map entry. No other entry of this
+    // core's map is inserted or erased below, so the pointer stays
+    // valid.
+    std::uint64_t *filled = nullptr;
     if (l1_result.filled) {
         // Virtual-alias rule: at most one virtual copy of a physical
         // block may live in one L1. If a different virtual block
-        // already maps this physical block, shoot it down first.
+        // already maps this physical block, shoot it down first; the
+        // new alias inherits its Modified state with its directory
+        // entry.
         auto [resident, fresh] = l1_contents_[core].insert(pblock);
-        if (!fresh && resident != vblock) {
-            if (l1.invalidate(l1.geometry().byteAddr(resident)))
+        if (!fresh && vblockOf(resident) != vblock) {
+            if (l1.invalidate(l1.geometry().byteAddr(vblockOf(resident))))
                 ++holes.aliasRemovals;
         }
-        resident = vblock;
+        resident = vblock | (resident & kModifiedBit);
+        filled = &resident;
     }
 
     // Coherence: a peer holding the line Modified serves the miss
@@ -428,14 +473,14 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     // is inserted or erased while `entry` is in use, so it stays valid.
     DirEntry *entry = multi ? &dir_.insert(pblock).first : nullptr;
     if (entry != nullptr
-        && joinOnMiss(core, pblock, is_write, l1_result.filled, *entry)) {
+        && joinOnMiss(core, pblock, is_write, filled, *entry)) {
         if (entry->unused())
             dir_.erase(pblock);
         return;
     }
 
     // Shared-L2 lookup with the physical address.
-    const AccessResult l2_result = l2_->access(paddr, is_write);
+    const AccessResult l2_result = l2Access(pblock, is_write);
     if (!l2_result.hit) {
         ++holes.l2Misses;
         if (entry != nullptr) {
@@ -466,7 +511,7 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
         if (resident == nullptr)
             continue;
         ++mc_.cores[j].holes.inclusionInvalidates;
-        const std::uint64_t victim_vblock = *resident;
+        const std::uint64_t victim_vblock = vblockOf(*resident);
         if (j == core && l1_evicted && victim_vblock == l1_evicted_vblock) {
             // Coincidence: the L1 fill already displaced it; no hole
             // appears (the paper's P_d complement).
@@ -487,7 +532,8 @@ CoherentSystem::externalInvalidate(std::uint64_t paddr)
     const std::uint64_t pblock = l2_->geometry().blockAddr(paddr);
     for (unsigned c = 0; c < l1s_.size(); ++c) {
         if (const std::uint64_t *resident = l1_contents_[c].find(pblock)) {
-            l1s_[c]->invalidate(l1s_[c]->geometry().byteAddr(*resident));
+            l1s_[c]->invalidate(
+                l1s_[c]->geometry().byteAddr(vblockOf(*resident)));
             unlinkL1(c, pblock);
         }
     }
@@ -548,14 +594,19 @@ CoherentSystem::checkCoherence() const
     const bool multi = cores > 1;
     bool ok = multi || dir_.empty();
     // Every reverse-map entry must match a resident L1 line and, with
-    // several cores, a set sharer bit.
+    // several cores, a set sharer bit; its Modified bit must mirror
+    // the directory's owner.
     for (unsigned c = 0; c < cores; ++c) {
         l1_contents_[c].forEach([&](std::uint64_t pblock,
-                                    std::uint64_t vblock) {
+                                    std::uint64_t resident) {
+            const std::uint64_t vblock = vblockOf(resident);
             if (!l1s_[c]->probe(l1s_[c]->geometry().byteAddr(vblock)))
                 ok = false;
             const DirEntry *entry = multi ? dir_.find(pblock) : nullptr;
             if (multi && (entry == nullptr || !(entry->sharers >> c & 1)))
+                ok = false;
+            const bool owner = entry != nullptr && entry->owner == c;
+            if (((resident & kModifiedBit) != 0) != owner)
                 ok = false;
         });
     }
@@ -588,9 +639,9 @@ CoherentSystem::checkInclusion() const
     bool ok = true;
     for (unsigned c = 0; c < l1s_.size(); ++c) {
         l1_contents_[c].forEach([&](std::uint64_t pblock,
-                                    std::uint64_t vblock) {
+                                    std::uint64_t resident) {
             const std::uint64_t vaddr =
-                l1s_[c]->geometry().byteAddr(vblock);
+                l1s_[c]->geometry().byteAddr(vblockOf(resident));
             const std::uint64_t paddr = l2_->geometry().byteAddr(pblock);
             if (l1s_[c]->probe(vaddr) && !l2_->probe(paddr))
                 ok = false;

@@ -47,7 +47,20 @@
  * visit only the cores whose sharer bit is set. The entry is keyed by
  * block rather than kept in L2 line metadata because the evictor id
  * must outlive the line, and the shared L2 may be any registry
- * organization.
+ * organization. The directory's owner field is authoritative; each
+ * core's reverse-map value mirrors it in one bit (kModifiedBit), so a
+ * store hit on a line the core already holds Modified — most store
+ * hits — settles in the core's own small map and never probes the
+ * directory. checkCoherence() requires the bit to mirror the owner.
+ *
+ * Speed. Each core's L1 hits stay inside SetAssocCache::batchKernel(),
+ * the same plain-LRU hit loop batch replay of a single cache runs;
+ * the kernel hands every miss (after its fill), and with several
+ * cores every store hit, to a handler that runs the miss path or the
+ * S -> M upgrade. A miss translates through PageMap's memo of recent
+ * translations, and reaches a set-associative L2 through its
+ * precomputed packed index word (SetAssocCache::accessPacked()) rather
+ * than the virtual access() chain. None of this changes a counter.
  *
  * Streams demultiplex onto cores by ASID window: core = (vaddr /
  * windowBytes) % cores, with windowBytes matching the Scenario
@@ -332,18 +345,36 @@ class CoherentSystem
         }
     };
 
+    /**
+     * Reverse-map value bit: the core holds the block Modified (mirrors
+     * DirEntry::owner). Block numbers never reach it: blocks are at
+     * least two bytes.
+     */
+    static constexpr std::uint64_t kModifiedBit = std::uint64_t{1} << 63;
+
+    /** The virtual block of a reverse-map value. */
+    static std::uint64_t vblockOf(std::uint64_t resident)
+    {
+        return resident & ~kModifiedBit;
+    }
+
+    /** The batchKernel() handler of one core's L1 (coherent_system.cc). */
+    template <bool Multi>
+    struct CoreEvents;
+
     /** Everything access() does after a private-L1 miss. */
     void missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                   const AccessResult &l1_result);
 
     /**
      * The directory side of a miss: record @p core as a sharer when
-     * the L1 @p filled, take a peer's Modified copy (an intervention),
-     * and on a store invalidate every other copy and take ownership.
+     * the L1 filled (@p resident is then the fill's reverse-map value,
+     * else null), take a peer's Modified copy (an intervention), and
+     * on a store invalidate every other copy and take ownership.
      * @return true when a peer L1 served the miss (no L2 access).
      */
     bool joinOnMiss(unsigned core, std::uint64_t pblock, bool is_write,
-                    bool filled, DirEntry &entry);
+                    std::uint64_t *resident, DirEntry &entry);
 
     /**
      * Settle the directory entry of an L2 victim evicted by @p core's
@@ -356,6 +387,12 @@ class CoherentSystem
 
     /** S -> M promotion on a write hit: invalidate peers, take M. */
     void writeHitUpgrade(unsigned core, std::uint64_t vaddr);
+
+    /**
+     * One shared-L2 access to physical block @p pblock: through its
+     * packed index word when the L2 is a packed-capable SetAssocCache.
+     */
+    AccessResult l2Access(std::uint64_t pblock, bool is_write);
 
     /**
      * Invalidate every other core's copy of @p pblock (the sharers in
@@ -382,7 +419,11 @@ class CoherentSystem
     void batchKernel(const std::uint64_t *vaddrs, std::size_t n,
                      Kind kind);
 
-    /** Per-core batch with the packed-index fast path when possible. */
+    /**
+     * Per-core batch: a SetAssocCache L1 runs its own batch kernel and
+     * reports misses and store hits through CoreEvents; any other L1
+     * replays through access().
+     */
     template <typename Kind>
     void coreBatch(unsigned core, const std::uint64_t *vaddrs,
                    std::size_t n, Kind kind);
@@ -391,6 +432,8 @@ class CoherentSystem
     /** l1s_[i] downcast when it is a SetAssocCache (batch fast path). */
     std::vector<SetAssocCache *> l1_sa_;
     std::unique_ptr<CacheModel> l2_;
+    /** l2_ downcast when it is a SetAssocCache (packed L2 lookups). */
+    SetAssocCache *l2_sa_ = nullptr;
     PageMap page_map_;
     std::uint64_t window_bytes_;
     /** Demultiplexer state: the current window's base and its core. */
@@ -404,9 +447,9 @@ class CoherentSystem
 
     /**
      * Per-core reverse maps: physical block -> virtual block resident
-     * in that L1. The virtual-real protocol maintains exactly this
-     * association so physical invalidations can find virtual L1 lines
-     * without reverse translation hardware.
+     * in that L1, plus kModifiedBit. The virtual-real protocol
+     * maintains exactly this association so physical invalidations
+     * can find virtual L1 lines without reverse translation hardware.
      */
     std::vector<BlockTable<std::uint64_t>> l1_contents_;
     /** Per-core blocks invalidated by Inclusion, pending re-reference. */

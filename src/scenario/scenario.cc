@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <span>
+#include <utility>
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "trace/builder.hh"
@@ -226,22 +229,23 @@ strideConfig(std::uint64_t stride, const ScenarioConfig &config)
 }
 
 /**
- * Records to reserve for one program: exact for stride and trace atoms
- * (@p file holds a trace atom's records, read beforehand), and for a
- * proxy the n + n/8 overshoot room buildSpecProxy() reserves.
+ * The records one program certainly appends — exact for stride and
+ * trace atoms (@p file holds a trace atom's records, read beforehand),
+ * n for a proxy — and the room to reserve beyond them: a proxy may
+ * overshoot n by up to n/8, the room buildSpecProxy() reserves.
  */
-std::size_t
-reserveFor(const std::string &atom, const ScenarioConfig &config,
-           const Trace &file)
+std::pair<std::size_t, std::size_t>
+programSize(const std::string &atom, const ScenarioConfig &config,
+            const Trace &file)
 {
     if (isTraceAtom(atom))
-        return file.size();
+        return {file.size(), 0};
     std::uint64_t stride = 0;
     if (parseStrideAtom(atom, stride)) {
         const StrideWorkloadConfig wc = strideConfig(stride, config);
-        return wc.sweeps * wc.numElements;
+        return {wc.sweeps * wc.numElements, 0};
     }
-    return config.programRecords + config.programRecords / 8;
+    return {config.programRecords, config.programRecords / 8};
 }
 
 /**
@@ -309,15 +313,23 @@ Scenario::Scenario(const ScenarioSpec &spec)
     // appending never reallocates it (and never copies the mix).
     const std::size_t k = names_.size();
     std::vector<Trace> files(k);
+    std::size_t certain = 0;
     std::size_t reserve = 0;
     for (std::size_t i = 0; i < k; ++i) {
         if (isTraceAtom(names_[i])) {
             files[i] = readTrace(names_[i].substr(
                 std::char_traits<char>::length(kTracePrefix)));
         }
-        reserve += reserveFor(names_[i], config_, files[i]);
+        const auto [records, room] =
+            programSize(names_[i], config_, files[i]);
+        certain += records;
+        reserve += records + room;
     }
     composed_.reserve(reserve);
+    // Huge pages only where records certainly land: a touched huge
+    // page is resident whole, and the overshoot room mostly stays
+    // unwritten.
+    adviseHugePages(composed_.data(), certain * sizeof(TraceRecord));
 
     // Append, relocate and phase-shift every program where it lies.
     std::vector<std::size_t> start(k);
@@ -329,6 +341,11 @@ Scenario::Scenario(const ScenarioSpec &spec)
         if (length[i] == 0)
             fatal("scenario '%s': program '%s' produced no records",
                   label_.c_str(), names_[i].c_str());
+        // A segment counts its records in 32 bits.
+        if (length[i] > std::numeric_limits<std::uint32_t>::max())
+            fatal("scenario '%s': program '%s' has %zu records; a mix "
+                  "program may have at most 2^32 - 1",
+                  label_.c_str(), names_[i].c_str(), length[i]);
         const std::span<TraceRecord> program(composed_.data() + start[i],
                                              length[i]);
         relocateTrace(program, i * config_.asidStrideBytes,
@@ -341,22 +358,39 @@ Scenario::Scenario(const ScenarioSpec &spec)
     // they lie. When only one program still has records, its
     // consecutive slices merge into one segment (no switch happens),
     // so the schedule's transitions are exactly the context switches.
+    // The first pass only counts segments, so the schedule is
+    // allocated once at its exact size: tiny quanta make it as large
+    // as the trace, and a growing vector would hold 1.5x of it while
+    // it reallocates.
     const std::size_t quantum =
         static_cast<std::size_t>(config_.quantumRecords);
-    std::vector<std::size_t> pos(k, 0);
-    bool progressed = true;
-    while (progressed) {
-        progressed = false;
-        for (unsigned i = 0; i < k; ++i) {
-            if (pos[i] >= length[i])
-                continue;
-            const std::size_t take = std::min(quantum, length[i] - pos[i]);
-            if (!schedule_.empty() && schedule_.back().program == i)
-                schedule_.back().count += take;
-            else
-                schedule_.push_back(Segment{i, start[i] + pos[i], take});
-            pos[i] += take;
-            progressed = true;
+    std::size_t segments = 0;
+    for (const bool emit : {false, true}) {
+        if (emit)
+            schedule_.reserve(segments);
+        std::vector<std::size_t> pos(k, 0);
+        // Program of the previous slice (none yet).
+        unsigned last = static_cast<unsigned>(k);
+        for (bool progressed = true; progressed;) {
+            progressed = false;
+            for (unsigned i = 0; i < k; ++i) {
+                if (pos[i] >= length[i])
+                    continue;
+                const std::size_t take =
+                    std::min(quantum, length[i] - pos[i]);
+                if (!emit)
+                    segments += last != i ? 1 : 0;
+                else if (last == i)
+                    schedule_.back().count +=
+                        static_cast<std::uint32_t>(take);
+                else
+                    schedule_.push_back(Segment{
+                        start[i] + pos[i],
+                        static_cast<std::uint32_t>(take), i});
+                last = i;
+                pos[i] += take;
+                progressed = true;
+            }
         }
     }
 }

@@ -155,17 +155,22 @@ struct ScenarioResult
 class Scenario
 {
   public:
-    /** One scheduled time slice of the composed trace. */
+    /**
+     * One scheduled time slice of the composed trace: 16 bytes, since
+     * one-record quanta make the schedule as long as the trace. A
+     * program may hold at most 2^32 - 1 records (composition refuses a
+     * longer one).
+     */
     struct Segment
     {
-        unsigned program = 0; ///< index into programNames()
         /**
          * First record in composed(): the program's start plus the
          * records its earlier slices replayed, so a program's segments
          * are ascending and contiguous inside its own range.
          */
-        std::size_t offset = 0;
-        std::size_t count = 0; ///< records in this slice
+        std::uint64_t offset = 0;
+        std::uint32_t count = 0;   ///< records in this slice
+        std::uint32_t program = 0; ///< index into programNames()
     };
 
     /**

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "trace/builder.hh"
@@ -517,6 +518,9 @@ buildSpecProxy(const std::string &name, std::size_t target_instructions,
     CAC_ASSERT(target_instructions <= kMaxProgramRecords);
     Trace trace;
     trace.reserve(target_instructions + target_instructions / 8);
+    // Huge pages only under the n records certainly written (see
+    // adviseHugePages()).
+    adviseHugePages(trace.data(), target_instructions * sizeof(TraceRecord));
     appendSpecProxy(trace, name, target_instructions, seed);
     return trace;
 }

@@ -4,6 +4,7 @@
  */
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +83,36 @@ TEST(PageMap, AliasSharesFrame)
     EXPECT_EQ(pm.translate(alias) >> 12, pm.translate(target) >> 12);
     EXPECT_EQ(pm.translate(alias + 100) & 4095,
               (alias + 100) & 4095u);
+}
+
+TEST(PageMap, AliasAfterAMemoizedTranslationTakesEffect)
+{
+    PageMap pm;
+    const std::uint64_t target = 0x40000;
+    const std::uint64_t alias = 0x90000;
+    const std::uint64_t own = pm.translate(alias + 8); // now memoized
+    pm.aliasTo(alias, target);
+    EXPECT_EQ(pm.translate(alias + 8), pm.translate(target + 8));
+    EXPECT_NE(pm.translate(alias + 8), own);
+}
+
+TEST(PageMap, PagesCollidingInTheMemoTranslateAsBefore)
+{
+    // Far more pages than the memo has slots, so pages share slots
+    // and evict each other; every translation must still be the one
+    // first drawn, in any revisit order.
+    PageMap pm;
+    constexpr std::uint64_t kPages = 4096;
+    std::vector<std::uint64_t> first(kPages);
+    for (std::uint64_t p = 0; p < kPages; ++p)
+        first[p] = pm.translate(p * 4096 + 5);
+    for (std::uint64_t p = kPages; p-- > 0;)
+        EXPECT_EQ(pm.translate(p * 4096 + 5), first[p]) << p;
+    for (std::uint64_t i = 0; i < kPages; ++i) {
+        const std::uint64_t p = (i * 2654435761u) % kPages;
+        EXPECT_EQ(pm.translate(p * 4096 + 5), first[p]) << p;
+    }
+    EXPECT_EQ(pm.mappedPages(), kPages);
 }
 
 TEST(PageMap, LargePagesSupported)

@@ -100,6 +100,46 @@ TEST(CoherenceLitmus, ReadInterventionDowngradesOwnerAndSkipsL2)
     EXPECT_EQ(mc.invalidationMessages, 0u); // a read invalidates nobody
 }
 
+TEST(CoherenceLitmus, DowngradedOwnerUpgradesOnItsNextStoreHit)
+{
+    // The Modified state a core keeps in its reverse map must leave
+    // with a read intervention: a stale one would let the old owner's
+    // next store hit skip the upgrade and leave the reader's copy
+    // alive beside a written line. Run through access() and through
+    // the batch kernel's store-hit path.
+    for (const bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "accessMixed" : "access");
+        auto sys = makeSystem(2);
+        const std::uint64_t A = 0x100;
+        const auto ref = [&](unsigned core, bool is_write) {
+            const std::uint64_t vaddr = A + core * sys.windowBytes();
+            if (!batched) {
+                sys.access(core, vaddr, is_write);
+                return;
+            }
+            const bool writes[1] = {is_write};
+            sys.accessMixed(&vaddr, writes, 1);
+        };
+        // Core 1's window aliases onto core 0's page, so both cores
+        // reference the same physical block.
+        sys.pageMap().aliasTo(sys.windowBytes(), 0);
+
+        ref(0, true);  // core 0: M
+        ref(1, false); // read intervention: core 0 M -> S
+        ASSERT_EQ(sys.stats().interventions, 1u);
+        EXPECT_EQ(sys.state(0, A), LineState::Shared);
+        expectInvariants(sys, "after the downgrade");
+
+        ref(0, true); // store hit on a Shared line: an upgrade
+        const MultiCoreStats mc = sys.stats();
+        EXPECT_EQ(mc.cores[0].upgrades, 1u);
+        EXPECT_EQ(mc.cores[1].invalidationsReceived, 1u);
+        EXPECT_EQ(sys.state(0, A), LineState::Modified);
+        EXPECT_EQ(sys.state(1, A + sys.windowBytes()), LineState::Invalid);
+        expectInvariants(sys, "after the upgrade");
+    }
+}
+
 TEST(CoherenceLitmus, WriteInterventionInvalidatesOwner)
 {
     auto sys = makeSystem(2);

@@ -20,7 +20,13 @@
  *    every batch, and a twin system fed the same references as mixed
  *    load/store batches (accessMixed()) ends every group of batches
  *    with exactly the per-kind system's counters. Failures name the
- *    seed and the drawn configuration.
+ *    seed and the drawn configuration;
+ *  - the batch≡scalar oracle: seeded draws of L1 and L2 organization,
+ *    core count, store ratio, write allocation, index-plan kind,
+ *    stream and aliased pages, replayed once through accessMixed() at
+ *    random batch sizes and once through scalar access(), end with
+ *    identical per-core L1 rows, L2, holes and coherence counters,
+ *    and both keep the invariants at every batch boundary.
  */
 
 #include <algorithm>
@@ -33,6 +39,7 @@
 #include "common/rng.hh"
 #include "core/registry.hh"
 #include "core/sim_target.hh"
+#include "index/index_plan.hh"
 #include "multicore/mc_target.hh"
 #include "workloads/spec_proxy.hh"
 
@@ -479,6 +486,117 @@ TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
     EXPECT_GT(interventions, 0u);
     EXPECT_GT(invalidations, 0u);
     EXPECT_GT(upgrades, 0u);
+}
+
+/** An mc: system of @p cores cores built from @p cfg. */
+std::unique_ptr<SimTarget>
+buildSystem(const DrawnConfig &cfg, unsigned cores)
+{
+    return OrgRegistry::global().buildTarget(
+        "mc:" + std::to_string(cores) + "x" + cfg.l1 + "/" + cfg.l2,
+        cfg.spec);
+}
+
+TEST(McDifferential, RandomBatchesMatchScalarAccess)
+{
+    std::uint64_t upgrades = 0, interventions = 0, aliases = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        Rng rng(seed * 7919);
+        // column-poly and victim drop lines on a hit without reporting
+        // it (see RandomSharingKeepsInvariantsAfterEveryBatch), so the
+        // residency invariant cannot hold for them.
+        DrawnConfig cfg = drawConfig(rng);
+        while (cfg.l1 == "column-poly" || cfg.l1 == "victim")
+            cfg = drawConfig(rng);
+        const unsigned cores = 1 + static_cast<unsigned>(rng.nextBelow(4));
+        const double store_ratio = 0.6 * rng.nextDouble();
+        cfg.spec.org.writeAllocate = rng.chance(0.75);
+        // Some draws compile every index function to the generic
+        // callback plan, so the L1 kernel and the L2 lookup take their
+        // paths for plans without packed index words.
+        const bool callback_plans = rng.chance(0.25);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + cfg.describe()
+                     + " cores " + std::to_string(cores) + " stores "
+                     + std::to_string(store_ratio) + " write-allocate "
+                     + std::to_string(cfg.spec.org.writeAllocate)
+                     + " callback plans " + std::to_string(callback_plans));
+
+        IndexPlan::forceCallbackForTests(callback_plans);
+        auto batch_built = buildSystem(cfg, cores);
+        auto scalar_built = buildSystem(cfg, cores);
+        IndexPlan::forceCallbackForTests(false);
+        CoherentSystem &batch =
+            dynamic_cast<MultiCoreTarget &>(*batch_built).system();
+        CoherentSystem &scalar =
+            dynamic_cast<MultiCoreTarget &>(*scalar_built).system();
+
+        // Aliased pages: some of every core's low pages onto core 0's
+        // (shared physical blocks), and some within one window
+        // (virtual aliases in one L1).
+        const std::uint64_t window = cfg.spec.mcWindowBytes;
+        const std::uint64_t page = cfg.spec.pageBytes;
+        const std::uint64_t footprint = 6 * cfg.spec.org.sizeBytes;
+        const std::uint64_t pages = (footprint + page - 1) / page;
+        for (unsigned c = 0; c < cores; ++c) {
+            for (std::uint64_t p = 0; p < pages; ++p) {
+                if (!rng.chance(0.3))
+                    continue;
+                const std::uint64_t target =
+                    c > 0 && rng.chance(0.5)
+                    ? rng.nextBelow(pages) * page
+                    : c * window + rng.nextBelow(pages) * page;
+                batch.pageMap().aliasTo(c * window + p * page, target);
+                scalar.pageMap().aliasTo(c * window + p * page, target);
+                ++aliases;
+            }
+        }
+
+        // The stream: runs on one core at a time (a scheduling
+        // quantum), each reference into a hot set or along a strided
+        // sweep.
+        std::vector<std::uint64_t> addrs;
+        std::unique_ptr<bool[]> writes(new bool[8000]);
+        unsigned core = 0;
+        std::uint64_t cursor = 0;
+        std::uint64_t stride = 8;
+        while (addrs.size() < 8000) {
+            if (addrs.empty() || rng.chance(0.01)) {
+                core = static_cast<unsigned>(rng.nextBelow(cores));
+                stride = std::uint64_t{8} << rng.nextBelow(10);
+            }
+            if (rng.chance(0.3)) {
+                addrs.push_back(core * window
+                                + rng.nextBelow(footprint / 16));
+            } else {
+                cursor = (cursor + stride) % footprint;
+                addrs.push_back(core * window + cursor);
+            }
+            writes[addrs.size() - 1] = rng.chance(store_ratio);
+        }
+
+        std::size_t at = 0;
+        while (at < addrs.size()) {
+            const std::size_t n = std::min<std::size_t>(
+                addrs.size() - at, 1 + rng.nextBelow(600));
+            batch.accessMixed(addrs.data() + at, writes.get() + at, n);
+            for (std::size_t i = at; i < at + n; ++i)
+                scalar.access(scalar.coreFor(addrs[i]), addrs[i], writes[i]);
+            at += n;
+            ASSERT_TRUE(batch.checkCoherence()) << "batched, at " << at;
+            ASSERT_TRUE(batch.checkInclusion()) << "batched, at " << at;
+            ASSERT_TRUE(scalar.checkCoherence()) << "scalar, at " << at;
+            ASSERT_TRUE(scalar.checkInclusion()) << "scalar, at " << at;
+        }
+        expectSystemsEqual(batch, scalar, "batched vs scalar");
+        const MultiCoreStats stats = batch.stats();
+        interventions += stats.interventions;
+        for (const McCoreStats &row : stats.cores)
+            upgrades += row.upgrades;
+    }
+    // The draws must reach the store-hit and intervention paths.
+    EXPECT_GT(upgrades, 0u);
+    EXPECT_GT(interventions, 0u);
+    EXPECT_GT(aliases, 0u);
 }
 
 } // anonymous namespace

@@ -1,10 +1,12 @@
 /**
  * @file
- * The scenario layer's memory bound: every program is built straight
+ * The scenario layer's memory bounds: every program is built straight
  * into the composed buffer and replayed where it lies, so composing a
  * mix raises the process's peak RSS by the composed trace alone (plus
- * allocator slack), not by a second copy of the mix. Measured in a
- * forked child, so the peak is the composition's alone.
+ * allocator slack), not by a second copy of the mix; and the schedule
+ * costs 16 bytes per segment, allocated once, even when one-record
+ * quanta make it as long as the trace. Measured in forked children,
+ * so each peak is one composition's alone.
  */
 
 #include <gtest/gtest.h>
@@ -37,15 +39,15 @@ peakRssBytes()
     return 0;
 }
 
-TEST(ScenarioMemory, ComposingHoldsTheMixOnce)
+/**
+ * Compose @p label in a forked child and require its peak-RSS growth
+ * to stay within the composed trace, @p per_segment bytes per schedule
+ * segment and 4 MiB of allocator slack.
+ */
+void
+expectCompositionWithin(const std::string &label,
+                        std::uint64_t per_segment)
 {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "sanitizer shadow memory inflates the peak RSS";
-#endif
-    if (peakRssBytes() == 0)
-        GTEST_SKIP() << "no VmHWM in /proc/self/status";
-
-    const std::string label = "mix:swim+tomcatv+gcc+wave5@q=50k,n=250k";
     constexpr std::uint64_t kSlack = std::uint64_t{4} << 20;
 
     int pipe_fds[2];
@@ -58,20 +60,22 @@ TEST(ScenarioMemory, ComposingHoldsTheMixOnce)
         const auto scenario = buildScenario(label);
         const std::uint64_t growth = peakRssBytes() - before;
         const std::uint64_t bound =
-            scenario->composed().size() * sizeof(TraceRecord) + kSlack;
-        char report[160];
+            scenario->composed().size() * sizeof(TraceRecord)
+            + scenario->schedule().size() * per_segment + kSlack;
+        char report[200];
         const int len = std::snprintf(
             report, sizeof(report),
-            "peak RSS grew %llu bytes; bound %llu (%zu records)",
+            "peak RSS grew %llu bytes; bound %llu (%zu records, %zu "
+            "segments)",
             static_cast<unsigned long long>(growth),
             static_cast<unsigned long long>(bound),
-            scenario->composed().size());
+            scenario->composed().size(), scenario->schedule().size());
         if (write(pipe_fds[1], report, static_cast<std::size_t>(len)) < 0)
             _exit(3);
         _exit(growth <= bound ? 0 : 1);
     }
     close(pipe_fds[1]);
-    char report[160] = {};
+    char report[200] = {};
     const ssize_t got = read(pipe_fds[0], report, sizeof(report) - 1);
     close(pipe_fds[0]);
     int status = 0;
@@ -80,6 +84,32 @@ TEST(ScenarioMemory, ComposingHoldsTheMixOnce)
     EXPECT_GT(got, 0);
     EXPECT_EQ(WEXITSTATUS(status), 0) << report;
     std::printf("%s\n", report);
+}
+
+/** Why peak-RSS growth cannot be measured here, or nullptr. */
+const char *
+rssUnmeasurable()
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    return "sanitizer shadow memory inflates the peak RSS";
+#endif
+    return peakRssBytes() == 0 ? "no VmHWM in /proc/self/status" : nullptr;
+}
+
+TEST(ScenarioMemory, ComposingHoldsTheMixOnce)
+{
+    if (const char *why = rssUnmeasurable())
+        GTEST_SKIP() << why;
+    expectCompositionWithin("mix:swim+tomcatv+gcc+wave5@q=50k,n=250k", 0);
+}
+
+TEST(ScenarioMemory, ScheduleCostsSixteenBytesPerSegment)
+{
+    static_assert(sizeof(Scenario::Segment) == 16);
+    if (const char *why = rssUnmeasurable())
+        GTEST_SKIP() << why;
+    // One-record quanta: about one segment per record.
+    expectCompositionWithin("mix:swim+tomcatv+gcc+wave5@q=1,n=250k", 16);
 }
 
 } // namespace

@@ -84,9 +84,11 @@ referenceSchedule(const std::vector<std::size_t> &start,
                 continue;
             const std::size_t take = std::min(quantum, length[p] - pos[p]);
             if (!out.empty() && out.back().program == p)
-                out.back().count += take;
+                out.back().count += static_cast<std::uint32_t>(take);
             else
-                out.push_back({p, start[p] + pos[p], take});
+                out.push_back({.offset = start[p] + pos[p],
+                               .count = static_cast<std::uint32_t>(take),
+                               .program = p});
             pos[p] += take;
             progressed = true;
         }

@@ -1,0 +1,53 @@
+/**
+ * @file
+ * The interface between the in-process A/B driver (tools/ab/main.cc)
+ * and one tree under test. side.cc is compiled once against each
+ * tree's headers: against this checkout's src/ as the candidate, and
+ * against the CAC_AB_BASE checkout — whose library is built with the
+ * cac namespace renamed cac_base — as the base. Only standard types
+ * cross this interface, so the two trees' classes never meet.
+ */
+
+#ifndef CAC_TOOLS_AB_SIDE_HH
+#define CAC_TOOLS_AB_SIDE_HH
+
+#include <cstdint>
+#include <string>
+
+namespace ab
+{
+
+/** One timed replay of the built input through one target. */
+struct Replay
+{
+    double seconds = 0.0;
+    /** FNV-1a over every counter the target and the replay reported. */
+    std::uint64_t digest = 0;
+};
+
+/** One tree's entry points. */
+struct Side
+{
+    /**
+     * Build @p input — a "mix:" label, or a Spec95 proxy name built to
+     * @p instructions records with @p seed — and keep it until
+     * release(). Returns the seconds the build took; exits 1 with a
+     * message on an unknown input.
+     */
+    double (*build)(const std::string &input, std::uint64_t instructions,
+                    std::uint64_t seed);
+    /** Replay the built input through a fresh @p target label. */
+    Replay (*replay)(const std::string &target);
+    /** Free the built input. */
+    void (*release)();
+};
+
+/** This checkout's side. */
+const Side &candidateSide();
+
+/** The CAC_AB_BASE checkout's side. */
+const Side &baseSide();
+
+} // namespace ab
+
+#endif // CAC_TOOLS_AB_SIDE_HH
