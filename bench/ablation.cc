@@ -33,7 +33,7 @@ ipolyCache(const std::vector<Gf2Poly> &polys, unsigned input_bits,
         const CacheGeometry geom = CacheGeometry::paperL1_8k();
         return std::make_unique<SetAssocCache>(
             geom, std::make_unique<IPolyIndex>(polys, input_bits),
-            makeReplacementPolicy(repl, geom.numSets(), geom.ways()),
+            makeReplacementPolicy(repl),
             WriteAllocate::No);
     };
 }
@@ -81,7 +81,7 @@ main()
     // 4. Replacement policy under skewed placement.
     for (ReplKind kind : {ReplKind::Lru, ReplKind::Fifo,
                           ReplKind::Random, ReplKind::Nru}) {
-        const auto policy_name = makeReplacementPolicy(kind, 1, 1)->name();
+        const auto policy_name = makeReplacementPolicy(kind)->name();
         sweep.addOrg("skewed v=14, repl=" + policy_name,
                      ipolyCache({p0, p1}, 14, kind));
     }

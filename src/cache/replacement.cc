@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace cac
@@ -107,122 +106,26 @@ class NruPolicy : public ReplacementPolicy
     }
 
     void
-    onAccess(ReplState &state, std::uint64_t set, unsigned way,
-             std::uint64_t tick) override
+    onAccess(ReplState &state, std::uint64_t tick) override
     {
-        ReplacementPolicy::onAccess(state, set, way, tick);
+        ReplacementPolicy::onAccess(state, tick);
         state.referenced = true;
     }
 
     std::string name() const override { return "nru"; }
 };
 
-/**
- * Tree pseudo-LRU with one bit per internal node of a binary tree over
- * the ways. Requires all candidates of one decision to live in the same
- * set (non-skewed placement) and a power-of-two way count.
- */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    TreePlruPolicy(std::uint64_t num_sets, unsigned num_ways)
-        : num_ways_(num_ways),
-          tree_bits_(num_sets * (num_ways > 1 ? num_ways - 1 : 1), false)
-    {
-        CAC_ASSERT(isPowerOf2(num_ways));
-    }
-
-    std::size_t
-    chooseVictim(const std::vector<ReplCandidate> &candidates) override
-    {
-        auto inv = firstInvalid(candidates);
-        if (inv != SIZE_MAX)
-            return inv;
-        CAC_ASSERT(candidates.size() == num_ways_);
-        const std::uint64_t set = candidates[0].set;
-        for (const auto &c : candidates)
-            CAC_ASSERT(c.set == set); // non-skewed only
-
-        if (num_ways_ == 1)
-            return 0;
-        // Walk the tree following the bits: 0 = go left, 1 = go right;
-        // the PLRU victim is where the bits point.
-        std::size_t node = 0;
-        while (node < num_ways_ - 1) {
-            bool right = treeBit(set, node);
-            node = 2 * node + 1 + (right ? 1 : 0);
-        }
-        return node - (num_ways_ - 1);
-    }
-
-    void
-    onAccess(ReplState &state, std::uint64_t set, unsigned way,
-             std::uint64_t tick) override
-    {
-        ReplacementPolicy::onAccess(state, set, way, tick);
-        flipPathAwayFrom(set, way);
-    }
-
-    void
-    onInsert(ReplState &state, std::uint64_t set, unsigned way,
-             std::uint64_t tick) override
-    {
-        ReplacementPolicy::onInsert(state, set, way, tick);
-        flipPathAwayFrom(set, way);
-    }
-
-    std::string name() const override { return "plru"; }
-
-  private:
-    bool
-    treeBit(std::uint64_t set, std::size_t node) const
-    {
-        return tree_bits_[set * (num_ways_ - 1) + node];
-    }
-
-    void
-    setTreeBit(std::uint64_t set, std::size_t node, bool v)
-    {
-        tree_bits_[set * (num_ways_ - 1) + node] = v;
-    }
-
-    /** Point every node on the way's root path *away* from it. */
-    void
-    flipPathAwayFrom(std::uint64_t set, unsigned way)
-    {
-        if (num_ways_ == 1)
-            return;
-        std::size_t node = way + (num_ways_ - 1); // leaf position
-        while (node != 0) {
-            std::size_t parent = (node - 1) / 2;
-            bool is_right_child = (node == 2 * parent + 2);
-            // Make the parent point at the *other* child.
-            setTreeBit(set, parent, !is_right_child);
-            node = parent;
-        }
-    }
-
-    unsigned num_ways_;
-    std::vector<bool> tree_bits_;
-};
-
 } // anonymous namespace
 
 void
-ReplacementPolicy::onAccess(ReplState &state, std::uint64_t set,
-                            unsigned way, std::uint64_t tick)
+ReplacementPolicy::onAccess(ReplState &state, std::uint64_t tick)
 {
-    (void)set;
-    (void)way;
     state.lastTouch = tick;
 }
 
 void
-ReplacementPolicy::onInsert(ReplState &state, std::uint64_t set,
-                            unsigned way, std::uint64_t tick)
+ReplacementPolicy::onInsert(ReplState &state, std::uint64_t tick)
 {
-    (void)set;
-    (void)way;
     state.lastTouch = tick;
     state.insertTick = tick;
     state.referenced = false;
@@ -249,14 +152,11 @@ parseReplKind(const std::string &label)
         return ReplKind::Random;
     if (label == "nru")
         return ReplKind::Nru;
-    if (label == "plru")
-        return ReplKind::TreePlru;
     fatal("unknown replacement policy '%s'", label.c_str());
 }
 
 std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplKind kind, std::uint64_t num_sets,
-                      unsigned num_ways, std::uint64_t seed)
+makeReplacementPolicy(ReplKind kind, std::uint64_t seed)
 {
     switch (kind) {
       case ReplKind::Lru:
@@ -267,8 +167,6 @@ makeReplacementPolicy(ReplKind kind, std::uint64_t num_sets,
         return std::make_unique<RandomPolicy>(seed);
       case ReplKind::Nru:
         return std::make_unique<NruPolicy>();
-      case ReplKind::TreePlru:
-        return std::make_unique<TreePlruPolicy>(num_sets, num_ways);
     }
     panic("bad ReplKind %d", static_cast<int>(kind));
 }

@@ -7,8 +7,10 @@
  * classic per-set LRU stack does not exist. Policies here therefore
  * operate on per-line metadata (timestamps / reference bits) and choose
  * among an arbitrary candidate list, which covers conventional and
- * skewed organizations uniformly. TreePLRU keeps per-set tree bits and
- * is restricted to non-skewed placement.
+ * skewed organizations uniformly. Every policy keeps its state in the
+ * lines (ReplState) and nowhere else, so no call takes a set or way;
+ * a policy with per-set state (tree pseudo-LRU) could not serve a
+ * skewed cache and is not provided.
  */
 
 #ifndef CAC_CACHE_REPLACEMENT_HH
@@ -37,8 +39,6 @@ struct ReplCandidate
 {
     bool valid = false;          ///< line currently holds data
     const ReplState *state = nullptr; ///< metadata (valid lines only)
-    std::uint64_t set = 0;       ///< set index in its way (TreePLRU)
-    unsigned way = 0;            ///< way the candidate occupies
 };
 
 /** Replacement policy selector. */
@@ -47,11 +47,10 @@ enum class ReplKind
     Lru,
     Fifo,
     Random,
-    Nru,
-    TreePlru
+    Nru
 };
 
-/** Parse "lru" / "fifo" / "random" / "nru" / "plru". */
+/** Parse "lru" / "fifo" / "random" / "nru". */
 ReplKind parseReplKind(const std::string &label);
 
 /**
@@ -75,12 +74,10 @@ class ReplacementPolicy
     chooseVictim(const std::vector<ReplCandidate> &candidates) = 0;
 
     /** Update metadata on a hit. */
-    virtual void onAccess(ReplState &state, std::uint64_t set,
-                          unsigned way, std::uint64_t tick);
+    virtual void onAccess(ReplState &state, std::uint64_t tick);
 
     /** Update metadata on a fill. */
-    virtual void onInsert(ReplState &state, std::uint64_t set,
-                          unsigned way, std::uint64_t tick);
+    virtual void onInsert(ReplState &state, std::uint64_t tick);
 
     /** Policy name. */
     virtual std::string name() const = 0;
@@ -107,13 +104,10 @@ class ReplacementPolicy
  * Build a policy.
  *
  * @param kind policy selector.
- * @param num_sets number of sets (TreePLRU sizing).
- * @param num_ways associativity (TreePLRU sizing).
  * @param seed RNG seed for the Random policy.
  */
 std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplKind kind, std::uint64_t num_sets,
-                      unsigned num_ways, std::uint64_t seed = 1);
+makeReplacementPolicy(ReplKind kind, std::uint64_t seed = 1);
 
 } // namespace cac
 

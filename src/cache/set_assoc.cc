@@ -16,14 +16,11 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geometry,
     CAC_ASSERT(index_fn_ != nullptr);
     CAC_ASSERT(index_fn_->setBits() == geometry.setBits());
     CAC_ASSERT(index_fn_->numWays() == geometry.ways());
-    if (!repl_) {
-        repl_ = makeReplacementPolicy(ReplKind::Lru, geometry.numSets(),
-                                      geometry.ways());
-    }
+    if (!repl_)
+        repl_ = makeReplacementPolicy(ReplKind::Lru);
     repl_plain_lru_ = repl_->isPlainLru();
     lines_.resize(geometry.numBlocks());
     plan_ = compilePlan(*index_fn_);
-    plan_epoch_ = index_fn_->planEpoch();
     way_sets_.resize(geometry.ways());
     fill_candidates_.resize(geometry.ways());
 }
@@ -32,7 +29,6 @@ template <typename Fn>
 auto
 SetAssocCache::withSets(std::uint64_t block_addr, Fn &&fn) const
 {
-    ensurePlan();
     if (plan_.packedCapable())
         return fn(PackedSets{plan_, plan_.packedOne(block_addr)});
     // Stack buffer keeps const lookups free of shared mutable state
@@ -90,12 +86,11 @@ SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
         ++stats_.loads;
 
     if (hit) {
-        const std::uint64_t set = sets[way];
-        Line &line = lineAt(way, set);
+        Line &line = lineAt(way, sets[way]);
         if (repl_plain_lru_)
             line.repl.lastTouch = tick_;
         else
-            repl_->onAccess(line.repl, set, way, tick_);
+            repl_->onAccess(line.repl, tick_);
         if (is_write && write_back_)
             line.dirty = true;
         out = AccessResult{};

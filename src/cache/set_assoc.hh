@@ -10,10 +10,11 @@
  * implementation stores enough tag bits to disambiguate; the simulator
  * keeps the whole address for clarity).
  *
- * The IndexFn is compiled once at construction into an IndexPlan (see
- * index/index_plan.hh); every lookup and fill evaluates the plan
- * inline, so the hot path performs no virtual dispatch and no heap
- * allocation regardless of the placement scheme.
+ * Placement and replacement are fixed when the cache is built: the
+ * IndexFn is compiled once, in the constructor, into an IndexPlan (see
+ * index/index_plan.hh) and never recompiled; every lookup and fill
+ * evaluates the plan inline, so the hot path performs no virtual
+ * dispatch and no heap allocation regardless of the placement scheme.
  *
  * One state machine: every scalar entry point (access, accessPacked,
  * tryAccess, fill, probe, invalidate, isDirty) evaluates the plan once
@@ -64,7 +65,7 @@ enum class WriteAllocate
     Yes ///< write misses allocate like read misses
 };
 
-/** Configurable set-associative / skewed cache. */
+/** Set-associative or skewed cache; see the file comment. */
 class SetAssocCache final : public CacheModel
 {
   public:
@@ -95,15 +96,8 @@ class SetAssocCache final : public CacheModel
     /** The placement function in use. */
     const IndexFn &indexFn() const { return *index_fn_; }
 
-    /**
-     * The compiled evaluation plan the hot path runs on (recompiled
-     * automatically when indexFn().planEpoch() changes).
-     */
-    const IndexPlan &indexPlan() const
-    {
-        ensurePlan();
-        return plan_;
-    }
+    /** The compiled evaluation plan the hot path runs on. */
+    const IndexPlan &indexPlan() const { return plan_; }
 
     /**
      * Fill a block without recording an access (used by hierarchies and
@@ -122,8 +116,7 @@ class SetAssocCache final : public CacheModel
      * but consumes @p packed — the indexPlan().packedOne() /
      * indexPackedBatch() word for @p block_addr — instead of
      * re-evaluating the placement function. Precondition: the plan is
-     * packedCapable() and @p packed was computed against the current
-     * plan epoch (hold no packed words across a reprogram).
+     * packedCapable().
      */
     AccessResult accessPacked(std::uint64_t block_addr,
                               std::uint64_t packed, bool is_write);
@@ -237,23 +230,9 @@ class SetAssocCache final : public CacheModel
     AccessResult fillWith(std::uint64_t block_addr, const Sets &sets,
                           bool dirty);
 
-    /**
-     * Recompile the plan if the index function was reprogrammed since
-     * the last compile (ConfigurableIndex). One load + compare on the
-     * hot path; every other IndexFn keeps a constant epoch.
-     */
-    void ensurePlan() const
-    {
-        if (index_fn_->planEpoch() != plan_epoch_) {
-            plan_ = compilePlan(*index_fn_);
-            plan_epoch_ = index_fn_->planEpoch();
-        }
-    }
-
     std::unique_ptr<IndexFn> index_fn_;
-    /** Compiled form of index_fn_; all lookups go through it. */
-    mutable IndexPlan plan_;
-    mutable std::uint64_t plan_epoch_ = 0;
+    /** Compiled form of index_fn_, built once; all lookups use it. */
+    IndexPlan plan_;
     std::unique_ptr<ReplacementPolicy> repl_;
     /**
      * Cached repl_->isPlainLru(): step(), fillWith() and the batch
@@ -305,17 +284,14 @@ SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
         }
     } else {
         for (unsigned w = 0; w < ways; ++w) {
-            const std::uint64_t set = sets[w];
-            const Line &line = lineAt(w, set);
-            fill_candidates_[w] =
-                ReplCandidate{line.valid, &line.repl, set, w};
+            const Line &line = lineAt(w, sets[w]);
+            fill_candidates_[w] = ReplCandidate{line.valid, &line.repl};
         }
         victim = static_cast<unsigned>(repl_->chooseVictim(fill_candidates_));
         CAC_ASSERT(victim < ways);
     }
 
-    const std::uint64_t set = sets[victim];
-    Line &line = lineAt(victim, set);
+    Line &line = lineAt(victim, sets[victim]);
     AccessResult r;
     r.filled = true;
     ++stats_.fills;
@@ -334,7 +310,7 @@ SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
         line.repl.insertTick = tick_;
         line.repl.referenced = false;
     } else {
-        repl_->onInsert(line.repl, set, victim, tick_);
+        repl_->onInsert(line.repl, tick_);
     }
     return r;
 }
@@ -351,7 +327,6 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
         else if (Events::kStoreHits && is_write)
             events.storeHit(i);
     };
-    ensurePlan();
     if (!plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i) {
             const bool is_write = kind.isWrite(i);

@@ -32,7 +32,6 @@
 #include "cpu/timing_cache.hh"
 #include "hierarchy/hole_model.hh"
 #include "hierarchy/page_map.hh"
-#include "index/configurable.hh"
 #include "index/factory.hh"
 #include "index/index_fn.hh"
 #include "index/index_plan.hh"

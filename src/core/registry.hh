@@ -47,7 +47,6 @@ struct OrgSpec
     unsigned hashBlockBits = 14; ///< v minus offset bits (19 - 5)
     unsigned victimBlocks = 8;   ///< victim-buffer lines ("victim")
     bool writeAllocate = true;
-    std::uint64_t seed = 1;      ///< randomized replacement seed
 };
 
 /**
@@ -65,9 +64,10 @@ struct TargetSpec
     std::uint64_t pageSeed = 12345;  ///< page-map determinism knob
     /**
      * "mc:" ASID-window stride demultiplexing a stream onto cores
-     * (core = (vaddr / window) % cores). Matches the Scenario engine's
-     * asidStrideBytes default so a mix's programs round-robin across
-     * cores.
+     * (core = (vaddr / window) % cores). It must equal the replayed
+     * mix's asidStrideBytes (cac_sim --scenario sets it so) for the
+     * mix's programs to round-robin across cores; the default matches
+     * the Scenario engine's default stride.
      */
     std::uint64_t mcWindowBytes = std::uint64_t{1} << 21;
 };

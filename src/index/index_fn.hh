@@ -51,14 +51,6 @@ class IndexFn
      */
     virtual IndexPlan compile() const;
 
-    /**
-     * Monotonic counter bumped whenever the function's mapping changes
-     * (only ConfigurableIndex does). Caches compare it against the
-     * epoch they compiled their plan at and recompile on mismatch —
-     * one non-virtual load per access, no virtual dispatch.
-     */
-    std::uint64_t planEpoch() const { return plan_epoch_; }
-
     /** Number of index bits m. */
     unsigned setBits() const { return set_bits_; }
 
@@ -83,7 +75,6 @@ class IndexFn
 
     unsigned set_bits_;
     unsigned num_ways_;
-    std::uint64_t plan_epoch_ = 0; ///< see planEpoch()
 };
 
 /**

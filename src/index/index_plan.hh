@@ -25,9 +25,9 @@
  *    themselves; forwards to the virtual index(). Also used by the
  *    equivalence tests to force the uncompiled path.
  *
- * Caches obtain a plan via compilePlan(fn) at construction and
- * recompile when fn.planEpoch() changes (ConfigurableIndex bumps the
- * epoch on every reprogram).
+ * A cache compiles its plan once, via compilePlan(fn) in its
+ * constructor: placement functions are fixed when built (the paper's
+ * XOR tree "if P is constant"), so a plan never goes stale.
  *
  * Batch evaluation: because every plan is GF(2)-linear, a whole block
  * of addresses can be pushed through the same tables per pass.
@@ -88,10 +88,10 @@ class IndexPlan
                                   std::vector<std::uint64_t> row_masks);
 
     /**
-     * Compile from one XorMatrix per way (the I-Poly and configurable
-     * lowerings): extracts every matrix's row masks into the way-major
-     * layout and defers to fromRowMasks(). All matrices must share one
-     * output width and one input width.
+     * Compile from one XorMatrix per way (the I-Poly lowering):
+     * extracts every matrix's row masks into the way-major layout and
+     * defers to fromRowMasks(). All matrices must share one output
+     * width and one input width.
      */
     static IndexPlan fromXorMatrices(const std::vector<XorMatrix> &ways);
 
@@ -240,7 +240,7 @@ class IndexPlan
 /**
  * Compile @p fn into its plan (fn.compile(), or a Callback plan while
  * the test hook forces the virtual path). This is the entry point
- * caches use at construction and on epoch changes.
+ * caches use at construction.
  */
 IndexPlan compilePlan(const IndexFn &fn);
 

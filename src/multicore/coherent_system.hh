@@ -63,14 +63,16 @@
  * than the virtual access() chain. None of this changes a counter.
  *
  * Streams demultiplex onto cores by ASID window: core = (vaddr /
- * windowBytes) % cores, with windowBytes matching the Scenario
- * engine's asidStrideBytes. Program k of a mix is relocated by k
- * windows, so it runs on core (w + k) % cores, where w is the window
- * its own data starts in. The Spec95 proxies start at 4 MiB, window 2
- * of the default 2 MiB stride, so a 4-program mix lands on cores 2, 3,
- * 0 and 1; a footprint that crosses a window boundary spills onto the
- * next core. The interleaving order is whatever the (deterministic,
- * quantum round-robin) Scenario composition produced, so results are
+ * windowBytes) % cores, and windowBytes must equal the replayed mix's
+ * asidStrideBytes (under a 2 MiB window, "asid=4m" steps each program
+ * two windows on and piles a two-core mix onto one core). Program k
+ * of a mix is relocated by k windows, so it runs on core (w + k) %
+ * cores, where w is the window its own data starts in. The Spec95
+ * proxies start at 4 MiB, window 2 of the default 2 MiB stride, so a
+ * 4-program mix lands on cores 2, 3, 0 and 1; a footprint that
+ * crosses a window boundary spills onto the next core. The
+ * interleaving order is whatever the (deterministic, quantum
+ * round-robin) Scenario composition produced, so results are
  * bit-stable at any host thread count.
  */
 

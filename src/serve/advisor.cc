@@ -287,8 +287,7 @@ canonicalKey(const AdvisorRequest &request)
         key += "|spec=hash_block_bits:"
                + std::to_string(spec.hashBlockBits)
                + ",victim_blocks:" + std::to_string(spec.victimBlocks)
-               + ",write_allocate:" + (spec.writeAllocate ? "1" : "0")
-               + ",seed:" + fmtU64(spec.seed);
+               + ",write_allocate:" + (spec.writeAllocate ? "1" : "0");
     } else {
         key += "recommend|geom=size:" + fmtU64(request.sizeBytes)
                + ",block:" + fmtU64(request.blockBytes)

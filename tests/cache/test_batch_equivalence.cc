@@ -6,7 +6,9 @@
  * with CacheStats bit-identical to an access()-per-address loop over
  * the same stream — including the write-back and non-LRU variants, and
  * a decorator that only overrides accessBatch() (the base
- * accessMixed() fallback).
+ * accessMixed() fallback). A seeded oracle draws SetAssocCache
+ * configurations and holds the batch, scalar and virtual-index paths
+ * equal on each.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,9 @@
 #include "core/experiment.hh"
 #include "core/registry.hh"
 #include "index/factory.hh"
+#include "index/index_plan.hh"
+#include "index/matrix_index.hh"
+#include "poly/catalog.hh"
 
 namespace cac
 {
@@ -117,12 +122,13 @@ TEST_P(BatchEquivalence, BatchMatchesScalarOnMixedStream)
 }
 
 /**
- * Drive @p cache with accessMixed() batches of every size from 1 to
- * MemRunGatherer::kMaxRun-ish, so tile boundaries and batch tails land
- * at varied stream positions.
+ * Drive @p cache with accessMixed() batches of sizes drawn from
+ * @p sizes in [1, @p max_batch], so tile boundaries and batch tails
+ * land at varied stream positions.
  */
 void
-feedMixed(CacheModel &cache, const std::vector<Op> &ops)
+feedMixed(CacheModel &cache, const std::vector<Op> &ops, Rng &sizes,
+          std::size_t max_batch)
 {
     std::vector<std::uint64_t> addrs;
     std::unique_ptr<bool[]> writes(new bool[ops.size()]);
@@ -130,11 +136,10 @@ feedMixed(CacheModel &cache, const std::vector<Op> &ops)
         addrs.push_back(ops[i].addr);
         writes[i] = ops[i].isWrite;
     }
-    Rng sizes(7);
     std::size_t at = 0;
     while (at < ops.size()) {
         const std::size_t n = std::min<std::size_t>(
-            1 + sizes.nextBelow(MemRunGatherer::kMaxRun), ops.size() - at);
+            1 + sizes.nextBelow(max_batch), ops.size() - at);
         cache.accessMixed(addrs.data() + at, writes.get() + at, n);
         at += n;
     }
@@ -147,7 +152,8 @@ expectMixedMatchesScalar(CacheModel &scalar, CacheModel &mixed,
 {
     for (const Op &op : ops)
         scalar.access(op.addr, op.isWrite);
-    feedMixed(mixed, ops);
+    Rng sizes(7);
+    feedMixed(mixed, ops, sizes, MemRunGatherer::kMaxRun);
     expectStatsEqual(scalar.stats(), mixed.stats(), label);
     for (std::uint64_t addr = 1 << 20; addr < (1 << 20) + 64 * 4096;
          addr += 4096) {
@@ -215,11 +221,7 @@ TEST(BatchEquivalenceVariants, MixedBatchMatchesScalarOnEveryPolicy)
     const CacheGeometry geometry(8 * 1024, 32, 2);
     for (IndexKind index : {IndexKind::Modulo, IndexKind::IPolySkew}) {
         for (ReplKind repl : {ReplKind::Lru, ReplKind::Fifo,
-                              ReplKind::Random, ReplKind::Nru,
-                              ReplKind::TreePlru}) {
-            // Tree PLRU keeps per-set bits: non-skewed placement only.
-            if (repl == ReplKind::TreePlru && index == IndexKind::IPolySkew)
-                continue;
+                              ReplKind::Random, ReplKind::Nru}) {
             for (bool write_back : {false, true}) {
                 for (WriteAllocate wa :
                      {WriteAllocate::Yes, WriteAllocate::No}) {
@@ -228,10 +230,7 @@ TEST(BatchEquivalenceVariants, MixedBatchMatchesScalarOnEveryPolicy)
                             geometry,
                             makeIndexFn(index, geometry.setBits(),
                                         geometry.ways()),
-                            makeReplacementPolicy(repl,
-                                                  geometry.numSets(),
-                                                  geometry.ways()),
-                            wa, write_back);
+                            makeReplacementPolicy(repl), wa, write_back);
                     };
                     auto scalar = build();
                     auto mixed = build();
@@ -241,12 +240,170 @@ TEST(BatchEquivalenceVariants, MixedBatchMatchesScalarOnEveryPolicy)
                         + (write_back ? " wb" : " wt")
                         + (wa == WriteAllocate::Yes ? " wa" : " nwa");
                     expectMixedMatchesScalar(*scalar, *mixed, ops, label);
-                    if (write_back)
+                    if (write_back) {
                         EXPECT_GT(mixed->stats().writebacks, 0u) << label;
+                    }
                 }
             }
         }
     }
+}
+
+/** One drawn SetAssocCache configuration of the randomized oracle. */
+struct CacheDraw
+{
+    unsigned ways = 1;
+    unsigned setBits = 1;
+    bool matrix = false; ///< MatrixIndex (RowMask plan) instead of kind
+    IndexKind kind = IndexKind::Modulo;
+    unsigned inputBits = 14;
+    ReplKind repl = ReplKind::Lru;
+    WriteAllocate writeAllocate = WriteAllocate::Yes;
+    bool writeBack = false;
+    std::uint64_t seed = 0;
+
+    std::string
+    describe() const
+    {
+        static const char *const kRepl[] = {"lru", "fifo", "random", "nru"};
+        // Only the I-Poly and matrix schemes read inputBits.
+        const bool hashed = matrix || kind == IndexKind::IPoly
+            || kind == IndexKind::IPolySkew;
+        return "seed " + std::to_string(seed) + ": "
+            + std::to_string(ways) + " ways x 2^" + std::to_string(setBits)
+            + " sets, " + (matrix ? "matrix" : indexKindName(kind))
+            + (hashed ? " over " + std::to_string(inputBits) + " bits"
+                      : std::string())
+            + ", " + kRepl[static_cast<int>(repl)]
+            + (writeAllocate == WriteAllocate::Yes ? ", wa" : ", nwa")
+            + (writeBack ? ", wb" : ", wt");
+    }
+
+    std::unique_ptr<SetAssocCache>
+    build() const
+    {
+        const CacheGeometry geometry(
+            std::uint64_t{ways} << setBits << 5, 32, ways);
+        std::unique_ptr<IndexFn> fn =
+            matrix ? std::unique_ptr<IndexFn>(MatrixIndex::randomFullRank(
+                         setBits, ways, inputBits, seed))
+                   : makeIndexFn(kind, setBits, ways, inputBits);
+        return std::make_unique<SetAssocCache>(
+            geometry, std::move(fn), makeReplacementPolicy(repl, seed),
+            writeAllocate, writeBack);
+    }
+};
+
+CacheDraw
+drawCache(std::uint64_t seed)
+{
+    Rng rng(seed);
+    CacheDraw d;
+    d.seed = seed;
+    d.ways = 1u << rng.nextBelow(4);
+    d.setBits = 4 + static_cast<unsigned>(rng.nextBelow(7));
+    const std::uint64_t scheme = rng.nextBelow(6);
+    if (scheme == 5) {
+        // More than 64 packed index bits: the row-mask plan.
+        d.matrix = true;
+        d.ways = 8;
+        d.setBits = 9 + static_cast<unsigned>(rng.nextBelow(2));
+    } else {
+        d.kind = static_cast<IndexKind>(scheme);
+    }
+    // Skewed I-Poly needs one irreducible modulus per way.
+    while (!d.matrix && d.kind == IndexKind::IPolySkew
+           && PolyCatalog::countIrreducible(d.setBits) < d.ways)
+        ++d.setBits;
+    d.inputBits = d.setBits + static_cast<unsigned>(rng.nextBelow(12));
+    d.repl = static_cast<ReplKind>(rng.nextBelow(4));
+    d.writeAllocate = rng.chance(0.5) ? WriteAllocate::Yes
+                                      : WriteAllocate::No;
+    d.writeBack = rng.chance(0.5);
+    return d;
+}
+
+/**
+ * A mixed load/store stream for @p d: reuse of recent blocks (hits),
+ * same-set strides (conflicts) and uniform traffic over four times the
+ * capacity (capacity misses and evictions).
+ */
+std::vector<Op>
+drawStream(const CacheDraw &d, Rng &rng)
+{
+    const std::uint64_t capacity = std::uint64_t{d.ways} << d.setBits << 5;
+    const std::uint64_t stride = std::uint64_t{32} << d.setBits;
+    const double stores = 0.6 * static_cast<double>(rng.nextBelow(100))
+        / 100.0;
+    const std::size_t n = 3000 + rng.nextBelow(3000);
+    std::vector<Op> ops;
+    ops.reserve(n);
+    while (ops.size() < n) {
+        std::uint64_t addr;
+        const std::uint64_t pick = rng.nextBelow(10);
+        if (pick < 4 && !ops.empty()) {
+            const std::size_t back =
+                rng.nextBelow(std::min<std::size_t>(ops.size(), 64));
+            addr = ops[ops.size() - 1 - back].addr;
+        } else if (pick < 7) {
+            addr = (1 << 22) + rng.nextBelow(4 * d.ways + 4) * stride;
+        } else {
+            addr = rng.nextBelow(4 * capacity);
+        }
+        ops.push_back({addr, rng.chance(stores)});
+    }
+    return ops;
+}
+
+/**
+ * The randomized single-cache oracle: per seed, a drawn geometry,
+ * placement (every IndexKind and a row-mask MatrixIndex), policy,
+ * write-allocate and write-back setting, replayed three ways: an
+ * access() loop, accessMixed() at random batch sizes, and accessMixed()
+ * on the same cache built on the virtual index path. Stats and the
+ * final contents must agree; a failure names the seed and the draw.
+ */
+TEST(BatchEquivalenceRandom, DrawnCachesMatchAcrossPaths)
+{
+    bool seen[4] = {}; // IndexPlan::Kind of the compiled caches
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        const CacheDraw d = drawCache(seed);
+        SCOPED_TRACE(d.describe());
+        Rng rng(seed * 0x9E3779B97F4A7C15ull);
+        const std::vector<Op> ops = drawStream(d, rng);
+
+        auto scalar = d.build();
+        auto batched = d.build();
+        IndexPlan::forceCallbackForTests(true);
+        auto virtual_path = d.build();
+        IndexPlan::forceCallbackForTests(false);
+        ASSERT_EQ(virtual_path->indexPlan().kind(),
+                  IndexPlan::Kind::Callback);
+        seen[static_cast<int>(batched->indexPlan().kind())] = true;
+        if (d.matrix) {
+            ASSERT_EQ(batched->indexPlan().kind(),
+                      IndexPlan::Kind::RowMask);
+        }
+
+        for (const Op &op : ops)
+            scalar->access(op.addr, op.isWrite);
+        // Batches up to 600 cross the kernel's 256-address tiles.
+        feedMixed(*batched, ops, rng, 600);
+        feedMixed(*virtual_path, ops, rng, 600);
+
+        expectStatsEqual(scalar->stats(), batched->stats(), "batch");
+        expectStatsEqual(scalar->stats(), virtual_path->stats(), "virtual");
+        for (const Op &op : ops) {
+            const bool present = scalar->probe(op.addr);
+            ASSERT_EQ(batched->probe(op.addr), present) << op.addr;
+            ASSERT_EQ(virtual_path->probe(op.addr), present) << op.addr;
+        }
+        if (HasFailure())
+            return;
+    }
+    EXPECT_TRUE(seen[static_cast<int>(IndexPlan::Kind::Modulo)]);
+    EXPECT_TRUE(seen[static_cast<int>(IndexPlan::Kind::Packed)]);
+    EXPECT_TRUE(seen[static_cast<int>(IndexPlan::Kind::RowMask)]);
 }
 
 /**

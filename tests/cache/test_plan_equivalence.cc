@@ -15,7 +15,6 @@
 #include "cache/set_assoc.hh"
 #include "common/rng.hh"
 #include "core/registry.hh"
-#include "index/configurable.hh"
 #include "index/index_plan.hh"
 
 namespace cac
@@ -171,41 +170,6 @@ TEST(PlanEquivalence, WriteBackAndNoAllocateVariants)
         }
         expectStatsEqual(with_plan, with_virtual, label + " no-WA");
     }
-}
-
-/**
- * A cache whose ConfigurableIndex is reprogrammed mid-run must pick up
- * the new mapping (stale-plan detection via planEpoch) and stay
- * stats-identical to the virtual path doing the same switches.
- */
-TEST(PlanEquivalence, ConfigurableReprogramRecompiles)
-{
-    const std::vector<std::uint64_t> addrs = testAddresses();
-
-    auto runSwitching = [&addrs] {
-        const CacheGeometry geom(8 * 1024, 32, 2);
-        auto index = std::make_unique<ConfigurableIndex>(geom.setBits(),
-                                                         2, 14);
-        ConfigurableIndex *cfg = index.get();
-        SetAssocCache cache(geom, std::move(index));
-        cache.accessBatch(addrs.data(), addrs.size() / 2, false);
-        cfg->setCatalogPolynomials(true);
-        cache.flush(); // required on every index-function switch
-        cache.accessBatch(addrs.data() + addrs.size() / 2,
-                          addrs.size() / 2, false);
-        cfg->setConventional();
-        cache.flush();
-        cache.accessBatch(addrs.data(), addrs.size() / 2, false);
-        return cache.stats();
-    };
-
-    CacheStats with_virtual;
-    {
-        ForceVirtualPath forced;
-        with_virtual = runSwitching();
-    }
-    const CacheStats with_plan = runSwitching();
-    expectStatsEqual(with_plan, with_virtual, "configurable switching");
 }
 
 } // anonymous namespace

@@ -12,7 +12,7 @@ namespace cac
 namespace
 {
 
-/** Build a candidate list over the given states (all one set). */
+/** Build a candidate list over the given states. */
 std::vector<ReplCandidate>
 candidatesFor(const std::vector<ReplState> &states, bool all_valid = true)
 {
@@ -20,8 +20,6 @@ candidatesFor(const std::vector<ReplState> &states, bool all_valid = true)
     for (std::size_t i = 0; i < states.size(); ++i) {
         cands[i].valid = all_valid;
         cands[i].state = &states[i];
-        cands[i].set = 0;
-        cands[i].way = static_cast<unsigned>(i);
     }
     return cands;
 }
@@ -29,8 +27,8 @@ candidatesFor(const std::vector<ReplState> &states, bool all_valid = true)
 TEST(Replacement, InvalidCandidatePreferredByAll)
 {
     for (ReplKind kind : {ReplKind::Lru, ReplKind::Fifo, ReplKind::Random,
-                          ReplKind::Nru, ReplKind::TreePlru}) {
-        auto policy = makeReplacementPolicy(kind, 4, 4);
+                          ReplKind::Nru}) {
+        auto policy = makeReplacementPolicy(kind);
         std::vector<ReplState> states(4);
         auto cands = candidatesFor(states);
         cands[2].valid = false;
@@ -41,11 +39,11 @@ TEST(Replacement, InvalidCandidatePreferredByAll)
 
 TEST(Replacement, LruEvictsOldestTouch)
 {
-    auto policy = makeReplacementPolicy(ReplKind::Lru, 1, 4);
+    auto policy = makeReplacementPolicy(ReplKind::Lru);
     std::vector<ReplState> states(4);
     for (unsigned i = 0; i < 4; ++i)
-        policy->onAccess(states[i], 0, i, 10 + i);
-    policy->onAccess(states[1], 0, 1, 100); // way 1 now MRU
+        policy->onAccess(states[i], 10 + i);
+    policy->onAccess(states[1], 100); // way 1 now MRU
     auto cands = candidatesFor(states);
     EXPECT_EQ(policy->chooseVictim(cands), 0u);
 }
@@ -53,34 +51,32 @@ TEST(Replacement, LruEvictsOldestTouch)
 TEST(Replacement, LruWorksAcrossDifferentSets)
 {
     // Skewed caches hand LRU candidates from different sets; the
-    // policy must rank purely on timestamps.
-    auto policy = makeReplacementPolicy(ReplKind::Lru, 8, 2);
+    // policy sees only their line state and ranks on timestamps.
+    auto policy = makeReplacementPolicy(ReplKind::Lru);
     std::vector<ReplState> states(2);
-    policy->onAccess(states[0], 3, 0, 50);
-    policy->onAccess(states[1], 5, 1, 20);
+    policy->onAccess(states[0], 50);
+    policy->onAccess(states[1], 20);
     auto cands = candidatesFor(states);
-    cands[0].set = 3;
-    cands[1].set = 5;
     EXPECT_EQ(policy->chooseVictim(cands), 1u);
 }
 
 TEST(Replacement, FifoIgnoresTouches)
 {
-    auto policy = makeReplacementPolicy(ReplKind::Fifo, 1, 3);
+    auto policy = makeReplacementPolicy(ReplKind::Fifo);
     std::vector<ReplState> states(3);
-    policy->onInsert(states[0], 0, 0, 1);
-    policy->onInsert(states[1], 0, 1, 2);
-    policy->onInsert(states[2], 0, 2, 3);
+    policy->onInsert(states[0], 1);
+    policy->onInsert(states[1], 2);
+    policy->onInsert(states[2], 3);
     // Touch way 0 repeatedly: FIFO must still evict it first.
-    policy->onAccess(states[0], 0, 0, 99);
+    policy->onAccess(states[0], 99);
     auto cands = candidatesFor(states);
     EXPECT_EQ(policy->chooseVictim(cands), 0u);
 }
 
 TEST(Replacement, RandomIsDeterministicPerSeed)
 {
-    auto a = makeReplacementPolicy(ReplKind::Random, 1, 4, 7);
-    auto b = makeReplacementPolicy(ReplKind::Random, 1, 4, 7);
+    auto a = makeReplacementPolicy(ReplKind::Random, 7);
+    auto b = makeReplacementPolicy(ReplKind::Random, 7);
     std::vector<ReplState> states(4);
     auto cands = candidatesFor(states);
     for (int i = 0; i < 100; ++i)
@@ -89,7 +85,7 @@ TEST(Replacement, RandomIsDeterministicPerSeed)
 
 TEST(Replacement, RandomCoversAllWays)
 {
-    auto policy = makeReplacementPolicy(ReplKind::Random, 1, 4, 11);
+    auto policy = makeReplacementPolicy(ReplKind::Random, 11);
     std::vector<ReplState> states(4);
     auto cands = candidatesFor(states);
     bool seen[4] = {};
@@ -101,23 +97,23 @@ TEST(Replacement, RandomCoversAllWays)
 
 TEST(Replacement, NruEvictsUnreferencedFirst)
 {
-    auto policy = makeReplacementPolicy(ReplKind::Nru, 1, 3);
+    auto policy = makeReplacementPolicy(ReplKind::Nru);
     std::vector<ReplState> states(3);
     for (unsigned i = 0; i < 3; ++i)
-        policy->onInsert(states[i], 0, i, i);
-    policy->onAccess(states[0], 0, 0, 10);
-    policy->onAccess(states[2], 0, 2, 11);
+        policy->onInsert(states[i], i);
+    policy->onAccess(states[0], 10);
+    policy->onAccess(states[2], 11);
     auto cands = candidatesFor(states);
     EXPECT_EQ(policy->chooseVictim(cands), 1u);
 }
 
 TEST(Replacement, NruAgesWhenAllReferenced)
 {
-    auto policy = makeReplacementPolicy(ReplKind::Nru, 1, 2);
+    auto policy = makeReplacementPolicy(ReplKind::Nru);
     std::vector<ReplState> states(2);
     for (unsigned i = 0; i < 2; ++i) {
-        policy->onInsert(states[i], 0, i, i);
-        policy->onAccess(states[i], 0, i, 10 + i);
+        policy->onInsert(states[i], i);
+        policy->onAccess(states[i], 10 + i);
     }
     auto cands = candidatesFor(states);
     EXPECT_EQ(policy->chooseVictim(cands), 0u); // all set: clear + take 0
@@ -126,62 +122,19 @@ TEST(Replacement, NruAgesWhenAllReferenced)
     EXPECT_FALSE(states[1].referenced);
 }
 
-TEST(Replacement, TreePlruPicksAnUntouchedWay)
-{
-    // Touch one way in each subtree (2 then 0): every tree bit now
-    // points at the untouched sibling, so the victim must be one of
-    // the untouched ways {1, 3} — tree PLRU's guarantee (it is an
-    // approximation of LRU, not LRU itself).
-    auto policy = makeReplacementPolicy(ReplKind::TreePlru, 2, 4);
-    std::vector<ReplState> states(4);
-    auto cands = candidatesFor(states);
-    policy->onAccess(states[2], 0, 2, 1);
-    policy->onAccess(states[0], 0, 0, 2);
-    const std::size_t victim = policy->chooseVictim(cands);
-    EXPECT_TRUE(victim == 1 || victim == 3) << victim;
-}
-
-TEST(Replacement, TreePlruNeverPicksJustTouched)
-{
-    auto policy = makeReplacementPolicy(ReplKind::TreePlru, 1, 8);
-    std::vector<ReplState> states(8);
-    auto cands = candidatesFor(states);
-    for (unsigned w = 0; w < 8; ++w) {
-        policy->onAccess(states[w], 0, w, w);
-        EXPECT_NE(policy->chooseVictim(cands), w);
-    }
-}
-
-TEST(Replacement, TreePlruSetsAreIndependent)
-{
-    auto policy = makeReplacementPolicy(ReplKind::TreePlru, 2, 2);
-    std::vector<ReplState> states(2);
-    // Touch way 1 in set 0 only.
-    policy->onAccess(states[1], 0, 1, 5);
-    auto set0 = candidatesFor(states);
-    auto set1 = candidatesFor(states);
-    for (auto &c : set1)
-        c.set = 1;
-    EXPECT_EQ(policy->chooseVictim(set0), 0u);
-    // Set 1 is untouched: default victim is way 0 as well, but after
-    // touching way 0 in set 1 it must flip there and not in set 0.
-    policy->onAccess(states[0], 1, 0, 6);
-    EXPECT_EQ(policy->chooseVictim(set1), 1u);
-    EXPECT_EQ(policy->chooseVictim(set0), 0u);
-}
-
 TEST(Replacement, ParseLabels)
 {
     EXPECT_EQ(parseReplKind("lru"), ReplKind::Lru);
     EXPECT_EQ(parseReplKind("fifo"), ReplKind::Fifo);
     EXPECT_EQ(parseReplKind("random"), ReplKind::Random);
     EXPECT_EQ(parseReplKind("nru"), ReplKind::Nru);
-    EXPECT_EQ(parseReplKind("plru"), ReplKind::TreePlru);
 }
 
 TEST(ReplacementDeath, ParseRejectsUnknown)
 {
     EXPECT_EXIT((void)parseReplKind("clock"),
+                ::testing::ExitedWithCode(1), "unknown");
+    EXPECT_EXIT((void)parseReplKind("plru"),
                 ::testing::ExitedWithCode(1), "unknown");
 }
 

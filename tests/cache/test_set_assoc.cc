@@ -209,7 +209,7 @@ TEST_P(SetAssocRepl, HitsAndCapacityHoldForEveryPolicy)
     auto cache = std::make_unique<SetAssocCache>(
         geom, makeIndexFn(IndexKind::Modulo, geom.setBits(),
                           geom.ways(), 14),
-        makeReplacementPolicy(GetParam(), geom.numSets(), geom.ways()));
+        makeReplacementPolicy(GetParam()));
     // A working set half the cache must fully hit in steady state.
     for (int round = 0; round < 4; ++round)
         for (std::uint64_t a = 0; a < 4096; a += 32)
@@ -220,8 +220,7 @@ TEST_P(SetAssocRepl, HitsAndCapacityHoldForEveryPolicy)
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SetAssocRepl,
                          ::testing::Values(ReplKind::Lru, ReplKind::Fifo,
-                                           ReplKind::Random, ReplKind::Nru,
-                                           ReplKind::TreePlru));
+                                           ReplKind::Random, ReplKind::Nru));
 
 /** The placement plans the twin test drives, one per IndexPlan kind. */
 struct TwinPlan
@@ -277,8 +276,7 @@ TEST(SetAssocCache, TryAccessMatchesAccessOnEveryPlanAndPolicy)
          IndexPlan::Kind::Callback},
     };
     const ReplKind policies[] = {ReplKind::Lru, ReplKind::Fifo,
-                                 ReplKind::Random, ReplKind::Nru,
-                                 ReplKind::TreePlru};
+                                 ReplKind::Random, ReplKind::Nru};
     for (const TwinPlan &plan : plans) {
         for (ReplKind policy : policies) {
             for (WriteAllocate wa : {WriteAllocate::Yes, WriteAllocate::No}) {
@@ -287,16 +285,13 @@ TEST(SetAssocCache, TryAccessMatchesAccessOnEveryPlanAndPolicy)
                 auto make = [&] {
                     return SetAssocCache(
                         g, makeIndexFn(plan.kind, g.setBits(), g.ways(), 14),
-                        makeReplacementPolicy(policy, g.numSets(), g.ways()),
+                        makeReplacementPolicy(policy),
                         wa, true);
                 };
                 SetAssocCache ref = make();
                 SetAssocCache twin = make();
                 IndexPlan::forceCallbackForTests(false);
                 ASSERT_EQ(twin.indexPlan().kind(), plan.expect) << plan.name;
-                if (policy == ReplKind::TreePlru
-                    && !twin.indexPlan().uniform())
-                    continue; // TreePLRU needs non-skewed placement
 
                 const std::string where = std::string(plan.name) + " "
                     + std::to_string(static_cast<int>(policy))

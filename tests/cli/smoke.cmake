@@ -312,4 +312,36 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "cac_sim with valid counts exited ${rc}: ${err}")
 endif()
 
+# 14. "mc:" runs each program of a mix on its own core whatever the
+#     mix's ASID stride: under asid=4m the coreN rows must count
+#     exactly the accesses of the program rows (loads + stores), which
+#     holds only when the core window follows the stride.
+execute_process(COMMAND ${SIM} --scenario "mix:swim+tomcatv@asid=4m,n=50k"
+                        --org mc:2xa2/a4 --csv --threads 1
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "asid=4m mc: run exited ${rc}: ${err}")
+endif()
+set(program_counts)
+set(core_counts)
+string(REPLACE "\n" ";" rows "${out}")
+foreach(row IN LISTS rows)
+  if(row MATCHES "\"([a-z0-9]+)\",[0-9]*,[0-9]+,([0-9]+),([0-9]+),")
+    math(EXPR accesses "${CMAKE_MATCH_2} + ${CMAKE_MATCH_3}")
+    if(CMAKE_MATCH_1 MATCHES "^core[0-9]+$")
+      list(APPEND core_counts ${accesses})
+    else()
+      list(APPEND program_counts ${accesses})
+    endif()
+  endif()
+endforeach()
+list(SORT program_counts)
+list(SORT core_counts)
+list(LENGTH core_counts ncores)
+if(NOT ncores EQUAL 2 OR NOT core_counts STREQUAL program_counts)
+  message(FATAL_ERROR "asid=4m mc: cores [${core_counts}] do not carry "
+                      "the programs [${program_counts}]: ${out}")
+endif()
+
 message(STATUS "cac_sim CLI smoke: all checks passed")

@@ -2,8 +2,7 @@
  * @file
  * Tests for compiled index plans: every in-tree IndexFn must lower to a
  * plan that agrees with its virtual index() on every (address, way),
- * the compiler must pick the expected evaluation strategy, and the
- * reconfiguration epoch must invalidate stale plans.
+ * and the compiler must pick the expected evaluation strategy.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "index/configurable.hh"
 #include "index/factory.hh"
 #include "index/index_fn.hh"
 #include "index/index_plan.hh"
@@ -154,32 +152,6 @@ TEST(IndexPlan, EveryFactoryKindMatches)
         auto fn = makeIndexFn(kind, 7, 2, 14);
         expectPlanMatchesVirtual(*fn);
     }
-}
-
-TEST(IndexPlan, ConfigurableLowersEachModeAndBumpsEpoch)
-{
-    ConfigurableIndex fn(7, 2, 14);
-    const std::uint64_t epoch0 = fn.planEpoch();
-    EXPECT_EQ(fn.compile().kind(), IndexPlan::Kind::Modulo);
-    expectPlanMatchesVirtual(fn);
-
-    fn.setCatalogPolynomials(true);
-    EXPECT_NE(fn.planEpoch(), epoch0);
-    EXPECT_EQ(fn.compile().kind(), IndexPlan::Kind::Packed);
-    expectPlanMatchesVirtual(fn);
-
-    const std::uint64_t epoch1 = fn.planEpoch();
-    fn.setConventional();
-    EXPECT_NE(fn.planEpoch(), epoch1);
-    expectPlanMatchesVirtual(fn);
-}
-
-TEST(IndexPlan, NonConfigurableFnsKeepConstantEpoch)
-{
-    ModuloIndex mod(7, 2);
-    XorSkewIndex skew(7, 2, true);
-    EXPECT_EQ(mod.planEpoch(), 0u);
-    EXPECT_EQ(skew.planEpoch(), 0u);
 }
 
 /** Out-of-tree subclass without a compile() override. */

@@ -24,9 +24,9 @@
  *
  * Where a function lands in the binary can move its rate by several
  * percent on its own (a change elsewhere shifts it across cache-line
- * boundaries). Configuring both sides with
- * -DCMAKE_CXX_FLAGS=-falign-functions=64 takes that out of a
- * comparison; docs/PERF_LOG.md reports both builds.
+ * boundaries), so a CAC_AB_BASE build compiles both libraries and
+ * both sides of side.cc with -falign-functions=64, which takes that
+ * out of a comparison without any extra option.
  */
 
 #include <algorithm>

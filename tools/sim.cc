@@ -511,10 +511,13 @@ applyCores(std::vector<std::string> labels, unsigned cores)
 /**
  * --scenario: grid a multiprogrammed mix against one target or the
  * scenario comparison set, with per-program and aggregate attribution.
+ * Every target, profiled "mc:" wrappers included, is built with the
+ * mix's own ASID stride as its core window, so each program runs on
+ * one core whatever "asid=" the label sets.
  */
 int
 runScenarioCmd(const std::string &mix_label, const std::string &org,
-               bool compare, const TargetSpec &spec, unsigned threads,
+               bool compare, TargetSpec spec, unsigned threads,
                bool csv, bool stream, unsigned cores)
 {
     std::string parse_error;
@@ -527,6 +530,7 @@ runScenarioCmd(const std::string &mix_label, const std::string &org,
         return 1;
     }
     auto scenario = std::make_shared<const Scenario>(*parsed);
+    spec.mcWindowBytes = parsed->config.asidStrideBytes;
 
     SweepRunner sweep(threads > 0 ? threads : 1);
     sweep.setTargetSpec(spec);
