@@ -18,8 +18,8 @@
  * cost (widest XOR-gate fan-in). Results are deterministic for a given
  * (config, workload) at any thread count.
  *
- * Exposed as `cac_sim --search`; throughput is tracked by
- * bench/perf_engine (candidates evaluated per second).
+ * Exposed as `cac_sim --search`; e2ebench's traced
+ * analysis.compute_ms reports its time (not gated).
  */
 
 #ifndef CAC_ANALYSIS_INDEX_SEARCH_HH

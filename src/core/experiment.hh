@@ -95,8 +95,8 @@ struct ThroughputResult
 };
 
 /**
- * The shared timing methodology of bench/perf_engine and
- * `cac_sim --bench` (their numbers must stay comparable): run @p body
+ * The timing loop of `cac_sim --bench`, one tree's absolute rate
+ * (tools/ab's cac_ab compares two trees): run @p body
  * once untimed as warm-up, then repeat it until @p min_seconds of
  * wall-clock time elapse. @p body returns the number of units
  * (accesses) it performed that repetition.

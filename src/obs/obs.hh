@@ -19,10 +19,10 @@
  * never inside the per-access hot loop. Each macro compiles to nothing
  * when the library is built with -DCAC_OBS=0, and when compiled in it
  * costs one relaxed atomic load while telemetry is disabled at runtime
- * (the default). bench/perf_engine's schema-8 "observability" section
- * measures both prices and tools/check_perf.py gates them
- * (disabled >= 0.97x, metrics+windows enabled >= 0.90x of the plain
- * scenario replay rate).
+ * (the default). Every cac_ab (tools/ab) row replays with telemetry
+ * off, and its "metrics" row and claim hold replay with the registry
+ * and windows on to at least 0.90x of the same replay with it off
+ * (tools/ab/verdict.hh).
  */
 
 #ifndef CAC_OBS_OBS_HH

@@ -6,8 +6,8 @@
  * reads responses until the terminal one (RESULT, ERROR or PONG),
  * collecting interleaved PROGRESS frames along the way — the exact
  * state machine docs/SERVICE.md specifies for well-behaved clients.
- * The same class drives the cac_bench_client load generator, the
- * serve test suite, and the perf_engine `service` section, so every
+ * The same class drives the cac_bench_client load generator and the
+ * serve test suite (and CI's service smoke through them), so every
  * consumer measures the protocol the same way.
  *
  * Transport failures surface as cac::Error values in Reply.transport;

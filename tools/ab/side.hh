@@ -17,6 +17,27 @@
 namespace ab
 {
 
+/** How a target replays the built input. */
+enum class Mode
+{
+    /** In memory, whole: replayInto() for a mix, replay() for a trace. */
+    Plain,
+    /** Streamed from the input's CACTRC02 file, checksums verified. */
+    Stream,
+    /** The same stream with checksum verification off. */
+    StreamNoVerify,
+    /**
+     * Plain replay in 8192-record chunks with the metrics registry on
+     * and a 4096-access WindowSampler poked at every boundary.
+     */
+    Metrics,
+    /**
+     * The input's records time-sharded into 4 slices, replayed on one
+     * thread: the sharding machinery's cost, not the host's spare CPUs.
+     */
+    Shards4,
+};
+
 /** One timed replay of the built input through one target. */
 struct Replay
 {
@@ -31,14 +52,15 @@ struct Side
     /**
      * Build @p input — a "mix:" label, or a Spec95 proxy name built to
      * @p instructions records with @p seed — and keep it until
-     * release(). Returns the seconds the build took; exits 1 with a
-     * message on an unknown input.
+     * release(), then write its records to a CACTRC02 temp file for
+     * the streamed modes. Returns the seconds the build took (the
+     * write excluded); exits 1 with a message on an unknown input.
      */
     double (*build)(const std::string &input, std::uint64_t instructions,
                     std::uint64_t seed);
     /** Replay the built input through a fresh @p target label. */
-    Replay (*replay)(const std::string &target);
-    /** Free the built input. */
+    Replay (*replay)(Mode mode, const std::string &target);
+    /** Free the built input and remove its file. */
     void (*release)();
 };
 

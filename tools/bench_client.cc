@@ -4,10 +4,10 @@
  *
  * Opens N concurrent connections, issues a request mix against a
  * running server, and reports throughput (requests/s) plus p50/p99
- * latency — the numbers the perf_engine `service` section and the CI
- * service-smoke lane are built on. Expectation flags turn it into an
- * assertion harness: --expect-memo-hit fails unless memoized results
- * both appear and are measurably faster than the cold computation,
+ * latency — the numbers the CI service-smoke lane is built on.
+ * Expectation flags turn it into an assertion harness:
+ * --expect-memo-hit fails unless memoized results both appear and
+ * answer at least kMemoSpeedup times faster than the cold computation,
  * --expect-saturated fails unless the server answered with a typed
  * `saturated` rejection, and --malformed sends deliberate garbage and
  * requires a typed `protocol` error back. Exit status is the verdict,
@@ -35,6 +35,14 @@ namespace
 using namespace cac;
 using Clock = std::chrono::steady_clock;
 
+/**
+ * --expect-memo-hit: a memo hit is a map lookup plus one loopback
+ * round trip, so its median must sit at least this many times under
+ * the fastest cold computation (hits have read thousands of times
+ * faster on the CI workload).
+ */
+constexpr std::uint64_t kMemoSpeedup = 10;
+
 void
 usage()
 {
@@ -55,8 +63,8 @@ usage()
         "  --deadline-ms N     per-request deadline\n"
         "  --distinct          vary the seed per request (defeats "
         "memoization)\n"
-        "  --expect-memo-hit   require memoized results, faster than "
-        "cold\n"
+        "  --expect-memo-hit   require memoized results, 10x faster "
+        "than cold\n"
         "  --expect-saturated  require at least one typed saturation "
         "rejection\n"
         "  --malformed         send a garbage frame, require a "
@@ -363,13 +371,15 @@ main(int argc, char **argv)
                          "observed\n");
             rc = 1;
         } else if (!cold_us.empty()
-                   && percentile(memo_us, 0.50) >= cold_us.front()) {
+                   && percentile(memo_us, 0.50) * kMemoSpeedup
+                          > cold_us.front()) {
             std::fprintf(stderr,
                          "expectation failed: memoized p50 %llu us "
-                         "is not below the fastest cold request "
+                         "is not %llux below the fastest cold request "
                          "(%llu us)\n",
                          static_cast<unsigned long long>(
                              percentile(memo_us, 0.50)),
+                         static_cast<unsigned long long>(kMemoSpeedup),
                          static_cast<unsigned long long>(
                              cold_us.front()));
             rc = 1;

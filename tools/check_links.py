@@ -17,7 +17,7 @@ stay hermetic — but malformed ones (empty target, whitespace) still
 fail. Fenced code blocks and inline code spans are ignored so protocol
 examples like ``[4]`` or ``key=value`` snippets never false-positive.
 
-Dependency-free by design (re/argparse only), like check_perf.py.
+Dependency-free by design (re/argparse only), like check_obs.py.
 
 Usage:
   tools/check_links.py README.md docs/*.md

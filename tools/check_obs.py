@@ -24,7 +24,7 @@ emitted, not just malformed files. --require-counter accepts
 fnmatch-style patterns ("serve.*" passes when at least one counter
 with that prefix is present).
 
-Dependency-free by design (json/argparse only), like check_perf.py.
+Dependency-free by design (json/argparse only), like check_links.py.
 
 Usage:
   tools/check_obs.py [--metrics FILE] [--trace FILE]

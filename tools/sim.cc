@@ -35,8 +35,8 @@
  *
  * --bench times the functional simulation itself (accesses per second
  * through the compiled-index-plan batch path) instead of reporting miss
- * ratios, so the bench/perf_engine numbers can be reproduced on any
- * trace without the bench binary.
+ * ratios: one tree's absolute rate on any trace (cac_ab in tools/ab
+ * compares two trees).
  *
  * --analyze prints the GF(2) conflict analysis of an organization's
  * placement function (rank, null space, per-stride conflict classes,
