@@ -31,7 +31,11 @@ struct CacheStats
     std::uint64_t storeMisses = 0;
     std::uint64_t fills = 0;
     std::uint64_t evictions = 0;     ///< valid lines displaced by fills
-    std::uint64_t writebacks = 0;    ///< dirty evictions (write-back mode)
+    /**
+     * Always 0: every cache is write-through and holds no dirty state.
+     * The field stays because the e2ebench stats digest hashes it.
+     */
+    std::uint64_t writebacks = 0;
     std::uint64_t invalidations = 0; ///< external invalidate() hits
     std::uint64_t firstProbeHits = 0;  ///< two-probe organizations only
     std::uint64_t secondProbeHits = 0; ///< two-probe organizations only
@@ -74,10 +78,16 @@ struct AccessResult
 {
     bool hit = false;
     bool filled = false; ///< a line was allocated for this access
-    /** Block evicted by the fill, if any (byte address of its base). */
+    /**
+     * The departure: the block (byte address of its base) that left
+     * the cache entirely during this access, if one did. It may come
+     * on a hit as well as on a miss (a two-probe promotion can push a
+     * line out), and it is no longer probe()-able afterwards. A line
+     * that only moves inside the cache (a victim-buffer swap, a
+     * two-probe demotion) is not a departure. CoherentSystem's reverse
+     * maps rely on this being exact.
+     */
     std::optional<std::uint64_t> evictedAddr;
-    /** Evicted block was dirty (meaningful in write-back mode). */
-    bool evictedDirty = false;
 };
 
 /**

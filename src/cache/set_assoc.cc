@@ -6,12 +6,11 @@ namespace cac
 SetAssocCache::SetAssocCache(const CacheGeometry &geometry,
                              std::unique_ptr<IndexFn> index_fn,
                              std::unique_ptr<ReplacementPolicy> repl,
-                             WriteAllocate write_allocate, bool write_back)
+                             WriteAllocate write_allocate)
     : CacheModel(geometry),
       index_fn_(std::move(index_fn)),
       repl_(std::move(repl)),
-      write_allocate_(write_allocate),
-      write_back_(write_back)
+      write_allocate_(write_allocate)
 {
     CAC_ASSERT(index_fn_ != nullptr);
     CAC_ASSERT(index_fn_->setBits() == geometry.setBits());
@@ -91,8 +90,6 @@ SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
             line.repl.lastTouch = tick_;
         else
             repl_->onAccess(line.repl, tick_);
-        if (is_write && write_back_)
-            line.dirty = true;
         out = AccessResult{};
         out.hit = true;
         return true;
@@ -107,7 +104,7 @@ SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
     } else {
         ++stats_.loadMisses;
     }
-    out = fillWith(block_addr, sets, is_write && write_back_);
+    out = fillWith(block_addr, sets);
     return true;
 }
 
@@ -153,13 +150,12 @@ SetAssocCache::tryAccess(std::uint64_t addr, bool is_write,
 }
 
 AccessResult
-SetAssocCache::fill(std::uint64_t addr, bool dirty)
+SetAssocCache::fill(std::uint64_t addr)
 {
     ++tick_;
     const std::uint64_t block = geometry_.blockAddr(addr);
-    return withSets(block, [&](const auto &sets) {
-        return fillWith(block, sets, dirty && write_back_);
-    });
+    return withSets(block,
+                    [&](const auto &sets) { return fillWith(block, sets); });
 }
 
 bool
@@ -173,7 +169,6 @@ SetAssocCache::invalidate(std::uint64_t addr)
 {
     if (Line *line = const_cast<Line *>(lookup(addr))) {
         line->valid = false;
-        line->dirty = false;
         ++stats_.invalidations;
         return true;
     }
@@ -183,23 +178,14 @@ SetAssocCache::invalidate(std::uint64_t addr)
 void
 SetAssocCache::flush()
 {
-    for (auto &line : lines_) {
+    for (auto &line : lines_)
         line.valid = false;
-        line.dirty = false;
-    }
 }
 
 std::string
 SetAssocCache::name() const
 {
     return geometry_.toString() + " " + index_fn_->name();
-}
-
-bool
-SetAssocCache::isDirty(std::uint64_t addr) const
-{
-    const Line *line = lookup(addr);
-    return line != nullptr && line->dirty;
 }
 
 } // namespace cac

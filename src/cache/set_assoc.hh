@@ -17,7 +17,7 @@
  * dispatch and no heap allocation regardless of the placement scheme.
  *
  * One state machine: every scalar entry point (access, accessPacked,
- * tryAccess, fill, probe, invalidate, isDirty) evaluates the plan once
+ * tryAccess, fill, probe, invalidate) evaluates the plan once
  * into a *way-set view* and hands it to the same two bodies — step()
  * (hit, refused miss, or miss and fill) and fillWith() (victim choice
  * and install). The views are PackedSets, which extracts each way's set
@@ -75,13 +75,11 @@ class SetAssocCache final : public CacheModel
      *        must match @p geometry.
      * @param repl replacement policy (defaults to LRU when null).
      * @param write_allocate allocate on write misses?
-     * @param write_back track dirty lines and count writebacks?
      */
     SetAssocCache(const CacheGeometry &geometry,
                   std::unique_ptr<IndexFn> index_fn,
                   std::unique_ptr<ReplacementPolicy> repl = nullptr,
-                  WriteAllocate write_allocate = WriteAllocate::Yes,
-                  bool write_back = false);
+                  WriteAllocate write_allocate = WriteAllocate::Yes);
 
     AccessResult access(std::uint64_t addr, bool is_write) override;
     void accessBatch(const std::uint64_t *addrs, std::size_t n,
@@ -105,10 +103,7 @@ class SetAssocCache final : public CacheModel
      *
      * @return the eviction outcome.
      */
-    AccessResult fill(std::uint64_t addr, bool dirty = false);
-
-    /** True when the block containing @p addr is present and dirty. */
-    bool isDirty(std::uint64_t addr) const;
+    AccessResult fill(std::uint64_t addr);
 
     /**
      * Hot-path entry for callers that batch-precompute index words:
@@ -166,7 +161,6 @@ class SetAssocCache final : public CacheModel
     struct Line
     {
         bool valid = false;
-        bool dirty = false;
         std::uint64_t block = 0; ///< full block address
         ReplState repl;
     };
@@ -216,8 +210,8 @@ class SetAssocCache final : public CacheModel
     const Line *lookup(std::uint64_t addr) const;
 
     /**
-     * The one scalar state machine. A hit updates replacement and dirty
-     * state; a miss with @p allow_fill counts the miss and fills (unless
+     * The one scalar state machine. A hit updates replacement state; a
+     * miss with @p allow_fill counts the miss and fills (unless
      * write-no-allocate). Returns false, touching nothing, only for a
      * miss without @p allow_fill.
      */
@@ -227,8 +221,7 @@ class SetAssocCache final : public CacheModel
 
     /** The one fill body: choose a victim among the ways and install. */
     template <typename Sets>
-    AccessResult fillWith(std::uint64_t block_addr, const Sets &sets,
-                          bool dirty);
+    AccessResult fillWith(std::uint64_t block_addr, const Sets &sets);
 
     std::unique_ptr<IndexFn> index_fn_;
     /** Compiled form of index_fn_, built once; all lookups use it. */
@@ -241,7 +234,6 @@ class SetAssocCache final : public CacheModel
      */
     bool repl_plain_lru_ = false;
     WriteAllocate write_allocate_;
-    bool write_back_;
     std::uint64_t tick_ = 0; ///< access counter driving LRU/FIFO
     /** lines_[way * numSets + set]. */
     std::vector<Line> lines_;
@@ -261,8 +253,7 @@ class SetAssocCache final : public CacheModel
 
 template <typename Sets>
 AccessResult
-SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
-                        bool dirty)
+SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets)
 {
     const unsigned ways = geometry_.ways();
     unsigned victim = 0;
@@ -298,12 +289,8 @@ SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets,
     if (line.valid) {
         ++stats_.evictions;
         r.evictedAddr = geometry_.byteAddr(line.block);
-        r.evictedDirty = line.dirty;
-        if (line.dirty)
-            ++stats_.writebacks;
     }
     line.valid = true;
-    line.dirty = dirty;
     line.block = block_addr;
     if (repl_plain_lru_) {
         line.repl.lastTouch = tick_;
@@ -377,8 +364,6 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
             }
             if (hit) {
                 hit->repl.lastTouch = tick;
-                if (is_write && write_back_)
-                    hit->dirty = true;
                 if (Events::kStoreHits && is_write)
                     events.storeHit(base + i);
                 continue;
@@ -394,8 +379,7 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                 ++stats_.loadMisses;
             }
             events.miss(base + i, is_write,
-                        fillWith(block, PackedSets{plan_, packed[i]},
-                                 is_write && write_back_));
+                        fillWith(block, PackedSets{plan_, packed[i]}));
         }
         tick_ = tick;
     }

@@ -98,6 +98,29 @@ TwoProbeCache::access(std::uint64_t addr, bool is_write)
                          secondaryIndex(block), is_write);
 }
 
+// Inlined into both callers: it runs on every miss and second-probe
+// hit.
+[[gnu::always_inline]] inline std::optional<std::uint64_t>
+TwoProbeCache::demote(const Line &displaced, std::uint64_t from)
+{
+    if (!displaced.valid)
+        return std::nullopt;
+    const std::uint64_t alt = secondaryIndex(displaced.block);
+    std::uint64_t departed = displaced.block;
+    if (alt != from) {
+        // It lands on its alternative slot, whose occupant (if any)
+        // is evicted.
+        const Line occupant = lines_[alt];
+        lines_[alt] = displaced;
+        if (!occupant.valid)
+            return std::nullopt;
+        departed = occupant.block;
+    }
+    // Otherwise its alternative *is* the slot it just lost: evicted.
+    ++stats_.evictions;
+    return geometry_.byteAddr(departed);
+}
+
 AccessResult
 TwoProbeCache::accessIndexed(std::uint64_t block, std::uint64_t i1,
                              std::uint64_t i2, bool is_write)
@@ -120,23 +143,14 @@ TwoProbeCache::accessIndexed(std::uint64_t block, std::uint64_t i1,
         // bit-flip rehash that is exactly i2, a plain swap; with the
         // polynomial rehash each block has a distinct alternative, so
         // a swap would strand the displaced block where no probe looks
-        // for it).
+        // for it). The hit reports the line that demotion loses.
         ++stats_.secondProbeHits;
-        Line displaced = lines_[i1];
+        const Line displaced = lines_[i1];
         lines_[i1] = lines_[i2];
         lines_[i2].valid = false;
-        if (displaced.valid) {
-            const std::uint64_t alt = secondaryIndex(displaced.block);
-            if (alt != i1) {
-                if (lines_[alt].valid)
-                    ++stats_.evictions;
-                lines_[alt] = displaced;
-            } else {
-                ++stats_.evictions;
-            }
-        }
         AccessResult r;
         r.hit = true;
+        r.evictedAddr = demote(displaced, i1);
         return r;
     }
 
@@ -149,31 +163,15 @@ TwoProbeCache::accessIndexed(std::uint64_t block, std::uint64_t i1,
         ++stats_.loadMisses;
     }
 
-    AccessResult r;
-    r.filled = true;
-    ++stats_.fills;
-
     // The incoming block takes the conventional location; its previous
-    // occupant is demoted to *that block's* alternative location, whose
-    // occupant (if any) is evicted.
-    Line displaced = lines_[i1];
+    // occupant is demoted to *that block's* alternative location.
+    ++stats_.fills;
+    const Line displaced = lines_[i1];
     lines_[i1].valid = true;
     lines_[i1].block = block;
-
-    if (displaced.valid) {
-        const std::uint64_t alt = secondaryIndex(displaced.block);
-        if (alt != i1) {
-            if (lines_[alt].valid) {
-                ++stats_.evictions;
-                r.evictedAddr = geometry_.byteAddr(lines_[alt].block);
-            }
-            lines_[alt] = displaced;
-        } else {
-            // Its alternative *is* the slot it just lost: evicted.
-            ++stats_.evictions;
-            r.evictedAddr = geometry_.byteAddr(displaced.block);
-        }
-    }
+    AccessResult r;
+    r.filled = true;
+    r.evictedAddr = demote(displaced, i1);
     return r;
 }
 

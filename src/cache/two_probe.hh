@@ -10,13 +10,16 @@
  * lines so the next access to this block hits on the *first* probe —
  * this is what keeps ~90% of hits on the fast path. A full miss fills
  * the conventional location and relegates its previous occupant to that
- * occupant's own alternative location.
+ * occupant's own alternative location. Both moves can push a line out
+ * of the cache; the access reports it as its departure
+ * (AccessResult::evictedAddr), on a second-probe hit as on a miss.
  */
 
 #ifndef CAC_CACHE_TWO_PROBE_HH
 #define CAC_CACHE_TWO_PROBE_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/cache_model.hh"
@@ -81,6 +84,16 @@ class TwoProbeCache final : public CacheModel
      */
     AccessResult accessIndexed(std::uint64_t block, std::uint64_t i1,
                                std::uint64_t i2, bool is_write);
+
+    /**
+     * Move @p displaced, just pushed out of slot @p from, to its own
+     * alternative slot. The line that leaves the cache — the slot's
+     * previous occupant, or @p displaced itself when its alternative
+     * is @p from — is counted as an eviction.
+     * @return the departed block's byte address, if one left.
+     */
+    std::optional<std::uint64_t> demote(const Line &displaced,
+                                        std::uint64_t from);
 
     RehashKind rehash_;
     std::unique_ptr<IndexFn> poly_; ///< used when rehash_ == IPoly

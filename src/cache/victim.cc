@@ -41,7 +41,7 @@ VictimCache::findVictim(std::uint64_t block) const
     return nullptr;
 }
 
-void
+std::optional<std::uint64_t>
 VictimCache::insertVictim(std::uint64_t block)
 {
     VictimLine *slot = nullptr;
@@ -56,9 +56,13 @@ VictimCache::insertVictim(std::uint64_t block)
             slot = &line;
         }
     }
+    std::optional<std::uint64_t> dropped;
+    if (slot->valid)
+        dropped = slot->block;
     slot->valid = true;
     slot->block = block;
     slot->lastTouch = tick_;
+    return dropped;
 }
 
 template <typename Kind>
@@ -101,12 +105,16 @@ VictimCache::access(std::uint64_t addr, bool is_write)
 
     if (VictimLine *vline = findVictim(block)) {
         // Victim hit: swap the line back into the main cache; the block
-        // the main cache evicts takes its place in the buffer.
+        // the main cache evicts takes its place in the buffer. The
+        // freed slot leaves room, so nothing departs.
         ++victim_hits_;
         vline->valid = false;
         AccessResult fill = main_.fill(addr);
-        if (fill.evictedAddr)
-            insertVictim(geometry_.blockAddr(*fill.evictedAddr));
+        if (fill.evictedAddr) {
+            const auto dropped =
+                insertVictim(geometry_.blockAddr(*fill.evictedAddr));
+            CAC_ASSERT(!dropped);
+        }
         AccessResult r;
         r.hit = true;
         return r;
@@ -125,9 +133,12 @@ VictimCache::access(std::uint64_t addr, bool is_write)
     AccessResult r;
     r.filled = true;
     if (fill.evictedAddr) {
-        insertVictim(geometry_.blockAddr(*fill.evictedAddr));
+        // The main-cache victim moves into the buffer and stays
+        // resident; only the block a full buffer drops departs.
         ++stats_.evictions;
-        r.evictedAddr = fill.evictedAddr;
+        if (const auto dropped =
+                insertVictim(geometry_.blockAddr(*fill.evictedAddr)))
+            r.evictedAddr = geometry_.byteAddr(*dropped);
     }
     return r;
 }

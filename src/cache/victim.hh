@@ -4,12 +4,18 @@
  * cache backed by a small fully-associative victim buffer that catches
  * recently evicted lines. One of the conflict-mitigation baselines the
  * I-Poly scheme is compared against (via reference [10]).
+ *
+ * A main-cache victim moves into the buffer and stays resident, so a
+ * miss reports as its departure (AccessResult::evictedAddr) the block
+ * a full buffer drops, not the main-cache victim. A buffer hit frees
+ * its slot before the swap refills it, so a hit never departs.
  */
 
 #ifndef CAC_CACHE_VICTIM_HH
 #define CAC_CACHE_VICTIM_HH
 
 #include <memory>
+#include <optional>
 
 #include "cache/set_assoc.hh"
 
@@ -49,8 +55,12 @@ class VictimCache final : public CacheModel
         std::uint64_t lastTouch = 0;
     };
 
-    /** Insert an evicted block into the buffer, LRU-replacing. */
-    void insertVictim(std::uint64_t block);
+    /**
+     * Insert a block the main cache evicted into the buffer,
+     * LRU-replacing.
+     * @return the block a full buffer dropped (it left the cache).
+     */
+    std::optional<std::uint64_t> insertVictim(std::uint64_t block);
 
     /** accessBatch()/accessMixed() kernel, templated on the kind source. */
     template <typename Kind>

@@ -1,7 +1,5 @@
 #include "core/experiment.hh"
 
-#include <chrono>
-
 #include "common/stats.hh"
 
 namespace cac
@@ -12,25 +10,6 @@ runAddressStream(CacheModel &cache, const std::vector<std::uint64_t> &addrs)
 {
     cache.accessBatch(addrs.data(), addrs.size(), false);
     return cache.stats();
-}
-
-ThroughputResult
-measureThroughput(double min_seconds,
-                  const std::function<std::uint64_t()> &body)
-{
-    using Clock = std::chrono::steady_clock;
-    body(); // untimed warm-up populates the model under test
-    ThroughputResult r;
-    std::uint64_t units = 0;
-    const auto start = Clock::now();
-    do {
-        units += body();
-        ++r.reps;
-        r.seconds =
-            std::chrono::duration<double>(Clock::now() - start).count();
-    } while (r.seconds < min_seconds);
-    r.unitsPerSec = static_cast<double>(units) / r.seconds;
-    return r;
 }
 
 CacheStats

@@ -10,7 +10,6 @@
 #define CAC_CORE_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,25 +84,6 @@ class MemRunGatherer
     std::unique_ptr<bool[]> writes_;
     std::size_t n_ = 0; ///< gathered accesses pending in the batch
 };
-
-/** Outcome of one measureThroughput() run. */
-struct ThroughputResult
-{
-    double unitsPerSec = 0.0; ///< units (accesses) per wall-clock second
-    std::size_t reps = 0;     ///< timed repetitions of the body
-    double seconds = 0.0;     ///< timed wall-clock window
-};
-
-/**
- * The timing loop of `cac_sim --bench`, one tree's absolute rate
- * (tools/ab's cac_ab compares two trees): run @p body
- * once untimed as warm-up, then repeat it until @p min_seconds of
- * wall-clock time elapse. @p body returns the number of units
- * (accesses) it performed that repetition.
- */
-ThroughputResult
-measureThroughput(double min_seconds,
-                  const std::function<std::uint64_t()> &body);
 
 /** Run only the memory operations of @p trace through a cache model. */
 CacheStats runTraceMemory(CacheModel &cache, const Trace &trace);

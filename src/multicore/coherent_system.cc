@@ -173,6 +173,9 @@ CoherentSystem::access(unsigned core, std::uint64_t vaddr, bool is_write)
     CAC_ASSERT(core < l1s_.size());
     AccessResult l1_result = l1s_[core]->access(vaddr, is_write);
     if (l1_result.hit) {
+        // A two-probe promotion can push a line out on a hit. (The
+        // SetAssocCache batch kernel never departs on a hit.)
+        unlinkDeparture(core, l1_result);
         if (is_write && l1s_.size() > 1)
             writeHitUpgrade(core, vaddr);
         return true;
@@ -293,12 +296,9 @@ CoherentSystem::writeHitUpgrade(unsigned core, std::uint64_t vaddr)
     // alone, without a directory probe.
     const std::uint64_t pblock =
         l2_->geometry().blockAddr(page_map_.translate(vaddr));
-    // The entry can be missing: a victim or column-poly L1 can hit a
-    // line its own hit path moved without reporting it (the known
-    // hit-path eviction bug); the directory then decides, as it
-    // always did.
     std::uint64_t *resident = l1_contents_[core].find(pblock);
-    if (resident != nullptr && (*resident & kModifiedBit) != 0)
+    CAC_ASSERT(resident != nullptr);
+    if ((*resident & kModifiedBit) != 0)
         return;
     DirEntry &entry = dir_.insert(pblock).first;
     if (entry.owner == core)
@@ -306,8 +306,7 @@ CoherentSystem::writeHitUpgrade(unsigned core, std::uint64_t vaddr)
     ++mc_.cores[core].upgrades;
     invalidateOtherCopies(core, pblock, entry);
     entry.owner = static_cast<std::uint8_t>(core);
-    if (resident != nullptr)
-        *resident |= kModifiedBit;
+    *resident |= kModifiedBit;
 }
 
 AccessResult
@@ -343,7 +342,7 @@ CoherentSystem::invalidateOtherCopies(unsigned core, std::uint64_t pblock,
         entry.owner = kNoCore;
 }
 
-// Inlined: every L1 eviction on the miss path comes through here.
+// Inlined: every L1 departure on the miss path comes through here.
 [[gnu::always_inline]] inline void
 CoherentSystem::unlinkL1(unsigned core, std::uint64_t pblock)
 {
@@ -356,6 +355,14 @@ CoherentSystem::unlinkL1(unsigned core, std::uint64_t pblock)
         entry->owner = kNoCore;
     if (entry->unused())
         dir_.erase(pblock);
+}
+
+[[gnu::always_inline]] inline void
+CoherentSystem::unlinkDeparture(unsigned core, const AccessResult &r)
+{
+    if (r.evictedAddr)
+        unlinkL1(core, l2_->geometry().blockAddr(
+                           page_map_.translate(*r.evictedAddr)));
 }
 
 bool
@@ -416,10 +423,9 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                          const AccessResult &l1_result)
 {
     // The virtual-real protocol of sections 3.1-3.3 (holes, the
-    // one-alias rule, L1 write-back, Inclusion). Every coherence step
-    // is guarded by `multi` and the larger ones live in the directory
-    // helpers, so a one-core system never touches dir_ and its miss
-    // path stays short.
+    // one-alias rule, Inclusion). Every coherence step is guarded by
+    // `multi` and the larger ones live in the directory helpers, so a
+    // one-core system never touches dir_ and its miss path stays short.
     CacheModel &l1 = *l1s_[core];
     HoleStats &holes = mc_.cores[core].holes;
     const bool multi = l1s_.size() > 1;
@@ -435,19 +441,7 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     const std::uint64_t pblock =
         l2_->geometry().blockAddr(page_map_.translate(vaddr));
 
-    std::uint64_t l1_evicted_vblock = 0;
-    bool l1_evicted = false;
-    if (l1_result.evictedAddr) {
-        l1_evicted = true;
-        l1_evicted_vblock = l1.geometry().blockAddr(*l1_result.evictedAddr);
-        const std::uint64_t evicted_pblock = l2_->geometry().blockAddr(
-            page_map_.translate(*l1_result.evictedAddr));
-        unlinkL1(core, evicted_pblock);
-        // A dirty write-back from L1 updates L2 (hit expected under
-        // Inclusion).
-        if (l1_result.evictedDirty)
-            l2Access(evicted_pblock, true);
-    }
+    unlinkDeparture(core, l1_result);
     // The filled line's reverse-map entry. No other entry of this
     // core's map is inserted or erased below, so the pointer stays
     // valid.
@@ -502,7 +496,9 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     const std::uint64_t victim_pblock =
         l2_->geometry().blockAddr(*l2_result.evictedAddr);
     // Inclusion demands this data leave every private L1. One core has
-    // no directory: probe its reverse map directly.
+    // no directory: probe its reverse map directly. A victim that this
+    // miss's own L1 fill displaced was unlinked above and is not found:
+    // no hole appears (the paper's P_d complement).
     for (std::uint64_t holders =
              multi ? releaseL2Victim(core, victim_pblock) : 1;
          holders != 0; holders &= holders - 1) {
@@ -512,11 +508,8 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
             continue;
         ++mc_.cores[j].holes.inclusionInvalidates;
         const std::uint64_t victim_vblock = vblockOf(*resident);
-        if (j == core && l1_evicted && victim_vblock == l1_evicted_vblock) {
-            // Coincidence: the L1 fill already displaced it; no hole
-            // appears (the paper's P_d complement).
-        } else if (l1s_[j]->invalidate(
-                       l1s_[j]->geometry().byteAddr(victim_vblock))) {
+        if (l1s_[j]->invalidate(
+                l1s_[j]->geometry().byteAddr(victim_vblock))) {
             ++mc_.cores[j].holes.holesCreated;
             holes_[j].insert(victim_vblock);
         }

@@ -12,10 +12,14 @@
  * is enforced explicitly. When an L2 fill replaces a valid line, the
  * corresponding virtual line is invalidated at L1, possibly creating a
  * *hole*; a fill shoots down any other virtual alias of its physical
- * block (at most one alias in L1 at any instant); dirty L1 victims are
- * written back to L2. HoleStats counts L2 misses, forced invalidations,
- * coincidences (invalidation target == incoming fill slot) and holes,
- * which the holes_model bench compares against the analytic P_H. The
+ * block (at most one alias in L1 at any instant). The L1s carry no
+ * write traffic: like the paper's L1 they are write-through and hold
+ * no dirty state, so a line that leaves an L1 (the access's reported
+ * departure, AccessResult::evictedAddr, on a hit or a miss) only drops
+ * its reverse-map entry. HoleStats counts L2 misses, forced
+ * invalidations and holes (an L2 victim the L1 fill itself displaced
+ * leaves none), which the holes_model bench compares against the
+ * analytic P_H. The
  * `2lvl:` target grammar builds exactly this one-core system. With one
  * core every coherence step is skipped and the directory stays empty.
  *
@@ -408,6 +412,12 @@ class CoherentSystem
      * reverse-map entry, its sharer bit and any ownership.
      */
     void unlinkL1(unsigned core, std::uint64_t pblock);
+
+    /**
+     * Forget the line @p r reports as having left @p core's L1 (its
+     * departure, on a hit or a miss), if any.
+     */
+    void unlinkDeparture(unsigned core, const AccessResult &r);
 
     /** Make @p vaddr's ASID window the demultiplexer's current one. */
     void enterWindow(std::uint64_t vaddr);

@@ -4,7 +4,7 @@
  * for every registered organization, accessBatch() over same-kind runs
  * and accessMixed() over mixed load/store batches must leave the cache
  * with CacheStats bit-identical to an access()-per-address loop over
- * the same stream — including the write-back and non-LRU variants, and
+ * the same stream — including the non-LRU variants, and
  * a decorator that only overrides accessBatch() (the base
  * accessMixed() fallback). A seeded oracle draws SetAssocCache
  * configurations and holds the batch, scalar and virtual-index paths
@@ -49,7 +49,7 @@ mixedStream()
             ops.push_back({(1 << 21) + i * 64, (i & 3) == 0});
         }
     }
-    // ...and random traffic exercises eviction/writeback paths.
+    // ...and random traffic exercises eviction paths.
     for (int i = 0; i < 20000; ++i) {
         ops.push_back({rng.nextBelow(1 << 18), rng.nextBelow(4) == 0});
     }
@@ -214,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-/** Write-back and non-LRU set-associative variants (no registry label). */
+/** Non-LRU set-associative variants (no registry label). */
 TEST(BatchEquivalenceVariants, MixedBatchMatchesScalarOnEveryPolicy)
 {
     const std::vector<Op> ops = mixedStream();
@@ -222,28 +222,20 @@ TEST(BatchEquivalenceVariants, MixedBatchMatchesScalarOnEveryPolicy)
     for (IndexKind index : {IndexKind::Modulo, IndexKind::IPolySkew}) {
         for (ReplKind repl : {ReplKind::Lru, ReplKind::Fifo,
                               ReplKind::Random, ReplKind::Nru}) {
-            for (bool write_back : {false, true}) {
-                for (WriteAllocate wa :
-                     {WriteAllocate::Yes, WriteAllocate::No}) {
-                    auto build = [&] {
-                        return std::make_unique<SetAssocCache>(
-                            geometry,
-                            makeIndexFn(index, geometry.setBits(),
-                                        geometry.ways()),
-                            makeReplacementPolicy(repl), wa, write_back);
-                    };
-                    auto scalar = build();
-                    auto mixed = build();
-                    const std::string label =
-                        indexKindName(index) + " repl "
-                        + std::to_string(static_cast<int>(repl))
-                        + (write_back ? " wb" : " wt")
-                        + (wa == WriteAllocate::Yes ? " wa" : " nwa");
-                    expectMixedMatchesScalar(*scalar, *mixed, ops, label);
-                    if (write_back) {
-                        EXPECT_GT(mixed->stats().writebacks, 0u) << label;
-                    }
-                }
+            for (WriteAllocate wa : {WriteAllocate::Yes, WriteAllocate::No}) {
+                auto build = [&] {
+                    return std::make_unique<SetAssocCache>(
+                        geometry,
+                        makeIndexFn(index, geometry.setBits(),
+                                    geometry.ways()),
+                        makeReplacementPolicy(repl), wa);
+                };
+                auto scalar = build();
+                auto mixed = build();
+                const std::string label = indexKindName(index) + " repl "
+                    + std::to_string(static_cast<int>(repl))
+                    + (wa == WriteAllocate::Yes ? " wa" : " nwa");
+                expectMixedMatchesScalar(*scalar, *mixed, ops, label);
             }
         }
     }
@@ -259,7 +251,6 @@ struct CacheDraw
     unsigned inputBits = 14;
     ReplKind repl = ReplKind::Lru;
     WriteAllocate writeAllocate = WriteAllocate::Yes;
-    bool writeBack = false;
     std::uint64_t seed = 0;
 
     std::string
@@ -275,8 +266,7 @@ struct CacheDraw
             + (hashed ? " over " + std::to_string(inputBits) + " bits"
                       : std::string())
             + ", " + kRepl[static_cast<int>(repl)]
-            + (writeAllocate == WriteAllocate::Yes ? ", wa" : ", nwa")
-            + (writeBack ? ", wb" : ", wt");
+            + (writeAllocate == WriteAllocate::Yes ? ", wa" : ", nwa");
     }
 
     std::unique_ptr<SetAssocCache>
@@ -290,7 +280,7 @@ struct CacheDraw
                    : makeIndexFn(kind, setBits, ways, inputBits);
         return std::make_unique<SetAssocCache>(
             geometry, std::move(fn), makeReplacementPolicy(repl, seed),
-            writeAllocate, writeBack);
+            writeAllocate);
     }
 };
 
@@ -319,7 +309,6 @@ drawCache(std::uint64_t seed)
     d.repl = static_cast<ReplKind>(rng.nextBelow(4));
     d.writeAllocate = rng.chance(0.5) ? WriteAllocate::Yes
                                       : WriteAllocate::No;
-    d.writeBack = rng.chance(0.5);
     return d;
 }
 
@@ -357,10 +346,10 @@ drawStream(const CacheDraw &d, Rng &rng)
 
 /**
  * The randomized single-cache oracle: per seed, a drawn geometry,
- * placement (every IndexKind and a row-mask MatrixIndex), policy,
- * write-allocate and write-back setting, replayed three ways: an
- * access() loop, accessMixed() at random batch sizes, and accessMixed()
- * on the same cache built on the virtual index path. Stats and the
+ * placement (every IndexKind and a row-mask MatrixIndex), policy and
+ * write-allocate setting, replayed three ways: an access() loop,
+ * accessMixed() at random batch sizes, and accessMixed() on the same
+ * cache built on the virtual index path. Stats and the
  * final contents must agree; a failure names the seed and the draw.
  */
 TEST(BatchEquivalenceRandom, DrawnCachesMatchAcrossPaths)

@@ -16,12 +16,12 @@ namespace
 
 std::unique_ptr<SetAssocCache>
 makeCache(IndexKind kind = IndexKind::Modulo,
-          WriteAllocate wa = WriteAllocate::Yes, bool wb = false,
+          WriteAllocate wa = WriteAllocate::Yes,
           const CacheGeometry &geom = CacheGeometry::paperL1_8k())
 {
     return std::make_unique<SetAssocCache>(
         geom, makeIndexFn(kind, geom.setBits(), geom.ways(), 14),
-        nullptr, wa, wb);
+        nullptr, wa);
 }
 
 TEST(SetAssocCache, ColdMissThenHit)
@@ -110,24 +110,6 @@ TEST(SetAssocCache, WriteAllocateFills)
     c->access(0x3000, true);
     EXPECT_TRUE(c->probe(0x3000));
     EXPECT_TRUE(c->access(0x3000, true).hit);
-}
-
-TEST(SetAssocCache, WriteBackTracksDirtyEvictions)
-{
-    auto c = makeCache(IndexKind::Modulo, WriteAllocate::Yes, true);
-    c->access(0x0000, true);  // dirty fill
-    c->access(0x1000, false); // clean fill
-    EXPECT_TRUE(c->isDirty(0x0000));
-    EXPECT_FALSE(c->isDirty(0x1000));
-    c->access(0x0000, false); // touch so 0x1000 is LRU
-    auto r1 = c->access(0x2000, false); // evicts clean 0x1000
-    EXPECT_FALSE(r1.evictedDirty);
-    c->access(0x2000, false);
-    auto r2 = c->access(0x3000, false); // evicts dirty 0x0000
-    ASSERT_TRUE(r2.evictedAddr.has_value());
-    EXPECT_EQ(*r2.evictedAddr, 0x0000u);
-    EXPECT_TRUE(r2.evictedDirty);
-    EXPECT_EQ(c->stats().writebacks, 1u);
 }
 
 TEST(SetAssocCache, FillBypassesAccessCounters)
@@ -236,8 +218,7 @@ bool
 sameResult(const AccessResult &a, const AccessResult &b)
 {
     return a.hit == b.hit && a.filled == b.filled
-        && a.evictedAddr == b.evictedAddr
-        && a.evictedDirty == b.evictedDirty;
+        && a.evictedAddr == b.evictedAddr;
 }
 
 void
@@ -285,8 +266,7 @@ TEST(SetAssocCache, TryAccessMatchesAccessOnEveryPlanAndPolicy)
                 auto make = [&] {
                     return SetAssocCache(
                         g, makeIndexFn(plan.kind, g.setBits(), g.ways(), 14),
-                        makeReplacementPolicy(policy),
-                        wa, true);
+                        makeReplacementPolicy(policy), wa);
                 };
                 SetAssocCache ref = make();
                 SetAssocCache twin = make();
@@ -330,7 +310,6 @@ TEST(SetAssocCache, TryAccessMatchesAccessOnEveryPlanAndPolicy)
                     }
                     const AccessResult want = ref.access(addr, is_write);
                     ASSERT_TRUE(sameResult(want, got)) << where << " i=" << i;
-                    ASSERT_EQ(ref.isDirty(addr), twin.isDirty(addr)) << where;
                 }
                 expectSameStats(ref.stats(), twin.stats(), fill_only, where);
                 EXPECT_GT(refused, 0u) << where;

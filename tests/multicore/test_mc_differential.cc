@@ -404,15 +404,7 @@ TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
     for (unsigned cores : {1u, 2u, 3u, 4u}) {
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             Rng rng(seed * 100 + cores);
-            // Two L1s can drop a line on a *hit* without reporting it:
-            // a column-poly second-probe hit demotes a line onto a slot
-            // whose occupant is lost, and a victim-buffer hit pushes a
-            // main-cache line into the buffer, whose LRU later drops
-            // it. Both leave a stale reverse-map entry, so the
-            // residency invariant cannot hold for them.
-            DrawnConfig cfg = drawConfig(rng);
-            while (cfg.l1 == "column-poly" || cfg.l1 == "victim")
-                cfg = drawConfig(rng);
+            const DrawnConfig cfg = drawConfig(rng);
             SCOPED_TRACE("cores " + std::to_string(cores) + " seed "
                          + std::to_string(seed) + " " + cfg.describe());
             const std::string label = "mc:" + std::to_string(cores) + "x"
@@ -502,12 +494,7 @@ TEST(McDifferential, RandomBatchesMatchScalarAccess)
     std::uint64_t upgrades = 0, interventions = 0, aliases = 0;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         Rng rng(seed * 7919);
-        // column-poly and victim drop lines on a hit without reporting
-        // it (see RandomSharingKeepsInvariantsAfterEveryBatch), so the
-        // residency invariant cannot hold for them.
         DrawnConfig cfg = drawConfig(rng);
-        while (cfg.l1 == "column-poly" || cfg.l1 == "victim")
-            cfg = drawConfig(rng);
         const unsigned cores = 1 + static_cast<unsigned>(rng.nextBelow(4));
         const double store_ratio = 0.6 * rng.nextDouble();
         cfg.spec.org.writeAllocate = rng.chance(0.75);

@@ -19,7 +19,6 @@
  *   cac_sim --trace huge.trc --compare --stream
  *   cac_sim --trace swim.trc --org a2-Hp-Sk --shards 4 [--warmup N]
  *   cac_sim --trace swim.trc --cpu 8k-ipoly-cp-pred
- *   cac_sim --trace swim.trc --org a2-Hp-Sk --bench
  *   cac_sim --analyze a2-Hp-Sk [--trace swim.trc]
  *   cac_sim --trace swim.trc --search [--threads 4] [--csv]
  *   cac_sim --scenario mix:swim+tomcatv@q=50k,flush [--org a2-Hp-Sk]
@@ -32,11 +31,6 @@
  * carry the documented bounded warm-up error, and the result is
  * deterministic at any --threads value. CPU targets replay
  * monolithically (with a note) — cycle state cannot be sliced.
- *
- * --bench times the functional simulation itself (accesses per second
- * through the compiled-index-plan batch path) instead of reporting miss
- * ratios: one tree's absolute rate on any trace (cac_ab in tools/ab
- * compares two trees).
  *
  * --analyze prints the GF(2) conflict analysis of an organization's
  * placement function (rank, null space, per-stride conflict classes,
@@ -110,7 +104,6 @@ usage()
         "[--stream]\n"
         "  cac_sim --trace FILE (--org TARGET | --compare) --shards K "
         "[--warmup N]\n"
-        "  cac_sim --trace FILE (--org LABEL | --compare) --bench\n"
         "  cac_sim --analyze LABEL [--trace FILE] [--stream] "
         "[--size BYTES] [--ways N]\n"
         "  cac_sim --trace FILE --search [--search-polys N] "
@@ -767,7 +760,6 @@ runMain(int argc, char **argv)
     bool compare = false;
     bool version = false;
     bool csv = false;
-    bool bench = false;
     bool stream = false;
     bool search = false;
     std::size_t search_polys = 16;
@@ -796,8 +788,6 @@ runMain(int argc, char **argv)
             compare = true;
         else if (!std::strcmp(arg, "--csv"))
             csv = true;
-        else if (!std::strcmp(arg, "--bench"))
-            bench = true;
         else if (!std::strcmp(arg, "--stream"))
             stream = true;
         else if (!std::strcmp(arg, "--search"))
@@ -905,11 +895,11 @@ runMain(int argc, char **argv)
     }
 
     if (!scenario.empty()) {
-        if (!trace_path.empty() || bench || !analyze.empty() || search
+        if (!trace_path.empty() || !analyze.empty() || search
             || !cpu.empty()) {
             std::fprintf(stderr,
                          "--scenario does not combine with --trace, "
-                         "--bench, --analyze, --search or --cpu\n");
+                         "--analyze, --search or --cpu\n");
             usage();
         }
         return runScenarioCmd(scenario, org, compare, spec, threads,
@@ -963,41 +953,6 @@ runMain(int argc, char **argv)
                         stats.branchMispredicts),
                     static_cast<unsigned long long>(stats.branches),
                     100.0 * target.core().branchPredictor().accuracy());
-        return 0;
-    }
-
-    if (bench) {
-        // Throughput mode: repeatedly drive the trace's memory
-        // operations through each organization's batch hot path and
-        // report accesses per second. Streaming would time the disk,
-        // not the simulator, so reject the combination outright.
-        if (stream)
-            fatal("--stream is not supported with --bench (the "
-                  "throughput measurement replays from memory)");
-        Trace trace = loadTrace(trace_path, read_opts);
-        const std::vector<std::string> labels =
-            compare ? standardComparisonLabels()
-                    : std::vector<std::string>{org};
-        if (csv)
-            std::printf("organization,accesses_per_sec,reps,seconds\n");
-        else
-            std::printf("%-14s %14s\n", "organization", "accesses/sec");
-        for (const std::string &label : labels) {
-            auto cache = makeOrganization(label, spec.org);
-            const ThroughputResult r = measureThroughput(0.25, [&] {
-                const std::uint64_t before = cache->stats().accesses();
-                runTraceMemory(*cache, trace);
-                return cache->stats().accesses() - before;
-            });
-            if (csv) {
-                std::printf("\"%s\",%.0f,%zu,%.4f\n", label.c_str(),
-                            r.unitsPerSec, r.reps, r.seconds);
-            } else {
-                std::printf("%-14s %14.0f  (%zu reps, %.2fs)\n",
-                            label.c_str(), r.unitsPerSec, r.reps,
-                            r.seconds);
-            }
-        }
         return 0;
     }
 
