@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "core/cac.hh"
 
@@ -32,8 +33,7 @@ ipolyCache(const std::vector<Gf2Poly> &polys, unsigned input_bits,
     return [polys, input_bits, repl] {
         const CacheGeometry geom = CacheGeometry::paperL1_8k();
         return std::make_unique<SetAssocCache>(
-            geom, std::make_unique<IPolyIndex>(polys, input_bits),
-            makeReplacementPolicy(repl),
+            geom, std::make_unique<IPolyIndex>(polys, input_bits), repl,
             WriteAllocate::No);
     };
 }
@@ -79,10 +79,13 @@ main()
     sweep.addOrg("skewed, v=20 (25 addr bits)", ipolyCache({p0, p1}, 20));
 
     // 4. Replacement policy under skewed placement.
-    for (ReplKind kind : {ReplKind::Lru, ReplKind::Fifo,
-                          ReplKind::Random, ReplKind::Nru}) {
-        const auto policy_name = makeReplacementPolicy(kind)->name();
-        sweep.addOrg("skewed v=14, repl=" + policy_name,
+    const std::pair<ReplKind, const char *> policies[] = {
+        {ReplKind::Lru, "lru"},
+        {ReplKind::Fifo, "fifo"},
+        {ReplKind::Random, "random"},
+        {ReplKind::Nru, "nru"}};
+    for (const auto &[kind, policy_name] : policies) {
+        sweep.addOrg(std::string("skewed v=14, repl=") + policy_name,
                      ipolyCache({p0, p1}, 14, kind));
     }
 

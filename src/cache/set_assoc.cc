@@ -5,23 +5,19 @@ namespace cac
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geometry,
                              std::unique_ptr<IndexFn> index_fn,
-                             std::unique_ptr<ReplacementPolicy> repl,
+                             ReplKind repl,
                              WriteAllocate write_allocate)
     : CacheModel(geometry),
       index_fn_(std::move(index_fn)),
-      repl_(std::move(repl)),
+      repl_(repl),
       write_allocate_(write_allocate)
 {
     CAC_ASSERT(index_fn_ != nullptr);
     CAC_ASSERT(index_fn_->setBits() == geometry.setBits());
     CAC_ASSERT(index_fn_->numWays() == geometry.ways());
-    if (!repl_)
-        repl_ = makeReplacementPolicy(ReplKind::Lru);
-    repl_plain_lru_ = repl_->isPlainLru();
     lines_.resize(geometry.numBlocks());
     plan_ = compilePlan(*index_fn_);
     way_sets_.resize(geometry.ways());
-    fill_candidates_.resize(geometry.ways());
 }
 
 template <typename Fn>
@@ -86,10 +82,10 @@ SetAssocCache::step(std::uint64_t block_addr, const Sets &sets,
 
     if (hit) {
         Line &line = lineAt(way, sets[way]);
-        if (repl_plain_lru_)
-            line.repl.lastTouch = tick_;
-        else
-            repl_->onAccess(line.repl, tick_);
+        if (repl_ == ReplKind::Lru)
+            line.stamp = tick_;
+        else if (repl_ == ReplKind::Nru)
+            line.stamp = 1;
         out = AccessResult{};
         out.hit = true;
         return true;

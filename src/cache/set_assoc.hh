@@ -25,10 +25,16 @@
  * registry organization), and ArraySets, which reads indexAll() output
  * from a stack buffer (RowMask and Callback plans).
  *
+ * Replacement is one ReplKind, fixed at construction, and one stamp
+ * word per line (see Line): a hit and a fill write the stamp, and one
+ * victim scan serves every policy — a skewed placement puts each way's
+ * candidate in a different set, so the policies rank lines by their own
+ * state, never by a per-set stack.
+ *
  * One batch kernel, batchKernel(), replays a run of addresses over
- * index words precomputed a tile at a time. Under plain LRU (the
- * policy's isPlainLru(), not an option) it runs the class's only
- * plain-LRU hit loop, with the tick and the load/store counters
+ * index words precomputed a tile at a time. Under LRU (the default
+ * ReplKind, not an option) it runs the class's only LRU hit loop,
+ * with the tick and the load/store counters
  * hoisted into registers (the compiler cannot hoist them: every line
  * store may alias the members); every miss fills inside the loop
  * through fillWith(), and every access under another policy goes
@@ -50,13 +56,22 @@
 #include <vector>
 
 #include "cache/cache_model.hh"
-#include "cache/replacement.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "index/index_fn.hh"
 #include "index/index_plan.hh"
 
 namespace cac
 {
+
+/** Replacement policy of a SetAssocCache. */
+enum class ReplKind
+{
+    Lru,    ///< evict the least recently touched line
+    Fifo,   ///< evict the earliest filled line
+    Random, ///< evict a uniformly drawn way (seed 1)
+    Nru     ///< evict the first unreferenced line; age all when none is
+};
 
 /** Write-miss allocation policy. */
 enum class WriteAllocate
@@ -73,12 +88,12 @@ class SetAssocCache final : public CacheModel
      * @param geometry capacity / block / ways.
      * @param index_fn placement function; its setBits() and numWays()
      *        must match @p geometry.
-     * @param repl replacement policy (defaults to LRU when null).
+     * @param repl replacement policy.
      * @param write_allocate allocate on write misses?
      */
     SetAssocCache(const CacheGeometry &geometry,
                   std::unique_ptr<IndexFn> index_fn,
-                  std::unique_ptr<ReplacementPolicy> repl = nullptr,
+                  ReplKind repl = ReplKind::Lru,
                   WriteAllocate write_allocate = WriteAllocate::Yes);
 
     AccessResult access(std::uint64_t addr, bool is_write) override;
@@ -158,12 +173,18 @@ class SetAssocCache final : public CacheModel
                      Events events);
 
   private:
+    /**
+     * One line: 24 bytes. The stamp is the policy's one word of state:
+     * the last touch's tick under LRU, the fill's tick under FIFO, and
+     * the reference bit (0 or 1) under NRU. Random does not read it.
+     */
     struct Line
     {
         bool valid = false;
         std::uint64_t block = 0; ///< full block address
-        ReplState repl;
+        std::uint64_t stamp = 0; ///< replacement state, see above
     };
+    static_assert(sizeof(Line) == 24, "a line is valid, block and stamp");
 
     /** Way-set view over a packed index word (Modulo / Packed plans). */
     struct PackedSets
@@ -223,16 +244,20 @@ class SetAssocCache final : public CacheModel
     template <typename Sets>
     AccessResult fillWith(std::uint64_t block_addr, const Sets &sets);
 
+    /**
+     * Victim of a full set whose stamps do not decide it: a drawn way
+     * under Random; under NRU with every reference bit set, way 0 after
+     * clearing every candidate's bit. Out of line on purpose: inlined
+     * into fillWith(), it slows the victim cache's main-array fills.
+     */
+    template <typename Sets>
+    [[gnu::noinline]] unsigned undecidedVictim(const Sets &sets);
+
     std::unique_ptr<IndexFn> index_fn_;
     /** Compiled form of index_fn_, built once; all lookups use it. */
     IndexPlan plan_;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    /**
-     * Cached repl_->isPlainLru(): step(), fillWith() and the batch
-     * fast path inline the whole LRU policy (touch on hit,
-     * first-invalid-else-oldest on fill) instead of virtual calls.
-     */
-    bool repl_plain_lru_ = false;
+    ReplKind repl_;
+    Rng rng_{1}; ///< Random's victim draws
     WriteAllocate write_allocate_;
     std::uint64_t tick_ = 0; ///< access counter driving LRU/FIFO
     /** lines_[way * numSets + set]. */
@@ -243,8 +268,6 @@ class SetAssocCache final : public CacheModel
      * calls on realistic associativities never share mutable state.
      */
     mutable std::vector<std::uint64_t> way_sets_;
-    /** Per-fill scratch candidates, sized ways() once (no allocation). */
-    std::vector<ReplCandidate> fill_candidates_;
 };
 
 // fillWith() and batchKernel() are defined here, not in set_assoc.cc,
@@ -255,32 +278,29 @@ template <typename Sets>
 AccessResult
 SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets)
 {
+    // The one victim scan: the first invalid way, else the first way
+    // with the smallest stamp — LRU and FIFO exactly, NRU whenever a
+    // reference bit is clear.
     const unsigned ways = geometry_.ways();
     unsigned victim = 0;
-    if (repl_plain_lru_) {
-        // Inlined LRU victim scan, identical to LruPolicy: the first
-        // invalid candidate in way order, else the first line with the
-        // smallest lastTouch.
-        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-        for (unsigned w = 0; w < ways; ++w) {
-            const Line &line = lineAt(w, sets[w]);
-            if (!line.valid) {
-                victim = w;
-                break;
-            }
-            if (line.repl.lastTouch < oldest) {
-                oldest = line.repl.lastTouch;
-                victim = w;
-            }
+    bool full = true;
+    std::uint64_t least = std::numeric_limits<std::uint64_t>::max();
+    for (unsigned w = 0; w < ways; ++w) {
+        const Line &line = lineAt(w, sets[w]);
+        if (!line.valid) {
+            victim = w;
+            full = false;
+            break;
         }
-    } else {
-        for (unsigned w = 0; w < ways; ++w) {
-            const Line &line = lineAt(w, sets[w]);
-            fill_candidates_[w] = ReplCandidate{line.valid, &line.repl};
+        if (line.stamp < least) {
+            least = line.stamp;
+            victim = w;
         }
-        victim = static_cast<unsigned>(repl_->chooseVictim(fill_candidates_));
-        CAC_ASSERT(victim < ways);
     }
+    if (full
+        && (repl_ == ReplKind::Random
+            || (repl_ == ReplKind::Nru && least != 0)))
+        victim = undecidedVictim(sets);
 
     Line &line = lineAt(victim, sets[victim]);
     AccessResult r;
@@ -292,14 +312,20 @@ SetAssocCache::fillWith(std::uint64_t block_addr, const Sets &sets)
     }
     line.valid = true;
     line.block = block_addr;
-    if (repl_plain_lru_) {
-        line.repl.lastTouch = tick_;
-        line.repl.insertTick = tick_;
-        line.repl.referenced = false;
-    } else {
-        repl_->onInsert(line.repl, tick_);
-    }
+    line.stamp = repl_ == ReplKind::Nru ? 0 : tick_;
     return r;
+}
+
+template <typename Sets>
+unsigned
+SetAssocCache::undecidedVictim(const Sets &sets)
+{
+    const unsigned ways = geometry_.ways();
+    if (repl_ == ReplKind::Random)
+        return static_cast<unsigned>(rng_.nextBelow(ways));
+    for (unsigned w = 0; w < ways; ++w)
+        lineAt(w, sets[w]).stamp = 0;
+    return 0;
 }
 
 template <typename Kind, typename Events>
@@ -332,7 +358,7 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
         for (std::size_t i = 0; i < m; ++i)
             blocks[i] = geometry_.blockAddr(addrs[base + i]);
         plan_.indexPackedBatch(blocks, m, packed);
-        if (!repl_plain_lru_) {
+        if (repl_ != ReplKind::Lru) {
             for (std::size_t i = 0; i < m; ++i) {
                 const bool is_write = kind.isWrite(base + i);
                 report(base + i, is_write,
@@ -340,7 +366,7 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
             }
             continue;
         }
-        // The plain-LRU hit loop, with the access counters hoisted
+        // The LRU hit loop, with the access counters hoisted
         // into registers. Misses sync tick_ and fill in place; the
         // counter totals are order-independent, so bulk-adding
         // loads/stores up front is stats-identical to step()'s
@@ -363,7 +389,7 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                 }
             }
             if (hit) {
-                hit->repl.lastTouch = tick;
+                hit->stamp = tick;
                 if (Events::kStoreHits && is_write)
                     events.storeHit(base + i);
                 continue;

@@ -14,7 +14,7 @@ VictimCache::VictimCache(const CacheGeometry &geometry,
       main_(geometry,
             std::make_unique<ModuloIndex>(geometry.setBits(),
                                           geometry.ways()),
-            nullptr, WriteAllocate::Yes),
+            ReplKind::Lru, WriteAllocate::Yes),
       buffer_(victim_blocks),
       write_allocate_(write_allocate)
 {

@@ -14,7 +14,6 @@
 #include "cache/fully_assoc.hh"
 #include "cache/geometry.hh"
 #include "cache/mshr.hh"
-#include "cache/replacement.hh"
 #include "cache/set_assoc.hh"
 #include "cache/two_probe.hh"
 #include "cache/victim.hh"

@@ -52,7 +52,7 @@ buildSetAssoc(unsigned ways, IndexKind kind, const OrgSpec &spec)
     auto index = makeIndexFn(kind, geom.setBits(), ways,
                              spec.hashBlockBits);
     return std::make_unique<SetAssocCache>(
-        geom, std::move(index), nullptr,
+        geom, std::move(index), ReplKind::Lru,
         spec.writeAllocate ? WriteAllocate::Yes : WriteAllocate::No);
 }
 

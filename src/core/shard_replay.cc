@@ -108,13 +108,11 @@ runShards(const TargetFactory &factory, std::uint64_t count,
         warn("sharded replay failed (%s); falling back to monolithic "
              "replay",
              e.what());
-#if CAC_OBS
         if (obs::Registry::global().enabled()) {
             static const obs::Counter fallbacks =
                 obs::Registry::global().counter("shard.fallbacks");
             fallbacks.add(1);
         }
-#endif
         return fallback(e.what());
     }
 

@@ -175,15 +175,15 @@ targetStatsAccumulate(TargetStats &into, const TargetStats &delta)
 {
     CAC_ASSERT(into.kind == delta.kind);
     CAC_ASSERT(into.kind != TargetKind::Cpu);
+    // Only a second shard is ever added, and runShards() rejects a
+    // multi-core target before one exists: coherence state does not
+    // split into slices.
+    CAC_ASSERT(!delta.hasMultiCore);
     cacheStatsAccumulate(into.l1, delta.l1);
     if (delta.hasHierarchy) {
         into.hasHierarchy = true;
         cacheStatsAccumulate(into.l2, delta.l2);
         holeStatsAccumulate(into.holes, delta.holes);
-    }
-    if (delta.hasMultiCore) {
-        into.hasMultiCore = true;
-        multiCoreStatsAccumulate(into.mc, delta.mc);
     }
 }
 

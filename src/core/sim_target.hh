@@ -106,7 +106,10 @@ struct TargetStats
 TargetStats targetStatsDelta(const TargetStats &now,
                              const TargetStats &then);
 
-/** Add every counter of @p delta into @p into (kinds must match). */
+/**
+ * Add every counter of @p delta into @p into (kinds must match). Not
+ * for multi-core stats, which never come in more than one shard.
+ */
 void targetStatsAccumulate(TargetStats &into, const TargetStats &delta);
 
 /**

@@ -90,9 +90,7 @@ struct SweepRunner::CellRun
     std::unique_ptr<SimTarget> target;
     CellDeadline deadline;
     std::optional<obs::WindowSampler> sampler;
-#if CAC_OBS
     std::optional<obs::ScopedSpan> span;
-#endif
 
     /**
      * Mark the cell failed with @p error. Its stats are zeroed once
@@ -486,9 +484,7 @@ SweepRunner::runTask(const Task &task,
             run.target = entry.build();
             CAC_ASSERT(run.target != nullptr);
             run.cell->cacheName = run.target->name();
-#if CAC_OBS
             run.span.emplace("sweep", "sweep.cell", run.where);
-#endif
             // Windowed telemetry: poked at chunk boundaries only, so
             // in-memory workloads switch to bounded slices while it is
             // live (same shape the deadline check already uses).
@@ -509,9 +505,7 @@ SweepRunner::runTask(const Task &task,
         CellRun &run = runs[k];
         run.contain([&] { finishCell(run); });
         run.sampler.reset();
-#if CAC_OBS
         run.span.reset();
-#endif
         run.target.reset();
         SweepCell &cell = *run.cell;
         if (cell.failed) {
@@ -544,7 +538,6 @@ SweepRunner::run() const
         runTask(task, materialized,
                 &results[task.workload * targets_.size() + task.first]);
     };
-#if CAC_OBS
     // Queue wait per task: fan-out start to the moment a worker picks
     // the task up. Recorded as its own span so a trace shows which
     // tasks sat behind long-running ones.
@@ -565,10 +558,6 @@ SweepRunner::run() const
         }
         execute(task);
     });
-#else
-    parallelFor(threads_, tasks.size(),
-                [&](std::size_t i) { execute(tasks[i]); });
-#endif
     return results;
 }
 

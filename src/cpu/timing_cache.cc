@@ -15,7 +15,7 @@ TimingCache::TimingCache(const CpuConfig &cfg)
         geom,
         makeIndexFn(cfg.indexKind, geom.setBits(), geom.ways(),
                     cfg.hashBlockBits()),
-        nullptr, WriteAllocate::No);
+        ReplKind::Lru, WriteAllocate::No);
 }
 
 LoadTiming

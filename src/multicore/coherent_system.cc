@@ -70,15 +70,6 @@ mcCoreStatsDelta(const McCoreStats &now, const McCoreStats &then)
     return d;
 }
 
-void
-mcCoreStatsAccumulate(McCoreStats &into, const McCoreStats &delta)
-{
-    cacheStatsAccumulate(into.l1, delta.l1);
-    holeStatsAccumulate(into.holes, delta.holes);
-    for (auto field : kMcCoreFields)
-        into.*field += delta.*field;
-}
-
 std::uint64_t
 MultiCoreStats::totalInterCoreConflictMisses() const
 {
@@ -113,17 +104,6 @@ multiCoreStatsDelta(const MultiCoreStats &now, const MultiCoreStats &then)
     d.invalidationMessages =
         now.invalidationMessages - then.invalidationMessages;
     return d;
-}
-
-void
-multiCoreStatsAccumulate(MultiCoreStats &into, const MultiCoreStats &delta)
-{
-    if (into.cores.size() < delta.cores.size())
-        into.cores.resize(delta.cores.size());
-    for (std::size_t i = 0; i < delta.cores.size(); ++i)
-        mcCoreStatsAccumulate(into.cores[i], delta.cores[i]);
-    into.interventions += delta.interventions;
-    into.invalidationMessages += delta.invalidationMessages;
 }
 
 CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,

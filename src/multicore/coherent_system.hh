@@ -168,9 +168,6 @@ struct McCoreStats
 McCoreStats mcCoreStatsDelta(const McCoreStats &now,
                              const McCoreStats &then);
 
-/** into += delta, counter by counter. */
-void mcCoreStatsAccumulate(McCoreStats &into, const McCoreStats &delta);
-
 /** Whole-system multicore statistics: per-core rows + bus totals. */
 struct MultiCoreStats
 {
@@ -191,10 +188,6 @@ struct MultiCoreStats
 /** now - then over every core row and bus counter. */
 MultiCoreStats multiCoreStatsDelta(const MultiCoreStats &now,
                                    const MultiCoreStats &then);
-
-/** into += delta over every core row and bus counter. */
-void multiCoreStatsAccumulate(MultiCoreStats &into,
-                              const MultiCoreStats &delta);
 
 /**
  * The coherent N-core two-level system. Construct with one L1 per

@@ -47,7 +47,6 @@ buildRunManifest(const std::string &tool)
 #else
     manifest.buildType = "unknown";
 #endif
-    manifest.obsCompiled = CAC_OBS != 0;
     manifest.simdDispatch = indexPlanSimdDispatch();
     return manifest;
 }
@@ -97,10 +96,7 @@ manifestText(const RunManifest &manifest)
     out += manifest.tool + " (" + manifest.gitDescribe + ")\n";
     out += "  compiler:        " + manifest.compiler + "\n";
     out += "  build type:      " + manifest.buildType + "\n";
-    out += std::string("  telemetry:       ")
-           + (manifest.obsCompiled ? "compiled in (CAC_OBS=1)"
-                                   : "compiled out (CAC_OBS=0)")
-           + "\n";
+    out += "  telemetry:       compiled in\n";
     out += "  index dispatch:  " + manifest.simdDispatch + "\n";
     std::snprintf(buf, sizeof(buf),
                   "  schemas:         metrics=%d trace=%d container=%s\n",

@@ -7,7 +7,7 @@
  * A telemetry file without provenance is a trap — "12.6% miss ratio"
  * means nothing without the target spec, seed and whether the binary
  * ran the AVX2 or SWAR index kernel. buildRunManifest() fills the
- * build-time half (git describe, compiler, build type, CAC_OBS state,
+ * build-time half (git describe, compiler, build type,
  * SIMD dispatch, schema versions); the driver fills the run-time half
  * (workload, target, seed, threads/cores/shards) before emitting.
  */
@@ -29,7 +29,12 @@ struct RunManifest
     std::string gitDescribe;       ///< `git describe` at configure time
     std::string compiler;          ///< "g++ 13.2" / "clang++ 17.0"
     std::string buildType;         ///< CMAKE_BUILD_TYPE
-    bool obsCompiled = true;       ///< CAC_OBS build switch
+    /**
+     * Always true: telemetry is compiled into every build and gated at
+     * run time. Kept because the artifact schema (tools/check_obs.py)
+     * and the e2ebench report carry it.
+     */
+    bool obsCompiled = true;
     std::string simdDispatch;      ///< "avx2" | "swar" (runtime choice)
     int metricsSchema = 1;         ///< metrics-out file schema
     int traceSchema = 1;           ///< trace-out file schema

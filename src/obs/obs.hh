@@ -1,7 +1,7 @@
 /**
  * @file
- * Telemetry umbrella: the compile-time gate, the runtime on/off
- * switches, and the instrumentation macros the engine's boundaries use.
+ * Telemetry umbrella: the runtime on/off switches and the
+ * instrumentation macros the engine's boundaries use.
  *
  * Three surfaces live under src/obs/ (docs/OBSERVABILITY.md):
  *
@@ -16,10 +16,9 @@
  *
  * Overhead discipline: instrumentation is placed at *boundaries*
  * (chunk decode, sweep cell, scenario segment, shard phase, retry),
- * never inside the per-access hot loop. Each macro compiles to nothing
- * when the library is built with -DCAC_OBS=0, and when compiled in it
- * costs one relaxed atomic load while telemetry is disabled at runtime
- * (the default). Every cac_ab (tools/ab) row replays with telemetry
+ * never inside the per-access hot loop. Every build compiles them in;
+ * each costs one relaxed atomic load while telemetry is disabled at
+ * runtime (the default). Every cac_ab (tools/ab) row replays with telemetry
  * off, and its "metrics" row and claim hold replay with the registry
  * and windows on to at least 0.90x of the same replay with it off
  * (tools/ab/verdict.hh).
@@ -28,22 +27,10 @@
 #ifndef CAC_OBS_OBS_HH
 #define CAC_OBS_OBS_HH
 
-/**
- * Compile-time master switch. Build with -DCAC_OBS=0 (CMake option
- * CAC_OBS=OFF) to compile every instrumentation macro out of the
- * engine; the obs classes themselves remain available so drivers and
- * tests still link.
- */
-#ifndef CAC_OBS
-#define CAC_OBS 1
-#endif
-
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_event.hh"
 #include "obs/window.hh"
-
-#if CAC_OBS
 
 /** Concatenation helpers for unique local variable names. */
 #define CAC_OBS_CAT2(a, b) a##b
@@ -71,22 +58,5 @@
 
 /** Record one histogram observation. */
 #define CAC_OBS_OBSERVE(hist, v) (hist).observe(v)
-
-#else // !CAC_OBS
-
-#define CAC_OBS_SPAN(cat, name)                                            \
-    do {                                                                   \
-    } while (0)
-#define CAC_OBS_SPAN_D(cat, name, detail)                                  \
-    do {                                                                   \
-    } while (0)
-#define CAC_OBS_COUNT(counter, v)                                          \
-    do {                                                                   \
-    } while (0)
-#define CAC_OBS_OBSERVE(hist, v)                                           \
-    do {                                                                   \
-    } while (0)
-
-#endif // CAC_OBS
 
 #endif // CAC_OBS_OBS_HH

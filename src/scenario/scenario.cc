@@ -456,7 +456,6 @@ Scenario::replayInto(SimTarget &target, std::size_t chunk_records,
         if (at_boundary)
             at_boundary(n);
     }
-#if CAC_OBS
     if (obs::Registry::global().enabled()) {
         static const obs::Counter c_switches =
             obs::Registry::global().counter("scenario.switches");
@@ -468,7 +467,6 @@ Scenario::replayInto(SimTarget &target, std::size_t chunk_records,
         c_flushes.add(result.flushes);
         c_segments.add(schedule_.size());
     }
-#endif
     return result;
 }
 

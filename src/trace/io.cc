@@ -179,13 +179,11 @@ backoffSleep(unsigned attempt)
 void
 instrumentedBackoff(unsigned attempt)
 {
-#if CAC_OBS
     if (obs::Registry::global().enabled()) {
         static const obs::Counter retries =
             obs::Registry::global().counter("trace.retries");
         retries.add(1);
     }
-#endif
     CAC_OBS_SPAN("trace", "trace.retry_backoff");
     backoffSleep(attempt);
 }
@@ -927,7 +925,6 @@ TraceReader::next()
         return buffer_;
     }
     delivered_ += buffer_.size();
-#if CAC_OBS
     if (!buffer_.empty() && obs::Registry::global().enabled()) {
         static const obs::Counter chunks =
             obs::Registry::global().counter("trace.chunks_delivered");
@@ -936,7 +933,6 @@ TraceReader::next()
         chunks.add(1);
         records.add(buffer_.size());
     }
-#endif
     return buffer_;
 }
 

