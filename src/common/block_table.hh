@@ -2,7 +2,8 @@
  * @file
  * BlockTable: a flat open-addressing map keyed by 64-bit block or page
  * numbers, for the bookkeeping on the virtual-real miss path (reverse
- * maps, pending holes, the page table, the coherence directory).
+ * maps, pending holes, the page table, the coherence directory and
+ * the L2 fill attribution).
  *
  * Linear probing over one power-of-two slot array with a Fibonacci
  * (multiplicative) hash, so clustered sequential block numbers spread
@@ -10,6 +11,17 @@
  * tombstones, so probe lengths never degrade under the insert/erase
  * churn of a cache simulation. The table allocates nothing until the
  * first insert and doubles at 3/4 load.
+ *
+ * reserve() sizes an empty table from the structure it mirrors (a
+ * reverse map holds at most one entry per L1 line) at 1/8 load. Linear
+ * probing's expected run grows steeply with load (an unreserved table
+ * sits between 3/8 and 3/4): on page-clustered block numbers an
+ * erase+insert pair costs about 25 ns at 1/2 load, 45 ns at 3/4 and
+ * 7 ns at 1/8, and a find of an absent key (the common case for the
+ * holes set) 8-11 ns against 2 ns (docs/PERF_LOG.md has the host). At
+ * 1/8 nearly every probe ends in its home slot. A reserved table that
+ * outgrows its reservation still doubles at 3/4 load; the reservation
+ * only sets where it starts.
  *
  * Key ~0 is reserved as the empty-slot marker. Block and page numbers
  * are shifted addresses and never reach it; TraceBuilder's call-site
@@ -40,6 +52,20 @@ class BlockTable
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /**
+     * Give an empty table the smallest power-of-two slot array of at
+     * least 8 * @p n slots (and at least 16), so @p n entries sit at
+     * 1/8 load or less.
+     */
+    void reserve(std::size_t n)
+    {
+        CAC_ASSERT(size_ == 0);
+        std::size_t capacity = 16;
+        while (capacity < 8 * n)
+            capacity *= 2;
+        allocate(capacity);
+    }
 
     /** The value stored under @p key, or nullptr. */
     V *find(std::uint64_t key)
@@ -140,13 +166,18 @@ class BlockTable
             (key * 0x9E3779B97F4A7C15ull) >> shift_);
     }
 
-    void grow()
+    /** Replace the slot array with @p capacity empty slots. */
+    void allocate(std::size_t capacity)
     {
-        std::vector<Slot> old = std::move(slots_);
-        const std::size_t capacity = old.empty() ? 16 : 2 * old.size();
         slots_.assign(capacity, Slot{});
         mask_ = capacity - 1;
         shift_ = 64 - floorLog2(capacity);
+    }
+
+    void grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        allocate(old.empty() ? 16 : 2 * old.size());
         for (Slot &s : old) {
             if (s.key == kEmptyKey)
                 continue;

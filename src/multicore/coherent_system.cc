@@ -135,6 +135,21 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
     mc_.cores.resize(l1s_.size());
     l1_contents_.resize(l1s_.size());
     holes_.resize(l1s_.size());
+    // A reverse map holds one entry per resident L1 line and the
+    // directory one per block any L1 holds. A victim L1's buffer lines,
+    // holes and attribution can outgrow these; their tables then
+    // double as usual.
+    std::size_t l1_lines = 0;
+    for (std::size_t c = 0; c < l1s_.size(); ++c) {
+        const std::size_t lines = l1s_[c]->geometry().numBlocks();
+        l1_contents_[c].reserve(lines);
+        holes_[c].reserve(lines);
+        l1_lines += lines;
+    }
+    if (l1s_.size() > 1) {
+        dir_.reserve(l1_lines);
+        attr_.reserve(l2_->geometry().numBlocks());
+    }
 }
 
 CoherentSystem::CoherentSystem(std::unique_ptr<CacheModel> l1,
@@ -378,23 +393,23 @@ CoherentSystem::joinOnMiss(unsigned core, std::uint64_t pblock,
 std::uint64_t
 CoherentSystem::releaseL2Victim(unsigned core, std::uint64_t victim_pblock)
 {
-    DirEntry *victim = dir_.find(victim_pblock);
-    if (victim == nullptr)
-        return 0;
-    if (victim->filler != kNoCore) {
-        if (victim->filler != core) {
-            ++mc_.cores[victim->filler].l2EvictionsByOthers;
-            victim->evictor = static_cast<std::uint8_t>(core);
+    Attribution *attr = attr_.find(victim_pblock);
+    if (attr != nullptr && attr->filler != kNoCore) {
+        if (attr->filler != core) {
+            ++mc_.cores[attr->filler].l2EvictionsByOthers;
+            attr->evictor = static_cast<std::uint8_t>(core);
         } else {
-            victim->evictor = kNoCore;
+            attr->evictor = kNoCore;
         }
-        victim->filler = kNoCore;
+        attr->filler = kNoCore;
+        if (attr->unused())
+            attr_.erase(victim_pblock);
     }
-    const std::uint64_t sharers = victim->sharers;
-    victim->sharers = 0;
-    victim->owner = kNoCore;
-    if (victim->unused())
-        dir_.erase(victim_pblock);
+    const DirEntry *entry = dir_.find(victim_pblock);
+    if (entry == nullptr)
+        return 0;
+    const std::uint64_t sharers = entry->sharers;
+    dir_.erase(victim_pblock);
     return sharers;
 }
 
@@ -405,7 +420,8 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     // The virtual-real protocol of sections 3.1-3.3 (holes, the
     // one-alias rule, Inclusion). Every coherence step is guarded by
     // `multi` and the larger ones live in the directory helpers, so a
-    // one-core system never touches dir_ and its miss path stays short.
+    // one-core system never touches dir_ or attr_ and its miss path
+    // stays short.
     CacheModel &l1 = *l1s_[core];
     HoleStats &holes = mc_.cores[core].holes;
     const bool multi = l1s_.size() > 1;
@@ -443,32 +459,33 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
 
     // Coherence: a peer holding the line Modified serves the miss
     // (L1-to-L1 intervention, no L2 involvement); a store shoots down
-    // every other copy and takes ownership. No other directory entry
-    // is inserted or erased while `entry` is in use, so it stays valid.
-    DirEntry *entry = multi ? &dir_.insert(pblock).first : nullptr;
-    if (entry != nullptr
-        && joinOnMiss(core, pblock, is_write, filled, *entry)) {
-        if (entry->unused())
+    // every other copy and takes ownership.
+    if (multi) {
+        DirEntry &entry = dir_.insert(pblock).first;
+        const bool served = joinOnMiss(core, pblock, is_write, filled, entry);
+        if (entry.unused())
             dir_.erase(pblock);
-        return;
+        if (served)
+            return;
     }
 
     // Shared-L2 lookup with the physical address.
     const AccessResult l2_result = l2Access(pblock, is_write);
     if (!l2_result.hit) {
         ++holes.l2Misses;
-        if (entry != nullptr) {
+        if (multi) {
             // Inter-core conflict attribution: this miss is on a line
             // a different core's fill pushed out of the L2.
-            if (entry->evictor != kNoCore && entry->evictor != core)
+            Attribution &attr = attr_.insert(pblock).first;
+            if (attr.evictor != kNoCore && attr.evictor != core)
                 ++mc_.cores[core].interCoreConflictMisses;
-            entry->evictor = kNoCore;
+            attr.evictor = kNoCore;
             if (l2_result.filled)
-                entry->filler = static_cast<std::uint8_t>(core);
+                attr.filler = static_cast<std::uint8_t>(core);
+            if (attr.unused())
+                attr_.erase(pblock);
         }
     }
-    if (entry != nullptr && entry->unused())
-        dir_.erase(pblock);
     if (l2_result.hit || !l2_result.evictedAddr)
         return;
 
@@ -511,10 +528,10 @@ CoherentSystem::externalInvalidate(std::uint64_t paddr)
         }
     }
     // The line left the L2 without a core's fill evicting it.
-    if (DirEntry *entry = dir_.find(pblock)) {
-        entry->filler = kNoCore;
-        if (entry->unused())
-            dir_.erase(pblock);
+    if (Attribution *attr = attr_.find(pblock)) {
+        attr->filler = kNoCore;
+        if (attr->unused())
+            attr_.erase(pblock);
     }
 }
 
@@ -565,7 +582,7 @@ CoherentSystem::checkCoherence() const
 {
     const unsigned cores = numCores();
     const bool multi = cores > 1;
-    bool ok = multi || dir_.empty();
+    bool ok = multi || (dir_.empty() && attr_.empty());
     // Every reverse-map entry must match a resident L1 line and, with
     // several cores, a set sharer bit; its Modified bit must mirror
     // the directory's owner.
@@ -603,6 +620,10 @@ CoherentSystem::checkCoherence() const
         if (entry.unused())
             ok = false;
     });
+    attr_.forEach([&](std::uint64_t, const Attribution &attr) {
+        if (attr.unused())
+            ok = false;
+    });
     return ok;
 }
 
@@ -634,15 +655,7 @@ CoherentSystem::flushL1s()
         holes.clear();
     // Sharing and ownership describe L1 contents and go; the L2 fill
     // attribution survives, as the L2 does.
-    BlockTable<DirEntry> kept;
-    dir_.forEach([&](std::uint64_t pblock, const DirEntry &entry) {
-        if (entry.filler == kNoCore && entry.evictor == kNoCore)
-            return;
-        DirEntry &k = kept.insert(pblock).first;
-        k.filler = entry.filler;
-        k.evictor = entry.evictor;
-    });
-    dir_ = std::move(kept);
+    dir_.clear();
 }
 
 } // namespace cac

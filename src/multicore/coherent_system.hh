@@ -21,7 +21,8 @@
  * leaves none), which the holes_model bench compares against the
  * analytic P_H. The
  * `2lvl:` target grammar builds exactly this one-core system. With one
- * core every coherence step is skipped and the directory stays empty.
+ * core every coherence step is skipped and the directory and the
+ * attribution table stay empty.
  *
  * With more cores the layer adds:
  *
@@ -43,19 +44,31 @@
  *    conflict-miss question: does skewed/polynomial placement keep
  *    its edge when the interleaving pressure comes from other cores?
  *
- * All of this state lives in one flat directory entry per physical
- * block: the core holding it Modified, the core whose miss filled it
- * into the L2, the core whose fill last evicted it, and a 64-bit
- * sharer mask mirroring the per-core reverse maps. A miss costs one
- * directory probe, and invalidations and Inclusion back-invalidations
- * visit only the cores whose sharer bit is set. The entry is keyed by
- * block rather than kept in L2 line metadata because the evictor id
+ * This state lives in two flat tables keyed by physical block. The
+ * directory holds the core holding a block Modified and a 64-bit
+ * sharer mask mirroring the per-core reverse maps; an entry exists
+ * only while some L1 holds the block, so the directory is bounded by
+ * the reverse maps' entries, one per line of each L1. Invalidations and Inclusion back-invalidations
+ * visit only the cores whose sharer bit is set. The attribution table
+ * holds the core whose miss filled the block into the L2 and the core
+ * whose fill last evicted it. It is touched only by an L2 miss, an L2
+ * replacement and an external invalidation, so L1 departures and
+ * store-hit upgrades never probe it. Its filler entries are bounded by
+ * the L2's lines, but an evictor entry outlives its line until the
+ * block's next L2 miss, so that table is not bounded. Both are keyed
+ * by block rather than kept in L2 line metadata because the evictor id
  * must outlive the line, and the shared L2 may be any registry
  * organization. The directory's owner field is authoritative; each
  * core's reverse-map value mirrors it in one bit (kModifiedBit), so a
  * store hit on a line the core already holds Modified — most store
  * hits — settles in the core's own small map and never probes the
  * directory. checkCoherence() requires the bit to mirror the owner.
+ *
+ * Every miss-path table (reverse maps, holes, directory, attribution)
+ * is presized at construction with BlockTable::reserve() from the
+ * geometry it mirrors, at 1/8 load, so most probes end in their home
+ * slot. The holes sets and the attribution table can outgrow theirs
+ * and then double as any table does.
  *
  * Speed. Each core's L1 hits stay inside SetAssocCache::batchKernel(),
  * the same plain-LRU hit loop batch replay of a single cache runs;
@@ -303,9 +316,10 @@ class CoherentSystem
     /**
      * Verify SWMR + directory consistency: a Modified line is resident
      * in exactly its owner's L1 and nowhere else, every reverse-map
-     * entry matches a resident line, and every directory sharer mask
-     * names exactly the cores whose reverse maps hold the block.
-     * O(tracked blocks); test hook.
+     * entry matches a resident line, every directory sharer mask
+     * names exactly the cores whose reverse maps hold the block, and
+     * no directory or attribution entry is unused (with one core both
+     * tables are empty). O(tracked blocks); test hook.
      */
     bool checkCoherence() const;
 
@@ -328,19 +342,25 @@ class CoherentSystem
     /** No core: an unset owner, filler or evictor field. */
     static constexpr std::uint8_t kNoCore = 0xFF;
 
-    /** Directory entry for one physical block (multi-core only). */
+    /** Directory entry of a block some L1 holds (multi-core only). */
     struct DirEntry
     {
         /** Bit c: core c's reverse map holds this block. */
         std::uint64_t sharers = 0;
-        std::uint8_t owner = kNoCore;   ///< core holding it Modified
+        std::uint8_t owner = kNoCore; ///< core holding it Modified
+
+        bool unused() const { return sharers == 0 && owner == kNoCore; }
+    };
+
+    /** L2 fill attribution of one physical block (multi-core only). */
+    struct Attribution
+    {
         std::uint8_t filler = kNoCore;  ///< core whose miss filled it into L2
         std::uint8_t evictor = kNoCore; ///< core whose fill last evicted it
 
         bool unused() const
         {
-            return sharers == 0 && owner == kNoCore && filler == kNoCore
-                && evictor == kNoCore;
+            return filler == kNoCore && evictor == kNoCore;
         }
     };
 
@@ -376,9 +396,9 @@ class CoherentSystem
                     std::uint64_t *resident, DirEntry &entry);
 
     /**
-     * Settle the directory entry of an L2 victim evicted by @p core's
-     * fill: charge the eviction to its filler, end sharing and
-     * ownership.
+     * Settle an L2 victim evicted by @p core's fill: charge the
+     * eviction to its filler in the attribution table, then drop its
+     * directory entry (sharing and ownership end).
      * @return the cores whose L1s held the victim (a sharer mask).
      */
     std::uint64_t releaseL2Victim(unsigned core,
@@ -460,10 +480,15 @@ class CoherentSystem
     /** Per-core blocks invalidated by Inclusion, pending re-reference. */
     std::vector<BlockSet> holes_;
     /**
-     * Physical block -> sharers, owner, L2 filler and evictor. Stays
-     * empty with one core, whose data path needs none of it.
+     * Physical block -> sharers and owner, for blocks some L1 holds.
+     * Stays empty with one core, whose data path needs none of it.
      */
     BlockTable<DirEntry> dir_;
+    /**
+     * Physical block -> L2 filler and evictor; touched only on the L2
+     * miss and replacement path. Stays empty with one core.
+     */
+    BlockTable<Attribution> attr_;
 };
 
 } // namespace cac

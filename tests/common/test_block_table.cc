@@ -5,9 +5,11 @@
  * clustered sequential block numbers (the key shape the miss path
  * sees) stress long probe runs, backward shifts that wrap around the
  * end of the slot array, and growth; the full contents are compared
- * after every step.
+ * after every step, on unreserved tables and on tables reserve()d
+ * below, at and above the sequence's peak size.
  */
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 
@@ -67,43 +69,78 @@ clusteredKey(Rng &rng, std::uint64_t span)
     return kBases[rng.nextBelow(4)] + rng.nextBelow(span);
 }
 
-TEST(BlockTable, MatchesUnorderedMapOnRandomSequences)
+/**
+ * Replay seed @p seed's random insert/erase/find/clear sequence on
+ * @p table, comparing it with std::unordered_map after every step.
+ * @p peak receives the largest size the sequence reached.
+ */
+void
+replayRandomSequence(std::uint64_t seed, BlockTable<std::uint64_t> &table,
+                     std::size_t &peak)
 {
     // Spans from a handful of keys (tiny tables, frequent wrap-around)
     // to thousands (several doublings).
     constexpr std::uint64_t kSpans[] = {3, 12, 40, 300, 1500};
+    Rng rng(seed);
+    const std::uint64_t span = kSpans[seed % 5];
+    Reference ref;
+    peak = 0;
+    for (unsigned step = 0; step < 4000; ++step) {
+        const std::uint64_t key = clusteredKey(rng, span);
+        const std::uint64_t op = rng.nextBelow(100);
+        if (op < 45) {
+            const std::uint64_t value = rng.next();
+            auto [slot, fresh] = table.insert(key);
+            ASSERT_EQ(fresh, ref.count(key) == 0) << "step " << step;
+            slot = value;
+            ref[key] = value;
+        } else if (op < 90) {
+            ASSERT_EQ(table.erase(key), ref.erase(key) == 1)
+                << "step " << step;
+        } else if (op < 99) {
+            const std::uint64_t *got = table.find(key);
+            auto it = ref.find(key);
+            ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, it->second) << "step " << step;
+            }
+        } else {
+            table.clear();
+            ref.clear();
+        }
+        peak = std::max(peak, ref.size());
+        ASSERT_TRUE(sameContents(table, ref)) << "step " << step;
+    }
+}
+
+TEST(BlockTable, MatchesUnorderedMapOnRandomSequences)
+{
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        Rng rng(seed);
-        const std::uint64_t span = kSpans[seed % 5];
-        BlockTable<std::uint64_t> table;
-        Reference ref;
-        for (unsigned step = 0; step < 4000; ++step) {
-            const std::uint64_t key = clusteredKey(rng, span);
-            const std::uint64_t op = rng.nextBelow(100);
-            if (op < 45) {
-                const std::uint64_t value = rng.next();
-                auto [slot, fresh] = table.insert(key);
-                ASSERT_EQ(fresh, ref.count(key) == 0) << "step " << step;
-                slot = value;
-                ref[key] = value;
-            } else if (op < 90) {
-                ASSERT_EQ(table.erase(key), ref.erase(key) == 1)
-                    << "step " << step;
-            } else if (op < 99) {
-                const std::uint64_t *got = table.find(key);
-                auto it = ref.find(key);
-                ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
-                if (got != nullptr) {
-                    ASSERT_EQ(*got, it->second) << "step " << step;
-                }
-            } else {
-                table.clear();
-                ref.clear();
-            }
-            ASSERT_TRUE(sameContents(table, ref)) << "step " << step;
+        BlockTable<std::uint64_t> unreserved;
+        std::size_t peak = 0;
+        replayRandomSequence(seed, unreserved, peak);
+        ASSERT_FALSE(HasFatalFailure());
+        // Reserved for an eighth of the sequence's peak size (beyond
+        // 16 slots the table outgrows the reservation and doubles), for
+        // the peak and for four times it.
+        for (const std::size_t n : {peak / 8, peak, 4 * peak}) {
+            SCOPED_TRACE("reserve " + std::to_string(n) + " peak "
+                         + std::to_string(peak));
+            BlockTable<std::uint64_t> table;
+            table.reserve(n);
+            std::size_t reserved_peak = 0;
+            replayRandomSequence(seed, table, reserved_peak);
+            ASSERT_FALSE(HasFatalFailure());
         }
     }
+}
+
+TEST(BlockTableDeath, ReserveOnNonEmptyTableAsserts)
+{
+    BlockTable<std::uint64_t> table;
+    table.insert(7);
+    EXPECT_DEATH(table.reserve(64), "size_ == 0");
 }
 
 TEST(BlockTable, InsertValueInitializesAndKeepsExisting)

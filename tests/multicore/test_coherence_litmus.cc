@@ -303,6 +303,67 @@ TEST(CoherenceLitmus, FlushL1sDropsOwnershipAndCopies)
     EXPECT_EQ(sys.l2().stats().hits(), l2_hits_before + 1);
 }
 
+TEST(CoherenceLitmus, FlushL1sKeepsL2FillAttribution)
+{
+    // The SharedL2EvictionAttributesInterCoreConflicts geometry: A and
+    // B collide in the direct-mapped L2 but not in the L1s.
+    std::vector<std::unique_ptr<CacheModel>> l1s;
+    for (unsigned c = 0; c < 2; ++c)
+        l1s.push_back(makeCache(1024, 4));
+    CoherentSystem sys(std::move(l1s), makeCache(4096, 1),
+                       PageMap(64 * 1024), std::uint64_t{1} << 21);
+    const std::uint64_t A = 0x0, B = 0x1000;
+
+    sys.access(0, A, false); // core 0 fills A into the L2
+    expectInvariants(sys, "after A");
+    sys.access(1, B, false); // core 1's fill evicts it
+    expectInvariants(sys, "after B evicts A");
+    EXPECT_EQ(sys.stats().cores[0].l2EvictionsByOthers, 1u);
+
+    // The flush empties the L1s and the directory; the L2 and who
+    // filled and evicted its lines survive it.
+    sys.flushL1s();
+    EXPECT_EQ(sys.state(0, A), LineState::Invalid);
+    EXPECT_EQ(sys.state(1, B), LineState::Invalid);
+    expectInvariants(sys, "after flush");
+
+    sys.access(0, A, false);
+    expectInvariants(sys, "after A returns");
+    const MultiCoreStats mc = sys.stats();
+    EXPECT_EQ(mc.cores[0].interCoreConflictMisses, 1u);
+    EXPECT_EQ(mc.cores[0].l2EvictionsByOthers, 1u);
+    // A's refill evicted B, which core 1 filled before the flush.
+    EXPECT_EQ(mc.cores[1].l2EvictionsByOthers, 1u);
+}
+
+TEST(CoherenceLitmus, ExternalInvalidateReachesEveryCore)
+{
+    auto sys = makeSystem(2);
+    const std::uint64_t A = 0x100;
+    sys.access(0, A, false);
+    expectInvariants(sys, "after core 0 loads A");
+    sys.access(1, A, false);
+    EXPECT_EQ(sys.state(0, A), LineState::Shared);
+    EXPECT_EQ(sys.state(1, A), LineState::Shared);
+    expectInvariants(sys, "after core 1 loads A");
+
+    sys.externalInvalidate(sys.pageMap().translate(A));
+    EXPECT_EQ(sys.state(0, A), LineState::Invalid);
+    EXPECT_EQ(sys.state(1, A), LineState::Invalid);
+    EXPECT_EQ(sys.aggregateHoles().externalInvalidates, 1u);
+    expectInvariants(sys, "after the external invalidation");
+
+    // The line left the L2 without a core's fill evicting it: the next
+    // miss goes to memory and charges no inter-core conflict.
+    const std::uint64_t l2_misses_before = sys.l2().stats().misses();
+    sys.access(1, A, false);
+    expectInvariants(sys, "after A returns");
+    EXPECT_EQ(sys.l2().stats().misses(), l2_misses_before + 1);
+    const MultiCoreStats mc = sys.stats();
+    EXPECT_EQ(mc.totalInterCoreConflictMisses(), 0u);
+    EXPECT_EQ(mc.totalL2EvictionsByOthers(), 0u);
+}
+
 TEST(CoherenceLitmus, SwmrHoldsUnderRandomizedSharedStress)
 {
     // 4 cores hammer 24 shared lines with a deterministic LCG mix of
