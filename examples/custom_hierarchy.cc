@@ -3,9 +3,8 @@
  * Building the paper's two-level virtual-real hierarchy (section 3)
  * with the public API: a virtually-indexed skewed I-Poly L1 over a
  * physically-indexed conventional L2, with explicit Inclusion and hole
- * accounting, plus an external (snooped) invalidation. The hierarchy
- * is a one-core CoherentSystem; more L1s would make it a coherent
- * multicore.
+ * accounting. The hierarchy is a one-core CoherentSystem; more L1s
+ * would make it a multicore system over one shared L2.
  */
 
 #include <cstdio>
@@ -44,9 +43,9 @@ main()
     for (const auto &rec : trace) {
         if (rec.op == OpClass::Load) {
             ++loads;
-            hits += hierarchy.access(0, rec.addr, false);
+            hits += hierarchy.access(rec.addr, false);
         } else if (rec.op == OpClass::Store) {
-            hierarchy.access(0, rec.addr, true);
+            hierarchy.access(rec.addr, true);
         }
     }
 
@@ -68,17 +67,6 @@ main()
 
     // --- 3. Inclusion is an invariant, not an accident. --------------
     std::printf("inclusion check: %s\n",
-                hierarchy.checkInclusion() ? "OK" : "VIOLATED");
-
-    // --- 4. A snooped write from another processor arrives with a
-    //        physical address; the reverse map shoots down L1. --------
-    const std::uint64_t victim_vaddr = trace.front().addr;
-    const std::uint64_t victim_paddr =
-        hierarchy.pageMap().translate(victim_vaddr);
-    hierarchy.externalInvalidate(victim_paddr);
-    std::printf("after external invalidate of paddr 0x%llx: "
-                "inclusion %s\n",
-                static_cast<unsigned long long>(victim_paddr),
                 hierarchy.checkInclusion() ? "OK" : "VIOLATED");
 
     // Compare against the closed-form hole model (section 3.3).

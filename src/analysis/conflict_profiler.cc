@@ -96,18 +96,12 @@ ConflictProfile::report(std::size_t top_pairs) const
         }
     }
     if (hasMultiCore) {
-        os << "multicore: " << multicore.cores.size() << " cores, "
-           << multicore.interventions << " L1-to-L1 interventions, "
-           << multicore.invalidationMessages
-           << " coherence invalidations\n";
+        os << "multicore: " << multicore.cores.size() << " cores\n";
         for (std::size_t c = 0; c < multicore.cores.size(); ++c) {
             const McCoreStats &core = multicore.cores[c];
             os << "  core " << c << ": " << core.l1.accesses()
                << " accesses, " << core.l1.misses() << " misses ("
-               << 100.0 * core.l1.missRatio() << "%), intervened in/out "
-               << core.interventionsReceived << "/"
-               << core.interventionsSupplied << ", invalidated "
-               << core.invalidationsReceived << ", L2 lines lost to "
+               << 100.0 * core.l1.missRatio() << "%), L2 lines lost to "
                   "peers "
                << core.l2EvictionsByOthers << ", inter-core conflict "
                   "misses "

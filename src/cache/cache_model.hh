@@ -193,8 +193,8 @@ class CacheModel
     virtual bool probe(std::uint64_t addr) const = 0;
 
     /**
-     * Invalidate the block containing @p addr if present (external
-     * coherence action or Inclusion enforcement).
+     * Invalidate the block containing @p addr if present (Inclusion
+     * enforcement).
      *
      * @return true when a valid line was invalidated.
      */

@@ -40,12 +40,11 @@
  * through fillWith(), and every access under another policy goes
  * through step(). Together with the batched index pass this makes
  * batch replay about twice the scalar rate (docs/PERF_LOG.md). The
- * kernel reports each miss (after its fill) and, on request, each
- * store hit to a caller-supplied event handler, a template parameter:
- * accessBatch() and accessMixed() pass NoEvents, which inlines away,
- * and CoherentSystem passes one that runs its miss path and S -> M
- * upgrades, so the coherent targets replay their L1 hits at cache
- * speed.
+ * kernel reports each miss (after its fill) to a caller-supplied event
+ * handler, a template parameter: accessBatch() and accessMixed() pass
+ * NoEvents, which inlines away, and CoherentSystem passes one that
+ * runs its miss path, so the coherent targets replay their L1 hits at
+ * cache speed.
  */
 
 #ifndef CAC_CACHE_SET_ASSOC_HH
@@ -146,27 +145,22 @@ class SetAssocCache final : public CacheModel
     /** The batchKernel() event handler that reports nothing. */
     struct NoEvents
     {
-        /** Does the kernel report store hits (storeHit())? */
-        static constexpr bool kStoreHits = false;
         /**
          * Access @p i (a store when @p is_write) missed: @p r is its
          * outcome, fill and eviction included.
          */
         void miss(std::size_t, bool, const AccessResult &) {}
-        /** Access @p i was a store that hit. */
-        void storeHit(std::size_t) {}
     };
 
     /**
      * The one batch kernel behind accessBatch() and accessMixed():
      * replays @p n accesses exactly as n access() calls would, taking
      * each one's kind from @p kind (UniformKind / MixedKind), and
-     * reports them to @p events (see NoEvents) with indices into
-     * [0, n): every miss right after its fill, and every store hit
-     * when Events::kStoreHits. A handler may invalidate lines of this
-     * cache, and access or fill any other, but must not access or fill
-     * this one: the kernel holds its tick and access counters in
-     * registers.
+     * reports every miss to @p events (see NoEvents) right after its
+     * fill, with its index into [0, n). A handler may invalidate lines
+     * of this cache, and access or fill any other, but must not access
+     * or fill this one: the kernel holds its tick and access counters
+     * in registers.
      */
     template <typename Kind, typename Events>
     void batchKernel(const std::uint64_t *addrs, std::size_t n, Kind kind,
@@ -337,8 +331,6 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                             const AccessResult &r) {
         if (!r.hit)
             events.miss(i, is_write, r);
-        else if (Events::kStoreHits && is_write)
-            events.storeHit(i);
     };
     if (!plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -390,8 +382,6 @@ SetAssocCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
             }
             if (hit) {
                 hit->stamp = tick;
-                if (Events::kStoreHits && is_write)
-                    events.storeHit(base + i);
                 continue;
             }
             tick_ = tick; // fillWith stamps new lines from tick_

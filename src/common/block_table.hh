@@ -2,8 +2,7 @@
  * @file
  * BlockTable: a flat open-addressing map keyed by 64-bit block or page
  * numbers, for the bookkeeping on the virtual-real miss path (reverse
- * maps, pending holes, the page table, the coherence directory and
- * the L2 fill attribution).
+ * maps, pending holes, the page table and the L2 fill attribution).
  *
  * Linear probing over one power-of-two slot array with a Fibonacci
  * (multiplicative) hash, so clustered sequential block numbers spread

@@ -85,15 +85,14 @@ runShards(const TargetFactory &factory, std::uint64_t count,
                     "is not attributable to a slice)"));
             }
             if (target->kind() == TargetKind::MultiCore && shards > 1) {
-                // Coherence state (ownership, peer-L1 contents) spans
-                // cores: a cold-started slice would miss invalidations
-                // and interventions owed to earlier slices, producing
-                // checkpoints no warm-up bound reconciles.
+                // L2 fill attribution spans cores: a cold-started slice
+                // would not know which core filled or evicted a line
+                // in an earlier slice, so its inter-core counts have
+                // no warm-up bound that reconciles them.
                 throw CacError(Error::make(
                     ErrorCode::WorkerFailed,
                     "multi-core targets cannot be time-sharded "
-                    "(coherence state is not attributable to a "
-                    "slice)"));
+                    "(inter-core L2 attribution spans slices)"));
             }
             names[i] = target->name();
             deltas[i] = replayShard(

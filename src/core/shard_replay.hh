@@ -24,9 +24,10 @@
  *
  * Only single-context functional targets (Cache, Hierarchy) can be
  * sharded: CPU timing state (in-flight instructions, cycle counts)
- * cannot be attributed to a time slice, and multi-core coherence
- * state (ownership, peer-L1 contents) spans slices in ways no warm-up
- * window reconstructs — Cpu and MultiCore targets are rejected and
+ * cannot be attributed to a time slice, and multi-core L2 fill
+ * attribution (which core filled or evicted a line) spans slices in
+ * ways no warm-up window reconstructs — Cpu and MultiCore targets are
+ * rejected and
  * drivers fall back to monolithic replay for them.
  *
  * Resilience: shards read their slice under the Strict policy even

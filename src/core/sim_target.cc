@@ -21,7 +21,7 @@ constexpr const char *k2lvlPrefix = "2lvl:";
 constexpr const char *kCpuPrefix = "cpu:";
 constexpr const char *kMcPrefix = "mc:";
 
-/** Cap on mc: core counts: one bit per core in a directory sharer mask. */
+/** Cap on mc: core counts. */
 constexpr unsigned kMaxCores = CoherentSystem::kMaxCores;
 
 /** Strip @p prefix from @p label into @p rest. */
@@ -176,8 +176,8 @@ targetStatsAccumulate(TargetStats &into, const TargetStats &delta)
     CAC_ASSERT(into.kind == delta.kind);
     CAC_ASSERT(into.kind != TargetKind::Cpu);
     // Only a second shard is ever added, and runShards() rejects a
-    // multi-core target before one exists: coherence state does not
-    // split into slices.
+    // multi-core target before one exists: inter-core attribution does
+    // not split into slices.
     CAC_ASSERT(!delta.hasMultiCore);
     cacheStatsAccumulate(into.l1, delta.l1);
     if (delta.hasHierarchy) {

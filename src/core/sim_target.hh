@@ -10,9 +10,8 @@
  *
  *  - CacheTarget — a functional CacheModel (miss ratios, sections 2-3);
  *  - MultiCoreTarget (multicore/mc_target.hh) — a CoherentSystem: the
- *    two-level virtual-real hierarchy with Inclusion holes and alias
- *    shoot-downs (one core, sections 3.1-3.3), or N coherent cores
- *    over a shared L2;
+ *    two-level virtual-real hierarchy with Inclusion holes (one core,
+ *    sections 3.1-3.3), or N cores' private L1s over a shared L2;
  *  - CpuTarget — the out-of-order core + timing L1 (IPC, section 4 and
  *    Tables 2-3), built on OooCore's streaming feed() interface.
  *
@@ -60,7 +59,7 @@ enum class TargetKind
     Cache,     ///< functional single-level CacheModel
     Hierarchy, ///< two-level virtual-real hierarchy
     Cpu,       ///< out-of-order core + timing L1
-    MultiCore  ///< N coherent cores: private L1s over a shared L2
+    MultiCore  ///< N cores: private L1s over a shared L2
 };
 
 /** Short display name ("cache", "2lvl", "cpu", "mc"). */
@@ -79,14 +78,14 @@ struct TargetStats
 
     bool hasHierarchy = false;
     CacheStats l2;   ///< second-level functional stats
-    HoleStats holes; ///< Inclusion invalidations, holes, aliases
+    HoleStats holes; ///< Inclusion invalidations and holes
 
     bool hasCpu = false;
     CpuStats cpu; ///< IPC, cycles, branch + address prediction
 
     /**
-     * Multicore section: per-core L1/hole rows plus coherence traffic
-     * (interventions, invalidations, inter-core conflict attribution).
+     * Multicore section: per-core L1/hole rows plus inter-core
+     * eviction and conflict attribution.
      * For MultiCore targets l1/l2/holes above hold the cross-core
      * aggregates, so single-target report paths work unchanged.
      */

@@ -581,8 +581,7 @@ sweepCsv(const std::vector<SweepCell> &cells)
         "store_misses,load_miss_pct,miss_pct,l2_miss_pct,holes,"
         "inclusion_invalidates,ipc,cycles";
     if (multicore) {
-        out += ",cores,interventions,coherence_invalidations,"
-               "intercore_evictions,intercore_conflict_misses";
+        out += ",cores,intercore_evictions,intercore_conflict_misses";
     }
     if (extended)
         out += ",dropped_records,status";
@@ -636,18 +635,15 @@ sweepCsv(const std::vector<SweepCell> &cells)
             if (cell.target.hasMultiCore) {
                 const MultiCoreStats &mc = cell.target.mc;
                 std::snprintf(
-                    numbers, sizeof(numbers), ",%llu,%llu,%llu,%llu,%llu",
+                    numbers, sizeof(numbers), ",%llu,%llu,%llu",
                     static_cast<unsigned long long>(mc.cores.size()),
-                    static_cast<unsigned long long>(mc.interventions),
-                    static_cast<unsigned long long>(
-                        mc.invalidationMessages),
                     static_cast<unsigned long long>(
                         mc.totalL2EvictionsByOthers()),
                     static_cast<unsigned long long>(
                         mc.totalInterCoreConflictMisses()));
                 out += numbers;
             } else {
-                out += ",,,,,";
+                out += ",,,";
             }
         }
         if (extended) {
@@ -680,8 +676,7 @@ scenarioCsv(const std::vector<SweepCell> &cells)
         "workload,organization,cache,program,asid,records,loads,stores,"
         "load_misses,store_misses,load_miss_pct,miss_pct";
     if (multicore) {
-        out += ",interventions,coherence_invalidations,"
-               "intercore_evictions,intercore_conflict_misses";
+        out += ",intercore_evictions,intercore_conflict_misses";
     }
     out += '\n';
     char numbers[224];
@@ -711,7 +706,7 @@ scenarioCsv(const std::vector<SweepCell> &cells)
         out += mc_columns;
         out += '\n';
     };
-    const std::string no_mc = multicore ? ",,,," : "";
+    const std::string no_mc = multicore ? ",," : "";
     for (const SweepCell &cell : cells) {
         std::uint64_t records = 0;
         for (const ScenarioProgramStats &p : cell.programs) {
@@ -720,16 +715,11 @@ scenarioCsv(const std::vector<SweepCell> &cells)
             records += p.records;
         }
         // Per-core rows: each core's private-L1 stats plus the
-        // coherence traffic and inter-core conflict attribution it
-        // received.
+        // inter-core eviction and conflict attribution it received.
         for (std::size_t c = 0; c < cell.cores.size(); ++c) {
             const McCoreStats &core = cell.cores[c];
             std::snprintf(
-                numbers, sizeof(numbers), ",%llu,%llu,%llu,%llu",
-                static_cast<unsigned long long>(
-                    core.interventionsReceived),
-                static_cast<unsigned long long>(
-                    core.invalidationsReceived),
+                numbers, sizeof(numbers), ",%llu,%llu",
                 static_cast<unsigned long long>(core.l2EvictionsByOthers),
                 static_cast<unsigned long long>(
                     core.interCoreConflictMisses));
@@ -739,9 +729,7 @@ scenarioCsv(const std::vector<SweepCell> &cells)
         if (cell.target.hasMultiCore) {
             const MultiCoreStats &mc = cell.target.mc;
             std::snprintf(
-                numbers, sizeof(numbers), ",%llu,%llu,%llu,%llu",
-                static_cast<unsigned long long>(mc.interventions),
-                static_cast<unsigned long long>(mc.invalidationMessages),
+                numbers, sizeof(numbers), ",%llu,%llu",
                 static_cast<unsigned long long>(
                     mc.totalL2EvictionsByOthers()),
                 static_cast<unsigned long long>(

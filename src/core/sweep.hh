@@ -106,7 +106,7 @@ struct SweepCell
     ReadStats read;
 
     /**
-     * Windowed miss-ratio/conflict/coherence time series, populated
+     * Windowed miss-ratio/conflict time series, populated
      * when the runner has an observation window (setObsWindow());
      * empty otherwise. Deterministic for any thread count.
      */

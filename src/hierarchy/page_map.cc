@@ -36,16 +36,4 @@ PageMap::frameFor(std::uint64_t vpage)
     return frame;
 }
 
-void
-PageMap::aliasTo(std::uint64_t alias_vaddr, std::uint64_t target_vaddr)
-{
-    const std::uint64_t target_frame =
-        frameFor(target_vaddr >> page_shift_);
-    const std::uint64_t alias_vpage = alias_vaddr >> page_shift_;
-    table_.insert(alias_vpage).first = target_frame;
-    MemoSlot &slot = memo_[memoSlot(alias_vpage)];
-    if (slot.vpage == alias_vpage)
-        slot = MemoSlot{};
-}
-
 } // namespace cac

@@ -12,8 +12,11 @@
  * twice (the missing block and the L1 victim), so it first consults a
  * small direct-mapped memo of recent translations, a software TLB,
  * kept inline in the object. A translation never changes once drawn,
- * so the memo is exact; aliasTo(), the one call that remaps a page,
- * drops the page's slot.
+ * so the memo is exact.
+ *
+ * Translation is injective: no frame is handed out twice, so no two
+ * virtual pages alias. The coherent system relies on this to keep each
+ * physical block in at most one L1.
  */
 
 #ifndef CAC_HIERARCHY_PAGE_MAP_HH
@@ -29,9 +32,8 @@ namespace cac
 {
 
 /**
- * Demand-populated page table assigning pseudo-random physical frames.
- * Frames are unique (no aliasing) unless an alias is created explicitly
- * with aliasTo().
+ * Demand-populated page table assigning pseudo-random physical frames,
+ * each frame to one virtual page only.
  */
 class PageMap
 {
@@ -57,12 +59,6 @@ class PageMap
         }
         return (slot.frame << page_shift_) | (vaddr & (page_bytes_ - 1));
     }
-
-    /**
-     * Map virtual page of @p alias_vaddr to the same frame as the page
-     * of @p target_vaddr (creates a virtual alias, section 3.3 cause 2).
-     */
-    void aliasTo(std::uint64_t alias_vaddr, std::uint64_t target_vaddr);
 
     std::uint64_t pageBytes() const { return page_bytes_; }
 

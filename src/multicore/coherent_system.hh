@@ -2,8 +2,8 @@
  * @file
  * The virtual-real cache hierarchy: per-core private virtually indexed
  * L1s (any registry organization, so skewed/I-Poly L1s work
- * unchanged) over one shared physically indexed L2, joined by a
- * MESI-lite coherence layer.
+ * unchanged) over one shared physically indexed L2, with Inclusion
+ * enforced across every L1 and each L2 fill attributed to its core.
  *
  * With one core this is the paper's two-level hierarchy (sections
  * 3.1-3.3, after Wang, Baer & Levy [25]): L1 is virtually indexed
@@ -11,31 +11,27 @@
  * without translation delay), L2 is physically indexed, and Inclusion
  * is enforced explicitly. When an L2 fill replaces a valid line, the
  * corresponding virtual line is invalidated at L1, possibly creating a
- * *hole*; a fill shoots down any other virtual alias of its physical
- * block (at most one alias in L1 at any instant). The L1s carry no
- * write traffic: like the paper's L1 they are write-through and hold
- * no dirty state, so a line that leaves an L1 (the access's reported
- * departure, AccessResult::evictedAddr, on a hit or a miss) only drops
- * its reverse-map entry. HoleStats counts L2 misses, forced
- * invalidations and holes (an L2 victim the L1 fill itself displaced
- * leaves none), which the holes_model bench compares against the
- * analytic P_H. The
- * `2lvl:` target grammar builds exactly this one-core system. With one
- * core every coherence step is skipped and the directory and the
- * attribution table stay empty.
+ * *hole*. The L1s carry no write traffic: like the paper's L1 they are
+ * write-through and hold no dirty state, so a line that leaves an L1
+ * (the access's reported departure, AccessResult::evictedAddr, on a
+ * hit or a miss) only drops its reverse-map entry. HoleStats counts L2
+ * misses, forced invalidations and holes (an L2 victim the L1 fill
+ * itself displaced leaves none), which the holes_model bench compares
+ * against the analytic P_H. The `2lvl:` target grammar builds exactly
+ * this one-core system.
  *
- * With more cores the layer adds:
+ * No two L1s ever hold the same data, by construction: access() routes
+ * every reference by its virtual address (coreFor()), a multi-core
+ * window is a whole number of blocks, and PageMap never hands out a
+ * frame twice. So a physical block has one virtual block, that block
+ * one core, and the block sits in at most one core's reverse map. No
+ * sharing protocol exists: no line states, no directory, no
+ * invalidation of peers (checkCoherence() requires the routing). What
+ * more cores add is pressure on the shared L2:
  *
- *  - M/S/I line states. A store installs the line Modified in the
- *    writer's L1 after invalidating every other copy
- *    (invalidate-on-write); a load leaves it Shared. At most one core
- *    may hold a line Modified (SWMR — the litmus suite asserts this
- *    after every step).
- *  - L1-to-L1 intervention: a miss on a line another core holds
- *    Modified is served by that cache, not the L2 — counted separately
- *    from L2 hits (interventions never touch L2 state). A read
- *    intervention downgrades the owner to Shared; a write intervention
- *    invalidates it.
+ *  - Inclusion across cores: an L2 victim is looked up in every core's
+ *    reverse map, so one core's L2 fill can leave a hole in another
+ *    core's L1.
  *  - Inter-core conflict attribution: the L2 remembers which core
  *    filled each line; when one core's fill evicts another core's
  *    line, and the victim core (or anyone but the evictor) next
@@ -44,40 +40,29 @@
  *    conflict-miss question: does skewed/polynomial placement keep
  *    its edge when the interleaving pressure comes from other cores?
  *
- * This state lives in two flat tables keyed by physical block. The
- * directory holds the core holding a block Modified and a 64-bit
- * sharer mask mirroring the per-core reverse maps; an entry exists
- * only while some L1 holds the block, so the directory is bounded by
- * the reverse maps' entries, one per line of each L1. Invalidations and Inclusion back-invalidations
- * visit only the cores whose sharer bit is set. The attribution table
- * holds the core whose miss filled the block into the L2 and the core
- * whose fill last evicted it. It is touched only by an L2 miss, an L2
- * replacement and an external invalidation, so L1 departures and
- * store-hit upgrades never probe it. Its filler entries are bounded by
- * the L2's lines, but an evictor entry outlives its line until the
- * block's next L2 miss, so that table is not bounded. Both are keyed
- * by block rather than kept in L2 line metadata because the evictor id
- * must outlive the line, and the shared L2 may be any registry
- * organization. The directory's owner field is authoritative; each
- * core's reverse-map value mirrors it in one bit (kModifiedBit), so a
- * store hit on a line the core already holds Modified — most store
- * hits — settles in the core's own small map and never probes the
- * directory. checkCoherence() requires the bit to mirror the owner.
+ * Attribution lives in a flat table keyed by physical block: the core
+ * whose miss filled the block into the L2 and the core whose fill last
+ * evicted it. Only an L2 miss and an L2 replacement touch it, and with
+ * one core it stays empty. Its filler entries are bounded by the L2's
+ * lines, but an evictor entry outlives its line until the block's next
+ * L2 miss, so the table is not bounded. It is keyed by block rather
+ * than kept in L2 line metadata because the evictor id must outlive
+ * the line, and the shared L2 may be any registry organization.
  *
- * Every miss-path table (reverse maps, holes, directory, attribution)
- * is presized at construction with BlockTable::reserve() from the
- * geometry it mirrors, at 1/8 load, so most probes end in their home
- * slot. The holes sets and the attribution table can outgrow theirs
- * and then double as any table does.
+ * Every miss-path table (reverse maps, holes, attribution) is presized
+ * at construction with BlockTable::reserve() from the geometry it
+ * mirrors, at 1/8 load, so most probes end in their home slot. The
+ * holes sets and the attribution table can outgrow theirs and then
+ * double as any table does.
  *
  * Speed. Each core's L1 hits stay inside SetAssocCache::batchKernel(),
  * the same plain-LRU hit loop batch replay of a single cache runs;
- * the kernel hands every miss (after its fill), and with several
- * cores every store hit, to a handler that runs the miss path or the
- * S -> M upgrade. A miss translates through PageMap's memo of recent
- * translations, and reaches a set-associative L2 through its
- * precomputed packed index word (SetAssocCache::accessPacked()) rather
- * than the virtual access() chain. None of this changes a counter.
+ * the kernel hands every miss (after its fill) to a handler that runs
+ * the miss path, and store hits never leave it. A miss translates
+ * through PageMap's memo of recent translations, and reaches a
+ * set-associative L2 through its precomputed packed index word
+ * (SetAssocCache::accessPacked()) rather than the virtual access()
+ * chain. None of this changes a counter.
  *
  * Streams demultiplex onto cores by ASID window: core = (vaddr /
  * windowBytes) % cores, and windowBytes must equal the replayed mix's
@@ -117,13 +102,9 @@ struct HoleStats
     std::uint64_t inclusionInvalidates = 0; ///< victim found in L1 (P_r)
     std::uint64_t holesCreated = 0;      ///< invalidation left a hole
     std::uint64_t holeRefills = 0;       ///< L1 misses on holed blocks
+    /** Never written; e2ebench reads it. */
     std::uint64_t externalInvalidates = 0;
-    /**
-     * Virtual-alias removals: a fill found another virtual block for
-     * the same physical block resident at L1, and shot it down (the
-     * "at most one alias in L1 at any instant" rule, section 3.3
-     * cause 2).
-     */
+    /** Never written; e2ebench reads it. */
     std::uint64_t aliasRemovals = 0;
 
     /** Measured fraction of L2 misses creating a hole (vs model P_H). */
@@ -153,20 +134,20 @@ void holeStatsAccumulate(HoleStats &into, const HoleStats &delta);
 
 /**
  * Per-core statistics row: the core's private-L1 functional stats, its
- * Inclusion/hole bookkeeping, and the coherence traffic it saw.
+ * Inclusion/hole bookkeeping, and the L2 pressure it gave and took.
  */
 struct McCoreStats
 {
     CacheStats l1; ///< private L1 functional stats (filled at harvest)
     HoleStats holes; ///< per-core Inclusion invalidations and holes
 
-    /** Misses this core had served from a peer L1 (M line elsewhere). */
+    /** Never written; e2ebench reads it. */
     std::uint64_t interventionsReceived = 0;
-    /** Modified lines this core supplied to a peer's miss. */
+    /** Never written; e2ebench reads it. */
     std::uint64_t interventionsSupplied = 0;
-    /** Copies this core lost to peers' stores (invalidate-on-write). */
+    /** Never written; e2ebench reads it. */
     std::uint64_t invalidationsReceived = 0;
-    /** Write hits on Shared lines promoted to Modified (S -> M). */
+    /** Never written; e2ebench reads it. */
     std::uint64_t upgrades = 0;
     /** This core's L2 lines evicted by other cores' fills. */
     std::uint64_t l2EvictionsByOthers = 0;
@@ -181,14 +162,14 @@ struct McCoreStats
 McCoreStats mcCoreStatsDelta(const McCoreStats &now,
                              const McCoreStats &then);
 
-/** Whole-system multicore statistics: per-core rows + bus totals. */
+/** Whole-system multicore statistics: one row per core. */
 struct MultiCoreStats
 {
     std::vector<McCoreStats> cores;
 
-    /** Total L1-to-L1 transfers (not L2 hits, not L2 misses). */
+    /** Never written; e2ebench reads it. */
     std::uint64_t interventions = 0;
-    /** Total coherence invalidation messages delivered to L1s. */
+    /** Never written; e2ebench reads it. */
     std::uint64_t invalidationMessages = 0;
 
     /** Sum of per-core inter-core conflict misses. */
@@ -198,36 +179,30 @@ struct MultiCoreStats
     std::uint64_t totalL2EvictionsByOthers() const;
 };
 
-/** now - then over every core row and bus counter. */
+/** now - then over every core row. */
 MultiCoreStats multiCoreStatsDelta(const MultiCoreStats &now,
                                    const MultiCoreStats &then);
 
 /**
- * The coherent N-core two-level system. Construct with one L1 per
- * core (identical geometry) and the shared L2, or with a single L1 for
- * the plain two-level hierarchy; drive it with access()/accessBatch();
+ * The N-core two-level system. Construct with one L1 per core
+ * (identical geometry) and the shared L2, or with a single L1 for the
+ * plain two-level hierarchy; drive it with access()/accessBatch();
  * read per-core and aggregate stats back.
  */
 class CoherentSystem
 {
   public:
-    /** Most cores one system can hold (the width of a sharer mask). */
+    /** Most cores one system can hold. */
     static constexpr unsigned kMaxCores = 64;
-
-    /** Coherence state of a line in one core's L1 (test hook). */
-    enum class LineState
-    {
-        Invalid,
-        Shared,
-        Modified
-    };
 
     /**
      * @param l1s one private cache per core; identical geometries.
      * @param l2 the shared cache; accessed with physical addresses.
      * @param page_map translation model (shared by all cores).
      * @param window_bytes ASID-window stride demultiplexing streams
-     *        onto cores; match ScenarioConfig::asidStrideBytes.
+     *        onto cores; match ScenarioConfig::asidStrideBytes. With
+     *        several cores it must be a whole number of blocks, so
+     *        that no block routes to two cores.
      */
     CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
                    std::unique_ptr<CacheModel> l2, PageMap page_map,
@@ -258,11 +233,11 @@ class CoherentSystem
     }
 
     /**
-     * One reference from @p core.
+     * One reference, on the core coreFor(@p vaddr) routes it to.
      *
-     * @return true when the core's private L1 hit.
+     * @return true when that core's private L1 hit.
      */
-    bool access(unsigned core, std::uint64_t vaddr, bool is_write);
+    bool access(std::uint64_t vaddr, bool is_write);
 
     /**
      * @p n same-kind references in stream order, demultiplexed onto
@@ -283,14 +258,6 @@ class CoherentSystem
     void accessMixed(const std::uint64_t *vaddrs, const bool *writes,
                      std::size_t n);
 
-    /**
-     * External coherence invalidation, physically addressed: snooped
-     * at L2 per the Inclusion argument of section 3.2 and forwarded,
-     * through the reverse maps, to every private L1 holding a copy.
-     * Counted in the aggregate HoleStats::externalInvalidates.
-     */
-    void externalInvalidate(std::uint64_t paddr);
-
     const CacheModel &l1(unsigned core) const { return *l1s_[core]; }
     const CacheModel &l2() const { return *l2_; }
     PageMap &pageMap() { return page_map_; }
@@ -301,25 +268,15 @@ class CoherentSystem
     /** All cores' L1 stats summed into one row (sweep aggregate). */
     CacheStats aggregateL1() const;
 
-    /**
-     * All cores' hole bookkeeping summed into one row, plus the
-     * system-wide external invalidations.
-     */
+    /** All cores' hole bookkeeping summed into one row. */
     HoleStats aggregateHoles() const;
 
     /**
-     * Coherence state of @p vaddr's line in @p core's L1. Non-const
-     * because it translates (memoized; consumes no randomness).
-     */
-    LineState state(unsigned core, std::uint64_t vaddr);
-
-    /**
-     * Verify SWMR + directory consistency: a Modified line is resident
-     * in exactly its owner's L1 and nowhere else, every reverse-map
-     * entry matches a resident line, every directory sharer mask
-     * names exactly the cores whose reverse maps hold the block, and
-     * no directory or attribution entry is unused (with one core both
-     * tables are empty). O(tracked blocks); test hook.
+     * Verify the bookkeeping that replaces a sharing protocol: every
+     * reverse-map entry matches a resident line of its core's L1, whose
+     * virtual block coreFor() routes to that core; no physical block is
+     * in two cores' reverse maps; no attribution entry is unused, and
+     * with one core there is none. O(tracked blocks); test hook.
      */
     bool checkCoherence() const;
 
@@ -330,27 +287,17 @@ class CoherentSystem
     bool checkInclusion() const;
 
     /**
-     * Flush every private L1 (and the reverse maps, pending holes and
-     * ownership that describe their contents) — the context-switch
-     * cold start of a virtual cache without ASIDs. The physically
-     * indexed shared L2 and its fill attribution survive; Inclusion
-     * trivially holds on empty L1s.
+     * Flush every private L1 (and the reverse maps and pending holes
+     * that describe their contents) — the context-switch cold start of
+     * a virtual cache without ASIDs. The physically indexed shared L2
+     * and its fill attribution survive; Inclusion trivially holds on
+     * empty L1s.
      */
     void flushL1s();
 
   private:
-    /** No core: an unset owner, filler or evictor field. */
+    /** No core: an unset filler or evictor field. */
     static constexpr std::uint8_t kNoCore = 0xFF;
-
-    /** Directory entry of a block some L1 holds (multi-core only). */
-    struct DirEntry
-    {
-        /** Bit c: core c's reverse map holds this block. */
-        std::uint64_t sharers = 0;
-        std::uint8_t owner = kNoCore; ///< core holding it Modified
-
-        bool unused() const { return sharers == 0 && owner == kNoCore; }
-    };
 
     /** L2 fill attribution of one physical block (multi-core only). */
     struct Attribution
@@ -364,67 +311,27 @@ class CoherentSystem
         }
     };
 
-    /**
-     * Reverse-map value bit: the core holds the block Modified (mirrors
-     * DirEntry::owner). Block numbers never reach it: blocks are at
-     * least two bytes.
-     */
-    static constexpr std::uint64_t kModifiedBit = std::uint64_t{1} << 63;
-
-    /** The virtual block of a reverse-map value. */
-    static std::uint64_t vblockOf(std::uint64_t resident)
-    {
-        return resident & ~kModifiedBit;
-    }
-
     /** The batchKernel() handler of one core's L1 (coherent_system.cc). */
-    template <bool Multi>
     struct CoreEvents;
+
+    /** access() on @p core, which coreFor() routed the reference to. */
+    bool accessOn(unsigned core, std::uint64_t vaddr, bool is_write);
 
     /** Everything access() does after a private-L1 miss. */
     void missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                   const AccessResult &l1_result);
 
     /**
-     * The directory side of a miss: record @p core as a sharer when
-     * the L1 filled (@p resident is then the fill's reverse-map value,
-     * else null), take a peer's Modified copy (an intervention), and
-     * on a store invalidate every other copy and take ownership.
-     * @return true when a peer L1 served the miss (no L2 access).
+     * Charge an L2 victim evicted by @p core's fill to the core that
+     * filled it, in the attribution table.
      */
-    bool joinOnMiss(unsigned core, std::uint64_t pblock, bool is_write,
-                    std::uint64_t *resident, DirEntry &entry);
-
-    /**
-     * Settle an L2 victim evicted by @p core's fill: charge the
-     * eviction to its filler in the attribution table, then drop its
-     * directory entry (sharing and ownership end).
-     * @return the cores whose L1s held the victim (a sharer mask).
-     */
-    std::uint64_t releaseL2Victim(unsigned core,
-                                  std::uint64_t victim_pblock);
-
-    /** S -> M promotion on a write hit: invalidate peers, take M. */
-    void writeHitUpgrade(unsigned core, std::uint64_t vaddr);
+    void chargeL2Victim(unsigned core, std::uint64_t victim_pblock);
 
     /**
      * One shared-L2 access to physical block @p pblock: through its
      * packed index word when the L2 is a packed-capable SetAssocCache.
      */
     AccessResult l2Access(std::uint64_t pblock, bool is_write);
-
-    /**
-     * Invalidate every other core's copy of @p pblock (the sharers in
-     * its directory @p entry) and end any other core's ownership.
-     */
-    void invalidateOtherCopies(unsigned core, std::uint64_t pblock,
-                               DirEntry &entry);
-
-    /**
-     * Forget @p core's copy of @p pblock after it left the L1: drop the
-     * reverse-map entry, its sharer bit and any ownership.
-     */
-    void unlinkL1(unsigned core, std::uint64_t pblock);
 
     /**
      * Forget the line @p r reports as having left @p core's L1 (its
@@ -446,8 +353,8 @@ class CoherentSystem
 
     /**
      * Per-core batch: a SetAssocCache L1 runs its own batch kernel and
-     * reports misses and store hits through CoreEvents; any other L1
-     * replays through access().
+     * reports misses through CoreEvents; any other L1 replays through
+     * accessOn().
      */
     template <typename Kind>
     void coreBatch(unsigned core, const std::uint64_t *vaddrs,
@@ -465,25 +372,18 @@ class CoherentSystem
     std::uint64_t window_lo_ = 0;
     unsigned window_core_ = 0;
 
-    /** Coherence + attribution counters (per-core l1 filled lazily). */
+    /** Per-core hole and attribution counters (l1 filled lazily). */
     MultiCoreStats mc_;
-    /** externalInvalidate() calls (a system event, not a core's). */
-    std::uint64_t external_invalidates_ = 0;
 
     /**
      * Per-core reverse maps: physical block -> virtual block resident
-     * in that L1, plus kModifiedBit. The virtual-real protocol
-     * maintains exactly this association so physical invalidations
-     * can find virtual L1 lines without reverse translation hardware.
+     * in that L1. The virtual-real protocol maintains exactly this
+     * association so physical invalidations can find virtual L1 lines
+     * without reverse translation hardware.
      */
     std::vector<BlockTable<std::uint64_t>> l1_contents_;
     /** Per-core blocks invalidated by Inclusion, pending re-reference. */
     std::vector<BlockSet> holes_;
-    /**
-     * Physical block -> sharers and owner, for blocks some L1 holds.
-     * Stays empty with one core, whose data path needs none of it.
-     */
-    BlockTable<DirEntry> dir_;
     /**
      * Physical block -> L2 filler and evictor; touched only on the L2
      * miss and replacement path. Stays empty with one core.

@@ -11,6 +11,10 @@
  * CoherentSystem), so a Scenario mix's programs round-robin across
  * cores with no scheduler changes, starting at the core of the window
  * the first program's data starts in (core 2 for the Spec95 proxies).
+ * The same routing keeps every block in one core's L1: the cores share
+ * the L2 and its capacity, never a line, so the per-core rows report
+ * L2 pressure (inter-core evictions and conflict misses), not
+ * coherence traffic.
  *
  * `2lvl:<l1-org>/<l2-org>` builds the same class over a one-core
  * system and reports it as a TargetKind::Hierarchy: no per-core rows,
@@ -30,7 +34,7 @@
 namespace cac
 {
 
-/** Coherent-system target: the two-level hierarchy or N cores. */
+/** CoherentSystem target: the two-level hierarchy or N cores. */
 class MultiCoreTarget : public SimTarget
 {
   public:

@@ -197,9 +197,9 @@ TEST(ShardReplay, TwoLevelTargetsShard)
 
 TEST(ShardReplay, MultiCoreTargetsFallBackToMonolithic)
 {
-    // Coherence state spans the whole stream: a cold-started slice
-    // would miss the invalidations and interventions earlier slices
-    // caused, so multi-core targets must reject sharding explicitly
+    // L2 fill attribution spans the whole stream: a cold-started slice
+    // would not know which core filled or evicted a line in an earlier
+    // slice, so multi-core targets must reject sharding explicitly
     // (monolithic fallback with a note, like Cpu) instead of summing
     // silently wrong per-slice deltas.
     const Trace trace = proxyTrace();
@@ -226,9 +226,8 @@ TEST(ShardReplay, MultiCoreTargetsFallBackToMonolithic)
     EXPECT_FALSE(one.fellBack);
     ASSERT_TRUE(one.stats.hasMultiCore);
     expectCacheStatsEqual(one.stats.l1, want.l1, "mc-one-shard");
-    EXPECT_EQ(one.stats.mc.interventions, want.mc.interventions);
-    EXPECT_EQ(one.stats.mc.invalidationMessages,
-              want.mc.invalidationMessages);
+    EXPECT_EQ(one.stats.mc.totalL2EvictionsByOthers(),
+              want.mc.totalL2EvictionsByOthers());
 }
 
 } // anonymous namespace

@@ -109,7 +109,7 @@ TEST(TwoLevelTargetTest, BatchedReplayMatchesScalarLoop)
         makeLevel(IndexKind::Modulo, 256 * 1024, 2, 18), PageMap());
     for (const auto &rec : trace) {
         if (isMemOp(rec.op))
-            reference.access(0, rec.addr, rec.op == OpClass::Store);
+            reference.access(rec.addr, rec.op == OpClass::Store);
     }
 
     // Engine path: the same configuration through the label grammar,
@@ -131,7 +131,6 @@ TEST(TwoLevelTargetTest, BatchedReplayMatchesScalarLoop)
     EXPECT_EQ(got.holes.inclusionInvalidates, want.inclusionInvalidates);
     EXPECT_EQ(got.holes.holesCreated, want.holesCreated);
     EXPECT_EQ(got.holes.holeRefills, want.holeRefills);
-    EXPECT_EQ(got.holes.aliasRemovals, want.aliasRemovals);
     EXPECT_EQ(got.l1.loads, reference.l1(0).stats().loads);
     EXPECT_EQ(got.l1.loadMisses, reference.l1(0).stats().loadMisses);
     EXPECT_EQ(got.l2.misses(), reference.l2().stats().misses());

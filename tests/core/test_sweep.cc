@@ -414,7 +414,6 @@ expectCellsIdentical(const std::vector<SweepCell> &want,
             << where;
         EXPECT_EQ(a.cpu.cycles, b.cpu.cycles) << where;
         EXPECT_EQ(a.cpu.instructions, b.cpu.instructions) << where;
-        EXPECT_EQ(a.mc.interventions, b.mc.interventions) << where;
         EXPECT_EQ(a.mc.totalL2EvictionsByOthers(),
                   b.mc.totalL2EvictionsByOthers())
             << where;

@@ -74,28 +74,6 @@ TEST(PageMap, MappingDecorrelatesCacheIndexBits)
     EXPECT_LT(preserved, n / 4);
 }
 
-TEST(PageMap, AliasSharesFrame)
-{
-    PageMap pm;
-    const std::uint64_t target = 0x40000;
-    const std::uint64_t alias = 0x90000;
-    pm.aliasTo(alias, target);
-    EXPECT_EQ(pm.translate(alias) >> 12, pm.translate(target) >> 12);
-    EXPECT_EQ(pm.translate(alias + 100) & 4095,
-              (alias + 100) & 4095u);
-}
-
-TEST(PageMap, AliasAfterAMemoizedTranslationTakesEffect)
-{
-    PageMap pm;
-    const std::uint64_t target = 0x40000;
-    const std::uint64_t alias = 0x90000;
-    const std::uint64_t own = pm.translate(alias + 8); // now memoized
-    pm.aliasTo(alias, target);
-    EXPECT_EQ(pm.translate(alias + 8), pm.translate(target + 8));
-    EXPECT_NE(pm.translate(alias + 8), own);
-}
-
 TEST(PageMap, PagesCollidingInTheMemoTranslateAsBefore)
 {
     // Far more pages than the memo has slots, so pages share slots

@@ -10,23 +10,18 @@
  *  - randomized seeded interleavings of per-core streams conserve the
  *    issued work: global load/store totals equal the per-core sums,
  *    per-core rows depend only on the core's own stream content (not
- *    on the interleaving order), and the invariants (SWMR, Inclusion)
- *    hold at the end;
+ *    on the interleaving order), and the invariants (routing, one
+ *    reverse map per block, Inclusion) hold after every batch;
  *  - the shared L2 holds only lines the cores ever fetched: probing
  *    the translations of never-accessed pages misses;
- *  - randomized oracles: seeded draws of L1 geometry x registry
- *    organization x L2 x stream at 1 to 4 cores with aliased (shared)
- *    pages keep the SWMR, directory and Inclusion invariants after
- *    every batch, and a twin system fed the same references as mixed
- *    load/store batches (accessMixed()) ends every group of batches
- *    with exactly the per-kind system's counters. Failures name the
- *    seed and the drawn configuration;
  *  - the batch≡scalar oracle: seeded draws of L1 and L2 organization,
- *    core count, store ratio, write allocation, index-plan kind,
- *    stream and aliased pages, replayed once through accessMixed() at
- *    random batch sizes and once through scalar access(), end with
- *    identical per-core L1 rows, L2, holes and coherence counters,
- *    and both keep the invariants at every batch boundary.
+ *    core count, store ratio, write allocation, index-plan kind and
+ *    stream, replayed through accessMixed() at random batch sizes,
+ *    through accessBatch() in the same batches' same-kind runs, and
+ *    through scalar access(), end with identical per-core L1 rows,
+ *    L2, holes and inter-core attribution, and all three keep the
+ *    invariants at every batch boundary. Failures name the seed and
+ *    the drawn configuration.
  */
 
 #include <algorithm>
@@ -90,8 +85,6 @@ expectHoleStatsEqual(const HoleStats &a, const HoleStats &b,
     EXPECT_EQ(a.inclusionInvalidates, b.inclusionInvalidates) << label;
     EXPECT_EQ(a.holesCreated, b.holesCreated) << label;
     EXPECT_EQ(a.holeRefills, b.holeRefills) << label;
-    EXPECT_EQ(a.externalInvalidates, b.externalInvalidates) << label;
-    EXPECT_EQ(a.aliasRemovals, b.aliasRemovals) << label;
 }
 
 /** Counters of one "2lvl:<org>/a4" run over proxyTrace(). */
@@ -174,10 +167,8 @@ TEST(McDifferential, OneCoreReproducesFrozenTwoLevelOnEveryOrg)
             expectHoleStatsEqual(got->holes, want.holes, label + " holes");
         }
         EXPECT_FALSE(two.hasMultiCore) << want.org;
-        // One core has nobody to cohere with.
+        // One core has nobody to conflict with.
         ASSERT_TRUE(one.hasMultiCore) << want.org;
-        EXPECT_EQ(one.mc.interventions, 0u) << want.org;
-        EXPECT_EQ(one.mc.invalidationMessages, 0u) << want.org;
         EXPECT_EQ(one.mc.totalInterCoreConflictMisses(), 0u) << want.org;
         // The single per-core row *is* the aggregate.
         ASSERT_EQ(one.mc.cores.size(), 1u) << want.org;
@@ -204,13 +195,15 @@ coreStream(unsigned c, std::size_t n, std::uint64_t window)
 
 /**
  * Interleave the per-core streams in a seed-dependent order and drive
- * the mc target one address at a time through accessBatch (runs of 1
- * exercise the demultiplexer's worst case).
+ * the mc target in short bursts through accessBatch (runs of 1
+ * exercise the demultiplexer's worst case), checking the system's
+ * invariants after every burst.
  */
 TargetStats
 replayInterleaved(const std::vector<std::vector<std::uint64_t>> &streams,
-                  std::uint64_t seed, SimTarget &target)
+                  std::uint64_t seed, MultiCoreTarget &target)
 {
+    const CoherentSystem &sys = target.system();
     std::vector<std::size_t> pos(streams.size(), 0);
     std::uint64_t lcg = seed;
     for (;;) {
@@ -230,6 +223,11 @@ replayInterleaved(const std::vector<std::vector<std::uint64_t>> &streams,
                                   streams[c].size() - pos[c]);
         target.accessBatch(streams[c].data() + pos[c], burst, false);
         pos[c] += burst;
+        if (!sys.checkCoherence() || !sys.checkInclusion()) {
+            ADD_FAILURE() << "invariants broken, seed " << seed
+                          << ", core " << c << " at " << pos[c];
+            break;
+        }
     }
     target.finish();
     return target.stats();
@@ -252,8 +250,7 @@ TEST(McDifferential, InterleavingsConserveWorkAndKeepInvariants)
             OrgRegistry::global().buildTarget("mc:4xa2-Hp-Sk/a4", spec);
         auto *mc = dynamic_cast<MultiCoreTarget *>(built.get());
         ASSERT_NE(mc, nullptr);
-        const TargetStats stats =
-            replayInterleaved(streams, seed, *built);
+        const TargetStats stats = replayInterleaved(streams, seed, *mc);
 
         // Global totals equal the per-core sums equal the issued work.
         ASSERT_TRUE(stats.hasMultiCore);
@@ -263,11 +260,6 @@ TEST(McDifferential, InterleavingsConserveWorkAndKeepInvariants)
         EXPECT_EQ(core_accesses, issued) << seed;
         EXPECT_EQ(stats.l1.accesses(), issued) << seed;
         EXPECT_EQ(stats.l1.stores, 0u) << seed;
-
-        // Disjoint windows: sharing-driven coherence traffic is
-        // impossible, only capacity interference remains.
-        EXPECT_EQ(stats.mc.interventions, 0u) << seed;
-        EXPECT_EQ(stats.mc.invalidationMessages, 0u) << seed;
 
         // Each core's row depends only on its own stream, so every
         // interleaving must produce the same per-core loads (misses
@@ -281,10 +273,6 @@ TEST(McDifferential, InterleavingsConserveWorkAndKeepInvariants)
                     << "seed " << seed << " core " << c;
             }
         }
-
-        // Invariants hold at the end of any interleaving.
-        EXPECT_TRUE(mc->system().checkCoherence()) << seed;
-        EXPECT_TRUE(mc->system().checkInclusion()) << seed;
     }
 }
 
@@ -299,7 +287,7 @@ TEST(McDifferential, SharedL2HoldsOnlyFetchedLines)
     std::vector<std::vector<std::uint64_t>> streams;
     for (unsigned c = 0; c < 2; ++c)
         streams.push_back(coreStream(c, 8000, spec.mcWindowBytes));
-    replayInterleaved(streams, 7, *built);
+    replayInterleaved(streams, 7, *mc);
 
     // The cores touched only the first 64KB of their windows. Pages
     // far above that were never fetched, so their translations must
@@ -347,29 +335,7 @@ drawConfig(Rng &rng)
     return cfg;
 }
 
-/**
- * A random reference batch: a hot set plus strided sweeps over a
- * footprint a few times the L1 (so L1 and L2 both replace and holes
- * appear), offset by @p base.
- */
-std::vector<std::uint64_t>
-drawBatch(Rng &rng, std::uint64_t base, std::uint64_t footprint)
-{
-    std::vector<std::uint64_t> addrs(1 + rng.nextBelow(48));
-    const std::uint64_t stride = std::uint64_t{8} << rng.nextBelow(10);
-    std::uint64_t cursor = rng.nextBelow(footprint);
-    for (std::uint64_t &a : addrs) {
-        if (rng.chance(0.3)) {
-            a = base + rng.nextBelow(footprint / 16);
-        } else {
-            cursor = (cursor + stride) % footprint;
-            a = base + cursor;
-        }
-    }
-    return addrs;
-}
-
-/** Every per-core, bus and L2 counter of @p a equals @p b's. */
+/** Every per-core and L2 counter of @p a equals @p b's. */
 void
 expectSystemsEqual(const CoherentSystem &a, const CoherentSystem &b,
                    const std::string &label)
@@ -383,101 +349,13 @@ expectSystemsEqual(const CoherentSystem &a, const CoherentSystem &b,
         const McCoreStats &y = sb.cores[c];
         expectCacheStatsEqual(x.l1, y.l1, core);
         expectHoleStatsEqual(x.holes, y.holes, core);
-        EXPECT_EQ(x.interventionsReceived, y.interventionsReceived) << core;
-        EXPECT_EQ(x.interventionsSupplied, y.interventionsSupplied) << core;
-        EXPECT_EQ(x.invalidationsReceived, y.invalidationsReceived) << core;
-        EXPECT_EQ(x.upgrades, y.upgrades) << core;
         EXPECT_EQ(x.l2EvictionsByOthers, y.l2EvictionsByOthers) << core;
         EXPECT_EQ(x.interCoreConflictMisses, y.interCoreConflictMisses)
             << core;
     }
-    EXPECT_EQ(sa.interventions, sb.interventions) << label;
-    EXPECT_EQ(sa.invalidationMessages, sb.invalidationMessages) << label;
     expectCacheStatsEqual(a.l2().stats(), b.l2().stats(), label + " L2");
     expectHoleStatsEqual(a.aggregateHoles(), b.aggregateHoles(),
                          label + " holes");
-}
-
-TEST(McDifferential, RandomSharingKeepsInvariantsAfterEveryBatch)
-{
-    std::uint64_t interventions = 0, invalidations = 0, upgrades = 0;
-    for (unsigned cores : {1u, 2u, 3u, 4u}) {
-        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-            Rng rng(seed * 100 + cores);
-            const DrawnConfig cfg = drawConfig(rng);
-            SCOPED_TRACE("cores " + std::to_string(cores) + " seed "
-                         + std::to_string(seed) + " " + cfg.describe());
-            const std::string label = "mc:" + std::to_string(cores) + "x"
-                + cfg.l1 + "/" + cfg.l2;
-            auto built = OrgRegistry::global().buildTarget(label, cfg.spec);
-            auto *mc = dynamic_cast<MultiCoreTarget *>(built.get());
-            ASSERT_NE(mc, nullptr);
-            CoherentSystem &sys = mc->system();
-            // The twin sees the same references as mixed batches:
-            // several per-kind draws, from different cores, per call.
-            auto twin_built =
-                OrgRegistry::global().buildTarget(label, cfg.spec);
-            auto *twin_mc =
-                dynamic_cast<MultiCoreTarget *>(twin_built.get());
-            ASSERT_NE(twin_mc, nullptr);
-            CoherentSystem &twin = twin_mc->system();
-            std::vector<std::uint64_t> pending;
-            std::vector<char> pending_writes;
-            const auto flushTwin = [&](unsigned b) {
-                std::unique_ptr<bool[]> writes(new bool[pending.size()]);
-                for (std::size_t i = 0; i < pending.size(); ++i)
-                    writes[i] = pending_writes[i] != 0;
-                twin.accessMixed(pending.data(), writes.get(),
-                                 pending.size());
-                pending.clear();
-                pending_writes.clear();
-                expectSystemsEqual(sys, twin,
-                                   "mixed after batch " + std::to_string(b));
-                ASSERT_TRUE(twin.checkCoherence()) << "batch " << b;
-                ASSERT_TRUE(twin.checkInclusion()) << "batch " << b;
-            };
-
-            // Every core's window aliases its low pages onto core 0's,
-            // so the cores share physical blocks and the protocol's
-            // interventions, invalidations and upgrades all fire.
-            const std::uint64_t window = cfg.spec.mcWindowBytes;
-            const std::uint64_t footprint = 6 * cfg.spec.org.sizeBytes;
-            const std::uint64_t page = cfg.spec.pageBytes;
-            for (unsigned c = 1; c < cores; ++c) {
-                for (std::uint64_t off = 0; off < footprint / 2;
-                     off += page) {
-                    sys.pageMap().aliasTo(c * window + off, off);
-                    twin.pageMap().aliasTo(c * window + off, off);
-                }
-            }
-            for (unsigned b = 0; b < 1500; ++b) {
-                const unsigned core =
-                    static_cast<unsigned>(rng.nextBelow(cores));
-                const std::vector<std::uint64_t> batch =
-                    drawBatch(rng, core * window, footprint);
-                const bool is_write = rng.chance(0.3);
-                built->accessBatch(batch.data(), batch.size(), is_write);
-                ASSERT_TRUE(sys.checkCoherence()) << "batch " << b;
-                ASSERT_TRUE(sys.checkInclusion()) << "batch " << b;
-                pending.insert(pending.end(), batch.begin(), batch.end());
-                pending_writes.insert(pending_writes.end(), batch.size(),
-                                      is_write ? 1 : 0);
-                if (b % 4 == 3)
-                    flushTwin(b);
-            }
-            if (!pending.empty())
-                flushTwin(1500);
-            const MultiCoreStats stats = sys.stats();
-            interventions += stats.interventions;
-            invalidations += stats.invalidationMessages;
-            for (const McCoreStats &core : stats.cores)
-                upgrades += core.upgrades;
-        }
-    }
-    // The draws must actually exercise the sharing protocol.
-    EXPECT_GT(interventions, 0u);
-    EXPECT_GT(invalidations, 0u);
-    EXPECT_GT(upgrades, 0u);
 }
 
 /** An mc: system of @p cores cores built from @p cfg. */
@@ -491,7 +369,7 @@ buildSystem(const DrawnConfig &cfg, unsigned cores)
 
 TEST(McDifferential, RandomBatchesMatchScalarAccess)
 {
-    std::uint64_t upgrades = 0, interventions = 0, aliases = 0;
+    std::uint64_t peer_evictions = 0, holes = 0;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         Rng rng(seed * 7919);
         DrawnConfig cfg = drawConfig(rng);
@@ -510,33 +388,18 @@ TEST(McDifferential, RandomBatchesMatchScalarAccess)
 
         IndexPlan::forceCallbackForTests(callback_plans);
         auto batch_built = buildSystem(cfg, cores);
+        auto uniform_built = buildSystem(cfg, cores);
         auto scalar_built = buildSystem(cfg, cores);
         IndexPlan::forceCallbackForTests(false);
         CoherentSystem &batch =
             dynamic_cast<MultiCoreTarget &>(*batch_built).system();
+        CoherentSystem &uniform =
+            dynamic_cast<MultiCoreTarget &>(*uniform_built).system();
         CoherentSystem &scalar =
             dynamic_cast<MultiCoreTarget &>(*scalar_built).system();
 
-        // Aliased pages: some of every core's low pages onto core 0's
-        // (shared physical blocks), and some within one window
-        // (virtual aliases in one L1).
         const std::uint64_t window = cfg.spec.mcWindowBytes;
-        const std::uint64_t page = cfg.spec.pageBytes;
         const std::uint64_t footprint = 6 * cfg.spec.org.sizeBytes;
-        const std::uint64_t pages = (footprint + page - 1) / page;
-        for (unsigned c = 0; c < cores; ++c) {
-            for (std::uint64_t p = 0; p < pages; ++p) {
-                if (!rng.chance(0.3))
-                    continue;
-                const std::uint64_t target =
-                    c > 0 && rng.chance(0.5)
-                    ? rng.nextBelow(pages) * page
-                    : c * window + rng.nextBelow(pages) * page;
-                batch.pageMap().aliasTo(c * window + p * page, target);
-                scalar.pageMap().aliasTo(c * window + p * page, target);
-                ++aliases;
-            }
-        }
 
         // The stream: runs on one core at a time (a scheduling
         // quantum), each reference into a hot set or along a strided
@@ -566,24 +429,32 @@ TEST(McDifferential, RandomBatchesMatchScalarAccess)
             const std::size_t n = std::min<std::size_t>(
                 addrs.size() - at, 1 + rng.nextBelow(600));
             batch.accessMixed(addrs.data() + at, writes.get() + at, n);
+            // The same references as maximal same-kind accessBatch()
+            // runs.
+            for (std::size_t i = at, j = at; i < at + n; i = j) {
+                while (j < at + n && writes[j] == writes[i])
+                    ++j;
+                uniform.accessBatch(addrs.data() + i, j - i, writes[i]);
+            }
             for (std::size_t i = at; i < at + n; ++i)
-                scalar.access(scalar.coreFor(addrs[i]), addrs[i], writes[i]);
+                scalar.access(addrs[i], writes[i]);
             at += n;
             ASSERT_TRUE(batch.checkCoherence()) << "batched, at " << at;
             ASSERT_TRUE(batch.checkInclusion()) << "batched, at " << at;
+            ASSERT_TRUE(uniform.checkCoherence()) << "same-kind, at " << at;
+            ASSERT_TRUE(uniform.checkInclusion()) << "same-kind, at " << at;
             ASSERT_TRUE(scalar.checkCoherence()) << "scalar, at " << at;
             ASSERT_TRUE(scalar.checkInclusion()) << "scalar, at " << at;
         }
         expectSystemsEqual(batch, scalar, "batched vs scalar");
+        expectSystemsEqual(uniform, scalar, "same-kind batches vs scalar");
         const MultiCoreStats stats = batch.stats();
-        interventions += stats.interventions;
-        for (const McCoreStats &row : stats.cores)
-            upgrades += row.upgrades;
+        peer_evictions += stats.totalL2EvictionsByOthers();
+        holes += batch.aggregateHoles().holesCreated;
     }
-    // The draws must reach the store-hit and intervention paths.
-    EXPECT_GT(upgrades, 0u);
-    EXPECT_GT(interventions, 0u);
-    EXPECT_GT(aliases, 0u);
+    // The draws must reach inter-core L2 evictions and holes.
+    EXPECT_GT(peer_evictions, 0u);
+    EXPECT_GT(holes, 0u);
 }
 
 } // anonymous namespace

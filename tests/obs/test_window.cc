@@ -75,7 +75,6 @@ TEST(WindowSampler, ClosesWindowsAtBoundaries)
         EXPECT_EQ(w.accesses(), w.endAccess - w.startAccess);
         EXPECT_EQ(w.stores, 0u);
         EXPECT_FALSE(w.hasConflict);
-        EXPECT_FALSE(w.hasCoherence);
         total_loads += w.loads;
     }
     EXPECT_EQ(total_loads, 10000u);

@@ -85,8 +85,7 @@ struct Digest
     {
         for (std::uint64_t v :
              {s.l1Misses, s.l2Misses, s.l2Replacements,
-              s.inclusionInvalidates, s.holesCreated, s.holeRefills,
-              s.externalInvalidates, s.aliasRemovals})
+              s.inclusionInvalidates, s.holesCreated, s.holeRefills})
             add(v);
     }
 
@@ -111,16 +110,11 @@ struct Digest
             add(s.cpu);
         if (!s.hasMultiCore)
             return;
-        add(s.mc.interventions);
-        add(s.mc.invalidationMessages);
         for (const cac::McCoreStats &c : s.mc.cores) {
             add(c.l1);
             add(c.holes);
-            for (std::uint64_t v :
-                 {c.interventionsReceived, c.interventionsSupplied,
-                  c.invalidationsReceived, c.upgrades,
-                  c.l2EvictionsByOthers, c.interCoreConflictMisses})
-                add(v);
+            add(c.l2EvictionsByOthers);
+            add(c.interCoreConflictMisses);
         }
     }
 

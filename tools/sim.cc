@@ -53,8 +53,8 @@
  * 0; a failed cell prints its structured error and exits 1.
  *
  * Observability (docs/OBSERVABILITY.md): --metrics-out dumps the
- * merged metrics registry plus the windowed miss-ratio/conflict/
- * coherence time series as JSON, --trace-out dumps the tracing spans
+ * merged metrics registry plus the windowed miss-ratio/conflict time
+ * series as JSON, --trace-out dumps the tracing spans
  * as a Chrome trace-event file (chrome://tracing, Perfetto), and
  * --obs-window sets the time-series window in accesses. Both
  * artifacts embed the run manifest (git describe, compiler, SIMD
@@ -149,8 +149,7 @@ usage()
         "(L1, L2 org labels)\n"
         "  cpu:CONFIG      out-of-order core (Table-2 config or aN "
         "scheme label)\n"
-        "  mc:CxL1/L2      C coherent cores, private L1s over one "
-        "shared L2\n"
+        "  mc:CxL1/L2      C cores, private L1s over one shared L2\n"
         "  --cores N       rewrite plain org labels to mc:NxLABEL/a4 "
         "(N cores)\n"
         "orgs:\n");
@@ -486,7 +485,7 @@ runSearch(const std::string &trace_path, const TargetSpec &spec,
 
 /**
  * --cores N: rewrite plain organization labels into the mc: grammar
- * (N coherent cores with that L1 org over a shared a4 L2). Extended
+ * (N cores with that L1 org over a shared a4 L2). Extended
  * targets (2lvl:/cpu:/mc:) pass through untouched.
  */
 std::vector<std::string>
