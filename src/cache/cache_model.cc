@@ -1,5 +1,7 @@
 #include "cache/cache_model.hh"
 
+#include "common/logging.hh"
+
 namespace cac
 {
 
@@ -27,6 +29,12 @@ CacheModel::accessMixed(const std::uint64_t *addrs, const bool *writes,
         accessBatch(addrs + base, end - base, writes[base]);
         base = end;
     }
+}
+
+void
+CacheModel::forEachBlock(const std::function<void(std::uint64_t)> &) const
+{
+    panic("%s cannot list its resident blocks", name().c_str());
 }
 
 namespace

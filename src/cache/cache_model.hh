@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -84,8 +85,7 @@ struct AccessResult
      * on a hit as well as on a miss (a two-probe promotion can push a
      * line out), and it is no longer probe()-able afterwards. A line
      * that only moves inside the cache (a victim-buffer swap, a
-     * two-probe demotion) is not a departure. CoherentSystem's reverse
-     * maps rely on this being exact.
+     * two-probe demotion) is not a departure.
      */
     std::optional<std::uint64_t> evictedAddr;
 };
@@ -191,6 +191,16 @@ class CacheModel
 
     /** Hit check without any state or statistics update. */
     virtual bool probe(std::uint64_t addr) const = 0;
+
+    /**
+     * Call @p visit with the byte address of every resident block —
+     * exactly the blocks probe() finds — in no particular order. For
+     * invariant checks (CoherentSystem::checkInclusion()). Every
+     * organization overrides it; the base implementation panics, so a
+     * decorator that does not forward it cannot pass a check vacuously.
+     */
+    virtual void
+    forEachBlock(const std::function<void(std::uint64_t)> &visit) const;
 
     /**
      * Invalidate the block containing @p addr if present (Inclusion

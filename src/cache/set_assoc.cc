@@ -160,6 +160,16 @@ SetAssocCache::probe(std::uint64_t addr) const
     return lookup(addr) != nullptr;
 }
 
+void
+SetAssocCache::forEachBlock(
+    const std::function<void(std::uint64_t)> &visit) const
+{
+    for (const Line &line : lines_) {
+        if (line.valid)
+            visit(geometry_.byteAddr(line.block));
+    }
+}
+
 bool
 SetAssocCache::invalidate(std::uint64_t addr)
 {

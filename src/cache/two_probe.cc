@@ -185,6 +185,16 @@ TwoProbeCache::probe(std::uint64_t addr) const
         || (lines_[i2].valid && lines_[i2].block == block);
 }
 
+void
+TwoProbeCache::forEachBlock(
+    const std::function<void(std::uint64_t)> &visit) const
+{
+    for (const Line &line : lines_) {
+        if (line.valid)
+            visit(geometry_.byteAddr(line.block));
+    }
+}
+
 bool
 TwoProbeCache::invalidate(std::uint64_t addr)
 {

@@ -55,6 +55,8 @@ class TwoProbeCache final : public CacheModel
     void accessMixed(const std::uint64_t *addrs, const bool *writes,
                      std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
+    void forEachBlock(
+        const std::function<void(std::uint64_t)> &visit) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;
     std::string name() const override;

@@ -65,13 +65,38 @@ VictimCache::insertVictim(std::uint64_t block)
     return dropped;
 }
 
+/** Settles each main-array miss of a batch, at its access's tick. */
+struct VictimCache::MainMisses
+{
+    VictimCache &cache;
+    const std::uint64_t *addrs;
+    std::uint64_t base_tick; ///< tick_ before the batch
+
+    void miss(std::size_t i, bool is_write, const AccessResult &fill)
+    {
+        cache.tick_ = base_tick + i + 1;
+        cache.settleMainMiss(cache.geometry_.blockAddr(addrs[i]), is_write,
+                             fill);
+    }
+};
+
 template <typename Kind>
 void
 VictimCache::batchKernel(const std::uint64_t *addrs, std::size_t n,
                          Kind kind)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        access(addrs[i], kind.isWrite(i));
+    // Write-no-allocate replays access by access (see the file comment).
+    if (!write_allocate_) {
+        for (std::size_t i = 0; i < n; ++i)
+            access(addrs[i], kind.isWrite(i));
+        return;
+    }
+    const std::size_t stores = kind.writesIn(0, n);
+    stats_.stores += stores;
+    stats_.loads += n - stores;
+    const std::uint64_t base_tick = tick_;
+    main_.batchKernel(addrs, n, kind, MainMisses{*this, addrs, base_tick});
+    tick_ = base_tick + n;
 }
 
 void
@@ -103,34 +128,40 @@ VictimCache::access(std::uint64_t addr, bool is_write)
     if (AccessResult r; main_.tryAccess(addr, is_write, false, r))
         return r;
 
+    // Write-no-allocate: a store missing both arrays fills nothing.
+    if (is_write && !write_allocate_ && findVictim(block) == nullptr) {
+        ++stats_.storeMisses;
+        return AccessResult{};
+    }
+    return settleMainMiss(block, is_write, main_.fill(addr));
+}
+
+AccessResult
+VictimCache::settleMainMiss(std::uint64_t block, bool is_write,
+                            const AccessResult &fill)
+{
+    AccessResult r;
     if (VictimLine *vline = findVictim(block)) {
         // Victim hit: swap the line back into the main cache; the block
         // the main cache evicts takes its place in the buffer. The
         // freed slot leaves room, so nothing departs.
         ++victim_hits_;
         vline->valid = false;
-        AccessResult fill = main_.fill(addr);
         if (fill.evictedAddr) {
             const auto dropped =
                 insertVictim(geometry_.blockAddr(*fill.evictedAddr));
             CAC_ASSERT(!dropped);
         }
-        AccessResult r;
         r.hit = true;
         return r;
     }
 
     // Genuine miss.
-    if (is_write) {
+    if (is_write)
         ++stats_.storeMisses;
-        if (!write_allocate_)
-            return AccessResult{};
-    } else {
+    else
         ++stats_.loadMisses;
-    }
     ++stats_.fills;
-    AccessResult fill = main_.fill(addr);
-    AccessResult r;
     r.filled = true;
     if (fill.evictedAddr) {
         // The main-cache victim moves into the buffer and stays
@@ -148,6 +179,17 @@ VictimCache::probe(std::uint64_t addr) const
 {
     return main_.probe(addr)
         || findVictim(geometry_.blockAddr(addr)) != nullptr;
+}
+
+void
+VictimCache::forEachBlock(
+    const std::function<void(std::uint64_t)> &visit) const
+{
+    main_.forEachBlock(visit);
+    for (const VictimLine &line : buffer_) {
+        if (line.valid)
+            visit(geometry_.byteAddr(line.block));
+    }
 }
 
 bool

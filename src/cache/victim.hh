@@ -9,6 +9,14 @@
  * miss reports as its departure (AccessResult::evictedAddr) the block
  * a full buffer drops, not the main-cache victim. A buffer hit frees
  * its slot before the swap refills it, so a hit never departs.
+ *
+ * Batch replay runs the main array's own batch kernel
+ * (SetAssocCache::batchKernel()), so main-array hits stay in its LRU
+ * hit loop; each main-array miss comes back, already filled, to a
+ * handler that settles the buffer (swap on a buffer hit, insert the
+ * main victim otherwise). Under write-no-allocate a store missing
+ * both arrays must not fill the main array, which its kernel would
+ * already have done, so that configuration replays access by access.
  */
 
 #ifndef CAC_CACHE_VICTIM_HH
@@ -40,6 +48,8 @@ class VictimCache final : public CacheModel
     void accessMixed(const std::uint64_t *addrs, const bool *writes,
                      std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
+    void forEachBlock(
+        const std::function<void(std::uint64_t)> &visit) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;
     std::string name() const override;
@@ -61,6 +71,18 @@ class VictimCache final : public CacheModel
      * @return the block a full buffer dropped (it left the cache).
      */
     std::optional<std::uint64_t> insertVictim(std::uint64_t block);
+
+    /**
+     * The rest of an access whose block missed the main array, which
+     * has just filled it (@p fill, its eviction included): a buffer
+     * hit swaps the block's buffer line out, a genuine miss counts
+     * and moves the main victim into the buffer.
+     */
+    AccessResult settleMainMiss(std::uint64_t block, bool is_write,
+                                const AccessResult &fill);
+
+    /** The main array's batchKernel() handler (victim.cc). */
+    struct MainMisses;
 
     /** accessBatch()/accessMixed() kernel, templated on the kind source. */
     template <typename Kind>

@@ -1,8 +1,9 @@
 /**
  * @file
  * BlockTable: a flat open-addressing map keyed by 64-bit block or page
- * numbers, for the bookkeeping on the virtual-real miss path (reverse
- * maps, pending holes, the page table and the L2 fill attribution).
+ * numbers, for the bookkeeping on the virtual-real miss path (the page
+ * table and its inverse, pending holes, the blocks other cores evicted
+ * from the L2) and the fully-associative cache's block -> slot map.
  *
  * Linear probing over one power-of-two slot array with a Fibonacci
  * (multiplicative) hash, so clustered sequential block numbers spread
@@ -12,7 +13,7 @@
  * first insert and doubles at 3/4 load.
  *
  * reserve() sizes an empty table from the structure it mirrors (a
- * reverse map holds at most one entry per L1 line) at 1/8 load. Linear
+ * fully-associative cache maps at most one entry per line) at 1/8 load. Linear
  * probing's expected run grows steeply with load (an unreserved table
  * sits between 3/8 and 3/4): on page-clustered block numbers an
  * erase+insert pair costs about 25 ns at 1/2 load, 45 ns at 3/4 and

@@ -157,7 +157,7 @@ class SimTarget
      * engine's cold-flush context switch. Statistics survive; only the
      * cached state goes. Targets model it on their own terms: a
      * functional cache flushes its array, the hierarchy flushes its
-     * (virtually-indexed) L1 and the reverse map, the CPU flushes its
+     * (virtually-indexed) L1s and their pending holes, the CPU flushes its
      * timing L1's functional array.
      */
     virtual void flushPrimary() {}

@@ -30,8 +30,8 @@ PageMap::frameFor(std::uint64_t vpage)
     std::uint64_t frame = 0;
     do {
         frame = rng_.nextBelow(phys_pages_);
-    } while (used_frames_.find(frame));
-    used_frames_.insert(frame);
+    } while (vpages_.find(frame));
+    vpages_.insert(frame).first = vpage;
     table_.insert(vpage).first = frame;
     return frame;
 }

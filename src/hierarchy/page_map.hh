@@ -15,8 +15,10 @@
  * so the memo is exact.
  *
  * Translation is injective: no frame is handed out twice, so no two
- * virtual pages alias. The coherent system relies on this to keep each
- * physical block in at most one L1.
+ * virtual pages alias. The map keeps the inverse (frame -> virtual
+ * page) in the table that enforces this, and untranslate() reads it:
+ * the coherent system finds the one L1 copy of an L2 victim by inverse
+ * translation instead of keeping reverse maps of its own.
  */
 
 #ifndef CAC_HIERARCHY_PAGE_MAP_HH
@@ -24,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 #include "common/block_table.hh"
 #include "common/rng.hh"
@@ -58,6 +61,30 @@ class PageMap
             slot.vpage = vpage;
         }
         return (slot.frame << page_shift_) | (vaddr & (page_bytes_ - 1));
+    }
+
+    /**
+     * The virtual byte address that translates to @p paddr, whose
+     * frame must have been handed out: the inverse of translate().
+     */
+    std::uint64_t untranslate(std::uint64_t paddr) const
+    {
+        const std::uint64_t *vpage = vpages_.find(paddr >> page_shift_);
+        CAC_ASSERT(vpage != nullptr);
+        return (*vpage << page_shift_) | (paddr & (page_bytes_ - 1));
+    }
+
+    /**
+     * translate() of an address whose page is already mapped, read
+     * from the page table alone (no memo update, no frame drawn);
+     * nullopt when the page is unmapped. For const invariant checks.
+     */
+    std::optional<std::uint64_t> mapped(std::uint64_t vaddr) const
+    {
+        const std::uint64_t *frame = table_.find(vaddr >> page_shift_);
+        if (frame == nullptr)
+            return std::nullopt;
+        return (*frame << page_shift_) | (vaddr & (page_bytes_ - 1));
     }
 
     std::uint64_t pageBytes() const { return page_bytes_; }
@@ -96,8 +123,8 @@ class PageMap
     std::array<MemoSlot, std::size_t{1} << kMemoBits> memo_{};
     std::uint64_t phys_pages_;
     Rng rng_;
-    BlockTable<std::uint64_t> table_; ///< virtual page -> frame
-    BlockSet used_frames_;
+    BlockTable<std::uint64_t> table_;  ///< virtual page -> frame
+    BlockTable<std::uint64_t> vpages_; ///< frame -> virtual page
 };
 
 } // namespace cac

@@ -128,18 +128,13 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
         l1_sa_.push_back(dynamic_cast<SetAssocCache *>(l1.get()));
     l2_sa_ = dynamic_cast<SetAssocCache *>(l2_.get());
     mc_.cores.resize(l1s_.size());
-    l1_contents_.resize(l1s_.size());
     holes_.resize(l1s_.size());
-    // A reverse map holds one entry per resident L1 line. A victim
-    // L1's buffer lines, holes and attribution can outgrow these; their
-    // tables then double as usual.
-    for (std::size_t c = 0; c < l1s_.size(); ++c) {
-        const std::size_t lines = l1s_[c]->geometry().numBlocks();
-        l1_contents_[c].reserve(lines);
-        holes_[c].reserve(lines);
-    }
+    // Sized from the lines they mirror; both can outgrow this (see
+    // the file comment) and then double as usual.
+    for (std::size_t c = 0; c < l1s_.size(); ++c)
+        holes_[c].reserve(l1s_[c]->geometry().numBlocks());
     if (l1s_.size() > 1)
-        attr_.reserve(l2_->geometry().numBlocks());
+        peer_evicted_.reserve(l2_->geometry().numBlocks());
 }
 
 CoherentSystem::CoherentSystem(std::unique_ptr<CacheModel> l1,
@@ -161,14 +156,9 @@ CoherentSystem::access(std::uint64_t vaddr, bool is_write)
 bool
 CoherentSystem::accessOn(unsigned core, std::uint64_t vaddr, bool is_write)
 {
-    AccessResult l1_result = l1s_[core]->access(vaddr, is_write);
-    if (l1_result.hit) {
-        // A two-probe promotion can push a line out on a hit. (The
-        // SetAssocCache batch kernel never departs on a hit.)
-        unlinkDeparture(core, l1_result);
+    if (l1s_[core]->access(vaddr, is_write).hit)
         return true;
-    }
-    missPath(core, vaddr, is_write, l1_result);
+    missPath(core, vaddr, is_write);
     return false;
 }
 
@@ -186,9 +176,9 @@ struct CoherentSystem::CoreEvents
     unsigned core;
     const std::uint64_t *vaddrs;
 
-    void miss(std::size_t i, bool is_write, const AccessResult &r)
+    void miss(std::size_t i, bool is_write, const AccessResult &)
     {
-        sys.missPath(core, vaddrs[i], is_write, r);
+        sys.missPath(core, vaddrs[i], is_write);
     }
 };
 
@@ -273,47 +263,14 @@ CoherentSystem::l2Access(std::uint64_t pblock, bool is_write)
     return l2_->access(l2_->geometry().byteAddr(pblock), is_write);
 }
 
-// Inlined: every L1 departure comes through here.
-[[gnu::always_inline]] inline void
-CoherentSystem::unlinkDeparture(unsigned core, const AccessResult &r)
-{
-    if (r.evictedAddr)
-        l1_contents_[core].erase(l2_->geometry().blockAddr(
-            page_map_.translate(*r.evictedAddr)));
-}
-
 void
-CoherentSystem::chargeL2Victim(unsigned core, std::uint64_t victim_pblock)
-{
-    Attribution *attr = attr_.find(victim_pblock);
-    if (attr == nullptr || attr->filler == kNoCore)
-        return;
-    if (attr->filler != core) {
-        ++mc_.cores[attr->filler].l2EvictionsByOthers;
-        attr->evictor = static_cast<std::uint8_t>(core);
-    } else {
-        attr->evictor = kNoCore;
-    }
-    attr->filler = kNoCore;
-    if (attr->unused())
-        attr_.erase(victim_pblock);
-}
-
-void
-CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
-                         const AccessResult &l1_result)
+CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write)
 {
     // The virtual-real protocol of sections 3.1-3.3 (holes, Inclusion).
-    // Attribution is guarded by `multi`, so a one-core system never
-    // touches attr_ and its miss path stays short.
-    CacheModel &l1 = *l1s_[core];
     HoleStats &holes = mc_.cores[core].holes;
-    const bool multi = l1s_.size() > 1;
-
-    const std::uint64_t vblock = l1.geometry().blockAddr(vaddr);
 
     ++holes.l1Misses;
-    if (holes_[core].erase(vblock))
+    if (holes_[core].erase(l1s_[core]->geometry().blockAddr(vaddr)))
         ++holes.holeRefills;
 
     // Translation after the L1 access mirrors the virtual-real
@@ -321,57 +278,38 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
     const std::uint64_t pblock =
         l2_->geometry().blockAddr(page_map_.translate(vaddr));
 
-    unlinkDeparture(core, l1_result);
-    if (l1_result.filled) {
-        // Translation is injective, so no other virtual block of any
-        // L1 maps this physical block.
-        auto [resident, fresh] = l1_contents_[core].insert(pblock);
-        CAC_ASSERT(fresh);
-        resident = vblock;
-    }
-
     // Shared-L2 lookup with the physical address.
     const AccessResult l2_result = l2Access(pblock, is_write);
-    if (!l2_result.hit) {
-        ++holes.l2Misses;
-        if (multi) {
-            // Inter-core conflict attribution: this miss is on a line
-            // a different core's fill pushed out of the L2.
-            Attribution &attr = attr_.insert(pblock).first;
-            if (attr.evictor != kNoCore && attr.evictor != core)
-                ++mc_.cores[core].interCoreConflictMisses;
-            attr.evictor = kNoCore;
-            if (l2_result.filled)
-                attr.filler = static_cast<std::uint8_t>(core);
-            if (attr.unused())
-                attr_.erase(pblock);
-        }
-    }
-    if (l2_result.hit || !l2_result.evictedAddr)
+    if (l2_result.hit)
+        return;
+    ++holes.l2Misses;
+    // Inter-core conflict attribution: this miss is on a line another
+    // core's fill pushed out of the L2. (Only the owner misses on it.)
+    if (peer_evicted_.erase(pblock))
+        ++mc_.cores[core].interCoreConflictMisses;
+    if (!l2_result.evictedAddr)
         return;
 
     ++holes.l2Replacements;
-    const std::uint64_t victim_pblock =
-        l2_->geometry().blockAddr(*l2_result.evictedAddr);
-    if (multi)
-        chargeL2Victim(core, victim_pblock);
-    // Inclusion demands this data leave the private L1 that holds it,
-    // whichever core's that is; at most one does. A victim that this
-    // miss's own L1 fill displaced was unlinked above and is not found:
-    // no hole appears (the paper's P_d complement).
-    for (unsigned j = 0; j < l1s_.size(); ++j) {
-        const std::uint64_t *resident = l1_contents_[j].find(victim_pblock);
-        if (resident == nullptr)
-            continue;
-        ++mc_.cores[j].holes.inclusionInvalidates;
-        const std::uint64_t victim_vblock = *resident;
-        if (l1s_[j]->invalidate(
-                l1s_[j]->geometry().byteAddr(victim_vblock))) {
-            ++mc_.cores[j].holes.holesCreated;
-            holes_[j].insert(victim_vblock);
-        }
-        l1_contents_[j].erase(victim_pblock);
-        break;
+    // Inclusion demands the victim's data leave the one L1 that may
+    // hold it: its owner's, at its one virtual address. A victim that
+    // this miss's own L1 fill displaced is gone already, so no hole
+    // appears (the paper's P_d complement). One core owns everything,
+    // without a division.
+    const std::uint64_t victim_vaddr =
+        page_map_.untranslate(*l2_result.evictedAddr);
+    const unsigned owner = l1s_.size() == 1 ? 0 : coreFor(victim_vaddr);
+    CacheModel &owner_l1 = *l1s_[owner];
+    if (owner_l1.invalidate(victim_vaddr)) {
+        HoleStats &owner_holes = mc_.cores[owner].holes;
+        ++owner_holes.inclusionInvalidates;
+        ++owner_holes.holesCreated;
+        holes_[owner].insert(owner_l1.geometry().blockAddr(victim_vaddr));
+    }
+    if (owner != core) {
+        ++mc_.cores[owner].l2EvictionsByOthers;
+        peer_evicted_.insert(
+            l2_->geometry().blockAddr(*l2_result.evictedAddr));
     }
 }
 
@@ -405,26 +343,16 @@ CoherentSystem::aggregateHoles() const
 bool
 CoherentSystem::checkCoherence() const
 {
-    const unsigned cores = numCores();
-    bool ok = cores > 1 || attr_.empty();
-    // Every reverse-map entry must match a resident line of its core's
-    // L1, routed there, and hold a block no other core's map holds.
-    BlockSet seen;
-    for (unsigned c = 0; c < cores; ++c) {
-        l1_contents_[c].forEach([&](std::uint64_t pblock,
-                                    std::uint64_t vblock) {
-            const std::uint64_t vaddr =
-                l1s_[c]->geometry().byteAddr(vblock);
-            if (!l1s_[c]->probe(vaddr) || coreFor(vaddr) != c)
-                ok = false;
-            if (!seen.insert(pblock).second)
+    bool ok = true;
+    for (unsigned c = 0; c < numCores(); ++c) {
+        l1s_[c]->forEachBlock([&](std::uint64_t vaddr) {
+            const std::optional<std::uint64_t> paddr =
+                page_map_.mapped(vaddr);
+            if (coreFor(vaddr) != c || !paddr
+                || page_map_.untranslate(*paddr) != vaddr)
                 ok = false;
         });
     }
-    attr_.forEach([&](std::uint64_t, const Attribution &attr) {
-        if (attr.unused())
-            ok = false;
-    });
     return ok;
 }
 
@@ -432,13 +360,11 @@ bool
 CoherentSystem::checkInclusion() const
 {
     bool ok = true;
-    for (unsigned c = 0; c < l1s_.size(); ++c) {
-        l1_contents_[c].forEach([&](std::uint64_t pblock,
-                                    std::uint64_t resident) {
-            const std::uint64_t vaddr =
-                l1s_[c]->geometry().byteAddr(resident);
-            const std::uint64_t paddr = l2_->geometry().byteAddr(pblock);
-            if (l1s_[c]->probe(vaddr) && !l2_->probe(paddr))
+    for (const auto &l1 : l1s_) {
+        l1->forEachBlock([&](std::uint64_t vaddr) {
+            const std::optional<std::uint64_t> paddr =
+                page_map_.mapped(vaddr);
+            if (!paddr || !l2_->probe(*paddr))
                 ok = false;
         });
     }
@@ -450,8 +376,6 @@ CoherentSystem::flushL1s()
 {
     for (auto &l1 : l1s_)
         l1->flush();
-    for (auto &contents : l1_contents_)
-        contents.clear();
     for (auto &holes : holes_)
         holes.clear();
 }

@@ -13,47 +13,44 @@
  * corresponding virtual line is invalidated at L1, possibly creating a
  * *hole*. The L1s carry no write traffic: like the paper's L1 they are
  * write-through and hold no dirty state, so a line that leaves an L1
- * (the access's reported departure, AccessResult::evictedAddr, on a
- * hit or a miss) only drops its reverse-map entry. HoleStats counts L2
- * misses, forced invalidations and holes (an L2 victim the L1 fill
- * itself displaced leaves none), which the holes_model bench compares
- * against the analytic P_H. The `2lvl:` target grammar builds exactly
- * this one-core system.
+ * needs no bookkeeping at all. HoleStats counts L2 misses, forced
+ * invalidations and holes (an L2 victim the L1 fill itself displaced
+ * is no longer resident and leaves none), which the holes_model bench
+ * compares against the analytic P_H. The `2lvl:` target grammar builds
+ * exactly this one-core system.
  *
  * No two L1s ever hold the same data, by construction: access() routes
  * every reference by its virtual address (coreFor()), a multi-core
  * window is a whole number of blocks, and PageMap never hands out a
- * frame twice. So a physical block has one virtual block, that block
- * one core, and the block sits in at most one core's reverse map. No
- * sharing protocol exists: no line states, no directory, no
- * invalidation of peers (checkCoherence() requires the routing). What
- * more cores add is pressure on the shared L2:
+ * frame twice. So a physical block has one virtual block, and that
+ * block one owner core, the only core that ever misses on it. The page
+ * map is therefore the reverse map: an L2 victim's L1 copy, if any, is
+ * at PageMap::untranslate() of the victim in its owner's L1, and
+ * Inclusion is one invalidate() there. No sharing protocol exists: no
+ * line states, no directory, no invalidation of peers
+ * (checkCoherence() requires the routing and the inverse). What more
+ * cores add is pressure on the shared L2:
  *
- *  - Inclusion across cores: an L2 victim is looked up in every core's
- *    reverse map, so one core's L2 fill can leave a hole in another
- *    core's L1.
- *  - Inter-core conflict attribution: the L2 remembers which core
- *    filled each line; when one core's fill evicts another core's
- *    line, and the victim core (or anyone but the evictor) next
- *    misses on it, that miss is charged as an inter-core conflict
- *    miss. This is the multicore analogue of the paper's
- *    conflict-miss question: does skewed/polynomial placement keep
- *    its edge when the interleaving pressure comes from other cores?
+ *  - Inclusion across cores: one core's L2 fill can evict another
+ *    core's line, and so leave a hole in that core's L1.
+ *  - Inter-core conflict attribution: every L2 line was filled by its
+ *    owner, so when a fill evicts a line of another core, that owner
+ *    is charged an L2 eviction by others, and its next miss on the
+ *    block is an inter-core conflict miss. This is the multicore
+ *    analogue of the paper's conflict-miss question: does
+ *    skewed/polynomial placement keep its edge when the interleaving
+ *    pressure comes from other cores?
  *
- * Attribution lives in a flat table keyed by physical block: the core
- * whose miss filled the block into the L2 and the core whose fill last
- * evicted it. Only an L2 miss and an L2 replacement touch it, and with
- * one core it stays empty. Its filler entries are bounded by the L2's
- * lines, but an evictor entry outlives its line until the block's next
- * L2 miss, so the table is not bounded. It is keyed by block rather
- * than kept in L2 line metadata because the evictor id must outlive
- * the line, and the shared L2 may be any registry organization.
- *
- * Every miss-path table (reverse maps, holes, attribution) is presized
- * at construction with BlockTable::reserve() from the geometry it
- * mirrors, at 1/8 load, so most probes end in their home slot. The
- * holes sets and the attribution table can outgrow theirs and then
- * double as any table does.
+ * The one table the miss path keeps beyond the holes is the set of
+ * blocks a non-owner's fill evicted from the L2 and their owner has not
+ * missed on since (an L2 miss erases its block). It stays empty with
+ * one core. A block in it is not in the L2, so it is bounded by the
+ * blocks of the mapped pages, not by the L2: blocks nobody misses on
+ * again stay. The holes sets and this set are presized at construction
+ * with BlockTable::reserve() from the geometry they mirror (an L1's
+ * lines, the L2's lines), at 1/8 load, so most probes end in their home
+ * slot; both can outgrow the reservation and then double as any table
+ * does.
  *
  * Speed. Each core's L1 hits stay inside SetAssocCache::batchKernel(),
  * the same plain-LRU hit loop batch replay of a single cache runs;
@@ -272,45 +269,29 @@ class CoherentSystem
     HoleStats aggregateHoles() const;
 
     /**
-     * Verify the bookkeeping that replaces a sharing protocol: every
-     * reverse-map entry matches a resident line of its core's L1, whose
-     * virtual block coreFor() routes to that core; no physical block is
-     * in two cores' reverse maps; no attribution entry is unused, and
-     * with one core there is none. O(tracked blocks); test hook.
+     * Verify what replaces a sharing protocol, for every block resident
+     * in every private L1 (CacheModel::forEachBlock()): coreFor() routes
+     * it to the core whose L1 holds it, and its page is mapped with
+     * untranslate(translate(v)) == v, so no other virtual block, and so
+     * no other L1, can hold its physical block. O(L1 lines); test hook.
      */
     bool checkCoherence() const;
 
     /**
-     * Verify Inclusion at every core: a virtual block resident in a
-     * private L1 has its physical block resident in the shared L2.
+     * Verify Inclusion at every core: every block resident in a private
+     * L1 has its physical block resident in the shared L2.
      */
     bool checkInclusion() const;
 
     /**
-     * Flush every private L1 (and the reverse maps and pending holes
-     * that describe their contents) — the context-switch cold start of
-     * a virtual cache without ASIDs. The physically indexed shared L2
-     * and its fill attribution survive; Inclusion trivially holds on
-     * empty L1s.
+     * Flush every private L1 (and the pending holes of their contents)
+     * — the context-switch cold start of a virtual cache without ASIDs.
+     * The physically indexed shared L2 and its inter-core attribution
+     * survive; Inclusion trivially holds on empty L1s.
      */
     void flushL1s();
 
   private:
-    /** No core: an unset filler or evictor field. */
-    static constexpr std::uint8_t kNoCore = 0xFF;
-
-    /** L2 fill attribution of one physical block (multi-core only). */
-    struct Attribution
-    {
-        std::uint8_t filler = kNoCore;  ///< core whose miss filled it into L2
-        std::uint8_t evictor = kNoCore; ///< core whose fill last evicted it
-
-        bool unused() const
-        {
-            return filler == kNoCore && evictor == kNoCore;
-        }
-    };
-
     /** The batchKernel() handler of one core's L1 (coherent_system.cc). */
     struct CoreEvents;
 
@@ -318,26 +299,13 @@ class CoherentSystem
     bool accessOn(unsigned core, std::uint64_t vaddr, bool is_write);
 
     /** Everything access() does after a private-L1 miss. */
-    void missPath(unsigned core, std::uint64_t vaddr, bool is_write,
-                  const AccessResult &l1_result);
-
-    /**
-     * Charge an L2 victim evicted by @p core's fill to the core that
-     * filled it, in the attribution table.
-     */
-    void chargeL2Victim(unsigned core, std::uint64_t victim_pblock);
+    void missPath(unsigned core, std::uint64_t vaddr, bool is_write);
 
     /**
      * One shared-L2 access to physical block @p pblock: through its
      * packed index word when the L2 is a packed-capable SetAssocCache.
      */
     AccessResult l2Access(std::uint64_t pblock, bool is_write);
-
-    /**
-     * Forget the line @p r reports as having left @p core's L1 (its
-     * departure, on a hit or a miss), if any.
-     */
-    void unlinkDeparture(unsigned core, const AccessResult &r);
 
     /** Make @p vaddr's ASID window the demultiplexer's current one. */
     void enterWindow(std::uint64_t vaddr);
@@ -375,20 +343,13 @@ class CoherentSystem
     /** Per-core hole and attribution counters (l1 filled lazily). */
     MultiCoreStats mc_;
 
-    /**
-     * Per-core reverse maps: physical block -> virtual block resident
-     * in that L1. The virtual-real protocol maintains exactly this
-     * association so physical invalidations can find virtual L1 lines
-     * without reverse translation hardware.
-     */
-    std::vector<BlockTable<std::uint64_t>> l1_contents_;
     /** Per-core blocks invalidated by Inclusion, pending re-reference. */
     std::vector<BlockSet> holes_;
     /**
-     * Physical block -> L2 filler and evictor; touched only on the L2
-     * miss and replacement path. Stays empty with one core.
+     * Physical blocks a non-owner core's fill evicted from the L2, not
+     * missed on since (see the file comment). Empty with one core.
      */
-    BlockTable<Attribution> attr_;
+    BlockSet peer_evicted_;
 };
 
 } // namespace cac

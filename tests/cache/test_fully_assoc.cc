@@ -3,6 +3,9 @@
  * Tests for the fully-associative LRU cache.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/fully_assoc.hh"
@@ -68,6 +71,31 @@ TEST(FullyAssocCache, InvalidateAndFlush)
     EXPECT_TRUE(c.probe(0x200));
     c.flush();
     EXPECT_FALSE(c.probe(0x200));
+}
+
+TEST(FullyAssocCache, InvalidatedSlotsAreReusedInLruOrder)
+{
+    // Four lines; two invalidated slots are refilled before anything
+    // is evicted, and the LRU order of the survivors is kept.
+    FullyAssocCache c(128, 32);
+    for (std::uint64_t a : {0x000, 0x100, 0x200, 0x300})
+        c.access(a, false);
+    EXPECT_TRUE(c.invalidate(0x100));
+    EXPECT_TRUE(c.invalidate(0x000));
+    c.access(0x400, false);
+    c.access(0x500, false);
+    EXPECT_EQ(c.stats().evictions, 0u);
+    std::vector<std::uint64_t> resident;
+    c.forEachBlock([&](std::uint64_t a) { resident.push_back(a); });
+    std::sort(resident.begin(), resident.end());
+    EXPECT_EQ(resident,
+              (std::vector<std::uint64_t>{0x200, 0x300, 0x400, 0x500}));
+    // Full again: the next fill evicts the least recent, 0x200.
+    const AccessResult r = c.access(0x600, false);
+    ASSERT_TRUE(r.evictedAddr.has_value());
+    EXPECT_EQ(*r.evictedAddr, 0x200u);
+    c.access(0x300, false); // touch: 0x400 is now least recent
+    EXPECT_EQ(*c.access(0x700, false).evictedAddr, 0x400u);
 }
 
 TEST(FullyAssocCache, MatchesPaperReferenceRole)

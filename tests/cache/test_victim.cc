@@ -3,9 +3,14 @@
  * Tests for the victim cache (Jouppi-style DM + victim buffer).
  */
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/victim.hh"
+#include "common/rng.hh"
 
 namespace cac
 {
@@ -96,6 +101,44 @@ TEST(VictimCache, WriteNoAllocate)
     VictimCache c(dmGeom(), 4, /*write_allocate=*/false);
     c.access(0x1000, true);
     EXPECT_FALSE(c.probe(0x1000));
+}
+
+TEST(VictimCache, BatchMatchesScalarWithEitherWritePolicy)
+{
+    // A seeded mixed stream over a footprint a few times the cache,
+    // so main-array hits, buffer swaps and buffer drops all occur;
+    // accessMixed() runs the main array's batch kernel under
+    // write-allocate and the scalar path under write-no-allocate.
+    Rng rng(7);
+    std::vector<std::uint64_t> addrs(20000);
+    std::unique_ptr<bool[]> writes(new bool[addrs.size()]);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        addrs[i] = rng.nextBelow(32 * 1024);
+        writes[i] = rng.chance(0.3);
+    }
+    for (bool write_allocate : {true, false}) {
+        VictimCache scalar(dmGeom(), 4, write_allocate);
+        VictimCache batch(dmGeom(), 4, write_allocate);
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+            scalar.access(addrs[i], writes[i]);
+        for (std::size_t at = 0; at < addrs.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                addrs.size() - at, 1 + rng.nextBelow(700));
+            batch.accessMixed(addrs.data() + at, writes.get() + at, n);
+            at += n;
+        }
+        const CacheStats &a = scalar.stats(), &b = batch.stats();
+        EXPECT_EQ(a.loads, b.loads) << write_allocate;
+        EXPECT_EQ(a.stores, b.stores) << write_allocate;
+        EXPECT_EQ(a.loadMisses, b.loadMisses) << write_allocate;
+        EXPECT_EQ(a.storeMisses, b.storeMisses) << write_allocate;
+        EXPECT_EQ(a.fills, b.fills) << write_allocate;
+        EXPECT_EQ(a.evictions, b.evictions) << write_allocate;
+        EXPECT_EQ(scalar.victimHits(), batch.victimHits()) << write_allocate;
+        EXPECT_GT(batch.victimHits(), 0u) << write_allocate;
+        for (std::uint64_t addr = 0; addr < 32 * 1024; addr += 32)
+            EXPECT_EQ(scalar.probe(addr), batch.probe(addr)) << addr;
+    }
 }
 
 TEST(VictimCache, NameMentionsBufferSize)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "hierarchy/page_map.hh"
 
 namespace cac
@@ -91,6 +92,27 @@ TEST(PageMap, PagesCollidingInTheMemoTranslateAsBefore)
         EXPECT_EQ(pm.translate(p * 4096 + 5), first[p]) << p;
     }
     EXPECT_EQ(pm.mappedPages(), kPages);
+}
+
+TEST(PageMap, UntranslateInvertsTranslateAndNoFrameRepeats)
+{
+    // Seeded addresses over several page sizes, on a frame pool small
+    // enough that the draws collide and must be rejected: every
+    // translation inverts, and every page got a frame of its own.
+    for (std::uint64_t page_bytes : {64ull, 4096ull, 65536ull}) {
+        PageMap pm(page_bytes, 4096, page_bytes + 3);
+        Rng rng(page_bytes);
+        std::set<std::uint64_t> frames;
+        for (int i = 0; i < 3000; ++i) {
+            const std::uint64_t v = rng.nextBelow(std::uint64_t{1} << 36);
+            const std::uint64_t p = pm.translate(v);
+            EXPECT_EQ(pm.untranslate(p), v) << page_bytes << " " << v;
+            EXPECT_EQ(pm.mapped(v), p) << page_bytes << " " << v;
+            frames.insert(p / page_bytes);
+        }
+        EXPECT_EQ(frames.size(), pm.mappedPages()) << page_bytes;
+        EXPECT_FALSE(pm.mapped(std::uint64_t{1} << 40)) << page_bytes;
+    }
 }
 
 TEST(PageMap, LargePagesSupported)

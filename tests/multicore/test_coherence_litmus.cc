@@ -130,9 +130,24 @@ TEST(CoherenceLitmus, SharedL2EvictionAttributesInterCoreConflicts)
         EXPECT_FALSE(sys.l1(1).probe(B));
     }
 
+    // The conflict was charged once: A's next miss (the L1s flushed,
+    // the L2 still holding it) counts none.
+    sys.flushL1s();
+    EXPECT_FALSE(sys.access(A, false));
+    EXPECT_EQ(sys.stats().cores[0].interCoreConflictMisses, 1u);
+    expectInvariants(sys, "after A misses again");
+
     // A core re-evicting *its own* line is not an inter-core conflict:
-    // core 0 brings C in (evicts its own A), then re-misses on A.
+    // core 0 brings C in (evicts its own A), then re-misses on A. The
+    // eviction leaves a hole in core 0, charged to nobody else.
     sys.access(C, false);
+    EXPECT_FALSE(sys.l1(0).probe(A));
+    {
+        const MultiCoreStats mc = sys.stats();
+        EXPECT_EQ(mc.cores[0].l2EvictionsByOthers, 1u);
+        EXPECT_EQ(mc.cores[0].holes.holesCreated, 2u);
+        EXPECT_EQ(mc.cores[1].holes.holesCreated, 1u);
+    }
     sys.access(A, false);
     EXPECT_EQ(sys.stats().cores[0].interCoreConflictMisses, 1u);
     expectInvariants(sys, "after self-conflict");

@@ -11,7 +11,7 @@ ab=${1:?usage: tools/ab/ci.sh CAC_AB_BINARY}
 mix=mix:swim+tomcatv+gcc+wave5@q=50k,n=1m,seed=1
 coherent=2lvl:a2-Hp-Sk/a4,mc:1xa2-Hp-Sk/a4,mc:2xa2-Hp-Sk/a4,mc:4xa2-Hp-Sk/a4
 # a2-Hp-Sk alone prices 2lvl's L1; the victim and column-poly L1s replay
-# through access() and unlink departures on hits.
+# through access() one reference at a time.
 coherent=$coherent,a2-Hp-Sk,mc:2xvictim/a4,mc:4xcolumn-poly/a4
 orgs=a2-Hp-Sk,dm,a2,a4,a2-Hx-Sk,a2-Hp,victim,hash-rehash,column-poly,full
 status=0
